@@ -17,15 +17,17 @@ scale max(1, max_i |x_i|)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import trees
-from .numerics import nonneg_dependent, require_unit, sign_distinct, unit
+from .numerics import nonneg_dependent_rows, require_unit, row_dots, row_norms, sign_distinct, unit
 
 Pair = tuple[int, int]
 Index3 = tuple[int, int, int]
@@ -59,20 +61,88 @@ def extended_product_residual(values: Sequence[float]) -> float:
     checkable constraint is that a zero entry is accompanied by an infinite
     one and vice versa.
     """
-    zeros = any(v == 0.0 for v in values)
-    infs = any(math.isinf(v) for v in values)
-    if not zeros and not infs:
-        prod = 1.0
-        for v in values:
-            prod *= v
-        return abs(prod - 1.0)
-    return 0.0 if (zeros and infs) else math.inf
+    return float(_extended_residuals(np.asarray(values, dtype=float).reshape(1, -1))[0])
 
 
-def _rel_diff(a: float, b: float) -> float:
-    if math.isinf(a) or math.isinf(b):
-        return 0.0 if a == b else math.inf
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _extended_residuals(values: np.ndarray) -> np.ndarray:
+    """extended_product_residual of every row of a (T, k) array."""
+    zeros = (values == 0.0).any(axis=1)
+    infs = np.isinf(values).any(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.abs(values.prod(axis=1) - 1.0)
+    return np.where(zeros | infs, np.where(zeros & infs, 0.0, np.inf), finite)
+
+
+def _rel_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relative gap |a - b| / max(1, |a|, |b|); 0 or inf when a value is infinite."""
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return np.where(np.isinf(a) | np.isinf(b), np.where(a == b, 0.0, np.inf), rel)
+
+
+# -- index tables --------------------------------------------------------------
+
+
+def _index_table(tuples, r: int) -> np.ndarray:
+    return np.array(list(tuples), dtype=np.intp).reshape(-1, r)
+
+
+def _getter(keys: tuple) -> Callable[[Mapping], tuple]:
+    """Look up every key of a mapping in one C-level call."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda mapping: (mapping[key],)
+    if not keys:
+        return lambda mapping: ()
+    return operator.itemgetter(*keys)
+
+
+class _Tables(NamedTuple):
+    """0-based index tuples over n labels, each in itertools enumeration order."""
+
+    pairs: np.ndarray  # ordered pairs
+    upairs: np.ndarray  # unordered pairs i < j
+    triples: np.ndarray  # ordered triples
+    subsets3: np.ndarray  # i < j < k
+    reciprocal: np.ndarray  # (i, j, k) with j < k, both != i
+    cyclic: np.ndarray  # (i, j, k) and (i, k, j) for each i < j < k
+    perms4: np.ndarray  # ordered 4-tuples
+    subsets4: np.ndarray  # 4-subsets
+    pair_keys: tuple[Pair, ...]  # 1-based keys of the ordered pairs
+    triple_keys: tuple[Index3, ...]  # 1-based keys of the ordered triples
+    get_pairs: Callable[[Mapping], tuple]
+    get_triples: Callable[[Mapping], tuple]
+
+
+@functools.lru_cache(maxsize=32)
+def _tables(n: int) -> _Tables:
+    idx = range(n)
+    pair_keys = tuple(ordered_pairs(n))
+    triple_keys = tuple(ordered_triples(n))
+    return _Tables(
+        pairs=_index_table(itertools.permutations(idx, 2), 2),
+        upairs=_index_table(itertools.combinations(idx, 2), 2),
+        triples=_index_table(itertools.permutations(idx, 3), 3),
+        subsets3=_index_table(itertools.combinations(idx, 3), 3),
+        reciprocal=_index_table(
+            (
+                (i, j, k)
+                for i in idx
+                for j, k in itertools.combinations([t for t in idx if t != i], 2)
+            ),
+            3,
+        ),
+        cyclic=_index_table(
+            (c for i, j, k in itertools.combinations(idx, 3) for c in ((i, j, k), (i, k, j))),
+            3,
+        ),
+        perms4=_index_table(itertools.permutations(idx, 4), 4),
+        subsets4=_index_table(itertools.combinations(idx, 4), 4),
+        pair_keys=pair_keys,
+        triple_keys=triple_keys,
+        get_pairs=_getter(pair_keys),
+        get_triples=_getter(triple_keys),
+    )
 
 
 # -- configurations ----------------------------------------------------------
@@ -178,33 +248,62 @@ class AmbientPoint:
         return self.x.shape[0]
 
 
-def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) -> AmbientPoint:
-    """Validate index completeness, renormalize directions, freeze arrays."""
+def _positions(x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2:
         raise ValueError("x must be an (n, m) array")
-    n, m = pts.shape
-    uu: dict[Pair, np.ndarray] = {}
-    for i, j in ordered_pairs(n):
-        if (i, j) not in u:
-            raise ValueError(f"missing direction u[{i},{j}]")
-        vec = require_unit(u[(i, j)], f"u[{i},{j}]", slack=1e-6)
-        if vec.shape != (m,):
-            raise ValueError(f"direction u[{i},{j}] has wrong dimension")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        uu[(i, j)] = vec
-    dd: dict[Index3, float] = {}
-    for i, j, k in ordered_triples(n):
-        if (i, j, k) not in d:
-            raise ValueError(f"missing ratio d[{i},{j},{k}]")
-        val = float(d[(i, j, k)])
-        if math.isnan(val) or val < 0.0:
-            raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
-        dd[(i, j, k)] = val
+    if not np.isfinite(pts).all():
+        raise ValueError("x must be finite")
     pts = pts.copy()
     pts.flags.writeable = False
-    return AmbientPoint(m, pts, uu, dd)
+    return pts
+
+
+def _unit_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> dict[Pair, np.ndarray]:
+    """Check and renormalize every u[i,j] in one array pass; rows are frozen."""
+    t = _tables(n)
+    try:
+        vals = t.get_pairs(u)
+    except KeyError:
+        i, j = next(key for key in t.pair_keys if key not in u)
+        raise ValueError(f"missing direction u[{i},{j}]") from None
+    rows = None
+    try:
+        rows = np.array(vals, dtype=float) if vals else np.zeros((0, m))
+    except ValueError:
+        pass
+    if rows is None or rows.shape[1:] != (m,):
+        for i, j in t.pair_keys:
+            if np.shape(u[(i, j)]) != (m,):
+                raise ValueError(f"direction u[{i},{j}] has wrong dimension")
+        raise ValueError("directions must be numeric vectors")
+    nrm = row_norms(rows)
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))
+    if bad.size:
+        i, j = t.pair_keys[bad[0]]
+        raise ValueError(f"u[{i},{j}] is not a unit vector (norm {nrm[bad[0]]})")
+    off = np.abs(nrm - 1.0) > 1e-12
+    rows[off] /= nrm[off, None]
+    rows.flags.writeable = False
+    return dict(zip(t.pair_keys, rows))
+
+
+def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) -> AmbientPoint:
+    """Validate index completeness, renormalize directions, freeze arrays."""
+    pts = _positions(x)
+    n, m = pts.shape
+    uu = _unit_directions(u, n, m)
+    t = _tables(n)
+    try:
+        vals = np.array(t.get_triples(d), dtype=float)
+    except KeyError:
+        i, j, k = next(key for key in t.triple_keys if key not in d)
+        raise ValueError(f"missing ratio d[{i},{j},{k}]") from None
+    bad = np.flatnonzero(np.isnan(vals) | (vals < 0.0))
+    if bad.size:
+        i, j, k = t.triple_keys[bad[0]]
+        raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
+    return AmbientPoint(m, pts, uu, dict(zip(t.triple_keys, vals.tolist())))
 
 
 def lift_configuration(c) -> AmbientPoint:
@@ -255,26 +354,29 @@ def ratio_from_directions(u_ij, u_ji, u_jk, u_kj, u_ik, u_ki, tol: float = DEFAU
     distinct, 0.0 in the two-point-cluster case u_ik = u_jk != +-u_ij, and
     None when the directions are collinear and the ratio is unconstrained.
     """
-    vecs = [require_unit(v, name) for v, name in (
+    vecs = [require_unit(v, name)[None] for v, name in (
         (u_ij, "u_ij"), (u_ji, "u_ji"), (u_jk, "u_jk"),
         (u_kj, "u_kj"), (u_ik, "u_ik"), (u_ki, "u_ki"),
     )]
-    u_ij, u_ji, u_jk, u_kj, u_ik, u_ki = vecs
-    if (
+    val = float(_law_of_sines(*vecs, tol)[0])
+    return None if math.isnan(val) else val
+
+
+def _law_of_sines(u_ij, u_ji, u_jk, u_kj, u_ik, u_ki, tol: float) -> np.ndarray:
+    """ratio_from_directions on (T, m) rows of directions; NaN marks None."""
+    generic = (
         sign_distinct(u_ij, u_jk, tol)
-        and sign_distinct(u_ij, u_ik, tol)
-        and sign_distinct(u_jk, u_ik, tol)
-    ):
-        # sin of the enclosed angle via an orthogonal rejection; this equals
-        # sqrt(1 - (a.b)^2) but stays accurate for nearly parallel directions
-        sin_k = float(np.linalg.norm(u_ki - float(np.dot(u_ki, u_kj)) * u_kj))
-        sin_j = float(np.linalg.norm(u_ji - float(np.dot(u_ji, u_jk)) * u_jk))
-        if sin_j == 0.0:
-            return None
-        return sin_k / sin_j
-    if float(np.linalg.norm(u_ik - u_jk)) <= tol and sign_distinct(u_ij, u_ik, tol):
-        return 0.0
-    return None
+        & sign_distinct(u_ij, u_ik, tol)
+        & sign_distinct(u_jk, u_ik, tol)
+    )
+    # sin of the enclosed angle via an orthogonal rejection; this equals
+    # sqrt(1 - (a.b)^2) but stays accurate for nearly parallel directions
+    sin_k = row_norms(u_ki - row_dots(u_ki, u_kj)[:, None] * u_kj)
+    sin_j = row_norms(u_ji - row_dots(u_ji, u_jk)[:, None] * u_jk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sines = np.where(sin_j == 0.0, np.nan, sin_k / sin_j)
+    cluster = (row_norms(u_ik - u_jk) <= tol) & sign_distinct(u_ij, u_ik, tol)
+    return np.where(generic, sines, np.where(cluster, 0.0, np.nan))
 
 
 # -- membership --------------------------------------------------------------
@@ -299,21 +401,93 @@ class Verdict:
         return not self.violations
 
 
-class _VerdictBuilder:
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.violations: list[Violation] = []
-        self.max_residual = 0.0
+# A check block: condition name (one for all rows, or one per row), 0-based
+# index rows, residuals, and the bound they must not exceed (None: tol).
+_Block = tuple[str | np.ndarray, np.ndarray, np.ndarray, float | np.ndarray | None]
 
-    def check(self, condition: str, indices: tuple[int, ...], residual: float, bound: float | None = None):
-        limit = self.tol if bound is None else bound
-        if residual > self.max_residual:
-            self.max_residual = residual
-        if residual > limit:
-            self.violations.append(Violation(condition, indices, residual))
 
-    def verdict(self) -> Verdict:
-        return Verdict(tuple(self.violations), self.max_residual)
+def _verdict(blocks: Sequence[_Block], tol: float) -> Verdict:
+    """Turn residual blocks into a verdict, keeping block and row order.
+
+    max_residual is the largest residual over every row of every block.
+    """
+    violations: list[Violation] = []
+    worst = 0.0
+    for condition, index, residual, bound in blocks:
+        if residual.size == 0:
+            continue
+        top = float(np.fmax.reduce(residual))
+        if top > worst:
+            worst = top
+        bad = np.flatnonzero(residual > (tol if bound is None else bound))
+        if not bad.size:
+            continue
+        names = [condition] * bad.size if isinstance(condition, str) else condition[bad].tolist()
+        rows = (index[bad] + 1).tolist()
+        for name, row, res in zip(names, rows, residual[bad].tolist()):
+            violations.append(Violation(name, tuple(row), res))
+    return Verdict(tuple(violations), worst)
+
+
+def _dense_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
+    """The directions as an (n, n, m) array, U[i-1, j-1] = u_ij, zero diagonal."""
+    out = np.zeros((n, n, m))
+    t = _tables(n)
+    if len(t.pairs):
+        out[t.pairs[:, 0], t.pairs[:, 1]] = t.get_pairs(u)
+    return out
+
+
+def _distances(x: np.ndarray) -> np.ndarray:
+    return row_norms(x[:, None, :] - x[None, :, :])
+
+
+def _shared_blocks(
+    prefixes: tuple[str, str],
+    x: np.ndarray,
+    U: np.ndarray,
+    dist: np.ndarray,
+    near: float,
+    tol: float,
+) -> tuple[_Block, _Block, _Block]:
+    """The checks both variants make: direction consistency where points
+    differ, antisymmetry, and triangle dependence, named with the variant's
+    condition prefixes."""
+    t = _tables(x.shape[0])
+    i, j = t.pairs.T
+    far = dist[i, j] > near
+    i, j = i[far], j[far]
+    expected = (x[i] - x[j]) / dist[i, j][:, None]
+    direction = (f"{prefixes[0]}-direction", t.pairs[far], row_norms(U[i, j] - expected), None)
+    i, j = t.upairs.T
+    antisymmetry = (f"{prefixes[1]}-antisymmetry", t.upairs, row_norms(U[i, j] + U[j, i]), None)
+    i, j, k = t.subsets3.T
+    ok, res = nonneg_dependent_rows(np.stack([U[i, j], U[j, k], U[k, i]], axis=1), tol)
+    res = np.where(ok, 0.0, np.maximum(res, tol * 2))
+    dependence = (f"{prefixes[1]}-dependence", t.subsets3, res, None)
+    return direction, antisymmetry, dependence
+
+
+def _sphere_blocks(
+    prefix: str, manifold: Sphere, x: np.ndarray, U: np.ndarray, dist: np.ndarray, near: float
+) -> list[_Block]:
+    """On-manifold clause for every point, tangency for every coincident pair."""
+    t = _tables(x.shape[0])
+    on = np.array([manifold.on_manifold_residual(row) for row in x])
+    close = t.pairs[dist[t.pairs[:, 0], t.pairs[:, 1]] <= near]
+    tangent = np.array([manifold.tangency_residual(U[i, j], x[i]) for i, j in close])
+    return [
+        (f"{prefix}-on-manifold", np.arange(len(x))[:, None], on, None),
+        (f"{prefix}-tangency", close, tangent, None),
+    ]
+
+
+def _check_manifold(manifold: ManifoldDescriptor | None, m: int) -> ManifoldDescriptor:
+    if manifold is None:
+        return Euclidean(m)
+    if isinstance(manifold, Sphere) and manifold.m != m:
+        raise ValueError("sphere dimension does not match the point")
+    return manifold
 
 
 def membership_canonical(
@@ -327,79 +501,65 @@ def membership_canonical(
     non-negative dependence of direction triangles (condition 3), the
     extended-ratio product identities (condition 4), and for a sphere the
     on-manifold and tangency clauses (condition 5).
+
+    Violations are reported in that order: 1-direction, then 1-ratio and
+    1-ratio-vanishing interleaved by triple, 2-law-of-sines and
+    2-cluster-zero interleaved by triple, 3-antisymmetry, 3-dependence,
+    4-reciprocal, 4-cyclic, 4-cocycle, 5-on-manifold, 5-tangency.  Within a
+    condition, indices follow itertools enumeration order (permutations for
+    ordered tuples, combinations for subsets).  Each condition runs as one
+    array kernel over dense (n, n, m) directions and (n, n, n) ratios,
+    gathered through index tables cached per n.
     """
-    if manifold is None:
-        manifold = Euclidean(a.m)
-    if isinstance(manifold, Sphere) and manifold.m != a.m:
-        raise ValueError("sphere dimension does not match the point")
+    manifold = _check_manifold(manifold, a.m)
     n = a.n
-    out = _VerdictBuilder(tol)
-    scale = config_scale(a.x)
-    near = tol * scale
+    t = _tables(n)
+    U = _dense_directions(a.u, n, a.m)
+    d = np.array(t.get_triples(a.d), dtype=float)
+    D = np.full((n, n, n), np.nan)
+    i, j, k = t.triples.T
+    D[i, j, k] = d
+    dist = _distances(a.x)
+    near = tol * config_scale(a.x)
+    direction, antisymmetry, dependence = _shared_blocks(("1", "3"), a.x, U, dist, near, tol)
 
-    dist = {}
-    for i, j in ordered_pairs(n):
-        dist[(i, j)] = float(np.linalg.norm(a.x[i - 1] - a.x[j - 1]))
-
-    # condition 1: macroscopic consistency
-    for i, j in ordered_pairs(n):
-        if dist[(i, j)] > near:
-            expected = (a.x[i - 1] - a.x[j - 1]) / dist[(i, j)]
-            out.check("1-direction", (i, j), float(np.linalg.norm(a.u[(i, j)] - expected)))
-    for i, j, k in ordered_triples(n):
-        if dist[(i, k)] > near:
-            if dist[(i, j)] > near:
-                out.check("1-ratio", (i, j, k), _rel_diff(a.d[(i, j, k)], dist[(i, j)] / dist[(i, k)]))
-            else:
-                out.check("1-ratio-vanishing", (i, j, k), abs(a.d[(i, j, k)]))
+    # condition 1: ratios against positions where x_i and x_k differ
+    keep = dist[i, k] > near
+    dij, dik, dk = dist[i, j][keep], dist[i, k][keep], d[keep]
+    apart = dij > near
+    ratio = (
+        np.where(apart, "1-ratio", "1-ratio-vanishing"),
+        t.triples[keep],
+        np.where(apart, _rel_diffs(dk, dij / dik), np.abs(dk)),
+        None,
+    )
 
     # condition 2: directions determine ratios away from collinearity
-    for i, j, k in ordered_triples(n):
-        val = ratio_from_directions(
-            a.u[(i, j)], a.u[(j, i)], a.u[(j, k)], a.u[(k, j)],
-            a.u[(i, k)], a.u[(k, i)], tol,
-        )
-        if val is None:
-            continue
-        cond = "2-law-of-sines" if val != 0.0 else "2-cluster-zero"
-        out.check(cond, (i, j, k), _rel_diff(a.d[(i, j, k)], val))
-
-    # condition 3: antisymmetry and triangle dependence
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.check("3-antisymmetry", (i, j), float(np.linalg.norm(a.u[(i, j)] + a.u[(j, i)])))
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        ok, res = nonneg_dependent((a.u[(i, j)], a.u[(j, k)], a.u[(k, i)]), tol)
-        out.check("3-dependence", (i, j, k), 0.0 if ok else max(res, tol * 2))
+    val = _law_of_sines(U[i, j], U[j, i], U[j, k], U[k, j], U[i, k], U[k, i], tol)
+    keep = ~np.isnan(val)
+    val = val[keep]
+    sines = (
+        np.where(val != 0.0, "2-law-of-sines", "2-cluster-zero"),
+        t.triples[keep],
+        _rel_diffs(d[keep], val),
+        None,
+    )
 
     # condition 4: product identities for extended ratios
-    for i in range(1, n + 1):
-        for j, k in itertools.combinations([t for t in range(1, n + 1) if t != i], 2):
-            out.check(
-                "4-reciprocal", (i, j, k),
-                extended_product_residual([a.d[(i, j, k)], a.d[(i, k, j)]]),
-            )
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        for x, y, z in ((i, j, k), (i, k, j)):
-            out.check(
-                "4-cyclic", (x, y, z),
-                extended_product_residual([a.d[(x, y, z)], a.d[(y, z, x)], a.d[(z, x, y)]]),
-            )
-    for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
-        out.check(
-            "4-cocycle", (i, j, k, l),
-            extended_product_residual([a.d[(i, j, k)], a.d[(i, k, l)], a.d[(i, l, j)]]),
-        )
+    def products(table: np.ndarray, *slots: tuple[int, int, int]) -> np.ndarray:
+        factors = [D[tuple(table[:, s] for s in slot)] for slot in slots]
+        return _extended_residuals(np.stack(factors, axis=1))
 
+    blocks = [
+        direction, ratio, sines, antisymmetry, dependence,
+        ("4-reciprocal", t.reciprocal, products(t.reciprocal, (0, 1, 2), (0, 2, 1)), None),
+        ("4-cyclic", t.cyclic, products(t.cyclic, (0, 1, 2), (1, 2, 0), (2, 0, 1)), None),
+        ("4-cocycle", t.perms4, products(t.perms4, (0, 1, 2), (0, 2, 3), (0, 3, 1)), None),
+    ]
     # condition 5: submanifold clauses
     if isinstance(manifold, Sphere):
-        for i in range(1, n + 1):
-            out.check("5-on-manifold", (i,), manifold.on_manifold_residual(a.x[i - 1]))
-        for i, j in ordered_pairs(n):
-            if dist[(i, j)] <= near:
-                out.check("5-tangency", (i, j), manifold.tangency_residual(a.u[(i, j)], a.x[i - 1]))
-
-    return out.verdict()
+        blocks += _sphere_blocks("5", manifold, a.x, U, dist, near)
+    return _verdict(blocks, tol)
 
 
 # -- stratum classification ---------------------------------------------------

@@ -167,7 +167,7 @@ def config_to_json(c: Configuration) -> dict:
 
 
 def config_from_json(data: dict) -> Configuration:
-    pts = np.asarray(data["points"], dtype=float)
+    pts = _floats(data["points"], "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if int(data.get("m", pts.shape[1])) != pts.shape[1]:
@@ -179,11 +179,37 @@ def _u_to_json(u):
     return {f"{i},{j}": list(map(float, vec)) for (i, j), vec in u.items()}
 
 
+def _object(data, field: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"field {field!r} must be a JSON object")
+    return data
+
+
+def _index_key(key: str, arity: int, field: str) -> tuple[int, ...]:
+    parts = key.split(",")
+    if len(parts) != arity or not all(p.strip().isdigit() for p in parts):
+        raise ValueError(f"field {field!r} has a bad key {key!r}")
+    return tuple(int(p) for p in parts)
+
+
+def _floats(value, field: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {field!r} is not numeric") from None
+
+
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {field!r} is not a number") from None
+
+
 def _u_from_json(data):
     out = {}
-    for key, vec in data.items():
-        i, j = (int(t) for t in key.split(","))
-        out[(i, j)] = np.asarray(vec, dtype=float)
+    for key, vec in _object(data, "u").items():
+        out[_index_key(key, 2, "u")] = _floats(vec, f"u[{key}]")
     return out
 
 
@@ -197,13 +223,12 @@ def ambient_to_json(a: AmbientPoint) -> dict:
 
 
 def ambient_from_json(data: dict) -> AmbientPoint:
-    x = np.asarray(data["x"], dtype=float)
+    x = _floats(data["x"], "x")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     d = {}
-    for key, val in data["d"].items():
-        i, j, k = (int(t) for t in key.split(","))
-        d[(i, j, k)] = float(val)
+    for key, val in _object(data["d"], "d").items():
+        d[_index_key(key, 3, "d")] = _number(val, f"d[{key}]")
     return ambient_point(x, _u_from_json(data["u"]), d)
 
 
@@ -221,7 +246,7 @@ def simplicial_to_json(p: SimplicialPoint, frames=None) -> dict:
 
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:
-    x = np.asarray(data["x"], dtype=float)
+    x = _floats(data["x"], "x")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     return simplicial_point(x, _u_from_json(data["u"]))
@@ -240,7 +265,7 @@ def framed_from_json(data: dict) -> FramedPoint:
     if "frames" not in data:
         raise ValueError("framed point needs a frames field")
     point = ambient_from_json(data) if "d" in data else simplicial_from_json(data)
-    frames = [np.asarray(f, dtype=float) for f in data["frames"]]
+    frames = [_floats(f, "frames") for f in data["frames"]]
     return framed_point(point, frames)
 
 
@@ -278,15 +303,15 @@ def stratum_from_json(data: dict) -> StratumPoint:
     key_of = {_vertex_key(t, v): v for v in t.internal_vertices}
     configs = {}
     scales = {}
-    for key, rows in data["configs"].items():
+    for key, rows in _object(data["configs"], "configs").items():
         if key not in key_of:
             raise ValueError(f"no internal vertex over leaves {{{key}}}")
-        configs[key_of[key]] = np.asarray(rows, dtype=float)
-    for key, val in data["scales"].items():
+        configs[key_of[key]] = _floats(rows, f"configs[{key}]")
+    for key, val in _object(data["scales"], "scales").items():
         if key not in key_of:
             raise ValueError(f"no internal vertex over leaves {{{key}}}")
-        scales[key_of[key]] = float(val)
-    return StratumPoint(t, np.asarray(data["root"], dtype=float), configs, scales)
+        scales[key_of[key]] = _number(val, f"scales[{key}]")
+    return StratumPoint(t, _floats(data["root"], "root"), configs, scales)
 
 
 # -- verdicts and reports ----------------------------------------------------------------

@@ -12,10 +12,25 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis.
+
+    A stacked matmul rounds exactly like np.dot on each pair of rows, so
+    batched and one-vector code agree to the last bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, rounded like np.linalg.norm of one row."""
+    return np.sqrt(row_dots(v, v))
+
+
 def require_unit(v: np.ndarray, where: str = "vector", slack: float = 1e-6) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > slack:
+    # written so that a NaN norm fails the test
+    if not abs(nrm - 1.0) <= slack:
         raise ValueError(f"{where} is not a unit vector (norm {nrm})")
     if abs(nrm - 1.0) <= 1e-12:
         return v
@@ -26,11 +41,9 @@ def vectors_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return float(np.linalg.norm(a - b)) <= tol
 
 
-def sign_distinct(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """True iff b is within tol of neither a nor -a."""
-    return (
-        float(np.linalg.norm(a - b)) > tol and float(np.linalg.norm(a + b)) > tol
-    )
+def sign_distinct(a: np.ndarray, b: np.ndarray, tol: float):
+    """True iff b is within tol of neither a nor -a; row-wise on stacked vectors."""
+    return (row_norms(a - b) > tol) & (row_norms(a + b) > tol)
 
 
 def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
@@ -42,23 +55,37 @@ def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
     normalized coefficient).
     """
     a = np.stack([np.asarray(v, dtype=float) for v in vectors])
-    k, _ = a.shape
-    u_mat, s, _ = np.linalg.svd(a, full_matrices=True)
-    s = np.concatenate([s, np.zeros(k - len(s))])
-    smax = max(float(s[0]), 1e-30)
-    if float(s[-1]) > tol * smax:
-        return False, float(s[-1]) / smax
-    if float(s[1]) <= tol * smax:
-        # all vectors parallel: need mixed signs for a cancelling combination
-        ref = a[0]
-        same = [float(np.dot(ref, row)) >= 0 for row in a]
-        return (True, 0.0) if not all(same) else (False, 1.0)
-    coeff = u_mat[:, -1]
-    coeff = coeff * np.sign(coeff[np.argmax(np.abs(coeff))])
-    worst = float(coeff.min())
-    if worst >= -tol:
-        return True, 0.0
-    return False, -worst
+    ok, res = nonneg_dependent_rows(a[None], tol)
+    return bool(ok[0]), float(res[0])
+
+
+def nonneg_dependent_rows(stack: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """nonneg_dependent for every (k, m) block of a (T, k, m) stack at once.
+
+    One batched SVD decides all blocks; the answers and residuals are
+    returned as two length-T arrays.
+    """
+    t, k, _ = stack.shape
+    if t == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0)
+    u_mat, s, _ = np.linalg.svd(stack, full_matrices=True)
+    if s.shape[1] < k:
+        s = np.concatenate([s, np.zeros((t, k - s.shape[1]))], axis=1)
+    smax = np.maximum(s[:, 0], 1e-30)
+    independent = s[:, -1] > tol * smax
+    # all vectors parallel: need mixed signs for a cancelling combination
+    parallel = ~independent & (s[:, min(1, k - 1)] <= tol * smax)
+    mixed = (np.einsum("tm,tkm->tk", stack[:, 0], stack) < 0).any(axis=1)
+    coeff = u_mat[:, :, -1]
+    lead = coeff[np.arange(t), np.argmax(np.abs(coeff), axis=1)]
+    worst = (coeff * np.sign(lead)[:, None]).min(axis=1)
+    ok = np.where(independent, False, np.where(parallel, mixed, worst >= -tol))
+    res = np.where(
+        independent,
+        s[:, -1] / smax,
+        np.where(parallel, np.where(mixed, 0.0, 1.0), np.where(ok, 0.0, -worst)),
+    )
+    return ok, res
 
 
 def ray_intersection(

@@ -38,11 +38,18 @@ from .canonical import (
     DEFAULT_TOL,
     AmbientPoint,
     Configuration,
-    Euclidean,
     ManifoldDescriptor,
     Sphere,
     Verdict,
-    _VerdictBuilder,
+    _check_manifold,
+    _dense_directions,
+    _distances,
+    _positions,
+    _shared_blocks,
+    _sphere_blocks,
+    _tables,
+    _unit_directions,
+    _verdict,
     config_scale,
     normalize,
     ordered_pairs,
@@ -75,23 +82,9 @@ class SimplicialPoint:
 
 
 def simplicial_point(x, u: Mapping[Pair, np.ndarray]) -> SimplicialPoint:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("x must be an (n, m) array")
+    pts = _positions(x)
     n, m = pts.shape
-    uu: dict[Pair, np.ndarray] = {}
-    for i, j in ordered_pairs(n):
-        if (i, j) not in u:
-            raise ValueError(f"missing direction u[{i},{j}]")
-        vec = require_unit(u[(i, j)], f"u[{i},{j}]", slack=1e-6)
-        if vec.shape != (m,):
-            raise ValueError(f"direction u[{i},{j}] has wrong dimension")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        uu[(i, j)] = vec
-    pts = pts.copy()
-    pts.flags.writeable = False
-    return SimplicialPoint(m, pts, uu)
+    return SimplicialPoint(m, pts, _unit_directions(u, n, m))
 
 
 def to_simplicial(a: AmbientPoint) -> SimplicialPoint:
@@ -176,6 +169,7 @@ def _edge_slots(path: tuple[int, ...]) -> tuple[int, int, int]:
     return tuple(_EDGE_SLOT[tuple(sorted(e))] for e in zip(path, path[1:]))
 
 
+_QUAD_PAIRS = np.array(list(itertools.combinations(range(4), 2)))
 _C_SLOTS = np.array([_edge_slots(p) for p, _, _ in _CIRCUITS])
 _CSTAR_SLOTS = np.array([_edge_slots(c) for _, c, _ in _CIRCUITS])
 _SIGNS = np.array([s for _, _, s in _CIRCUITS], dtype=float)
@@ -224,15 +218,6 @@ def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int]) -> np.ndar
         else:
             raise ValueError(f"missing direction for pair ({a},{b})")
     return np.stack(rows)
-
-
-def _residual_matrix(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and term scales of the consistency identity at all basis pairs."""
-    prod_c = rows[_C_SLOTS].prod(axis=1)
-    prod_s = rows[_CSTAR_SLOTS].prod(axis=1)
-    res = np.einsum("c,cp,cq->pq", _SIGNS, prod_c, prod_s)
-    scale = np.einsum("cp,cq->pq", np.abs(prod_c), np.abs(prod_s))
-    return res, scale
 
 
 def four_consistency_residual(u: Mapping[Pair, np.ndarray], v, w) -> float:
@@ -329,54 +314,53 @@ def membership_simplicial(
     antisymmetry, non-negative dependence on all triangles, the consistency
     identity on every four-index subset at all coordinate-basis probe pairs,
     and the sphere clauses when applicable.
-    """
-    if manifold is None:
-        manifold = Euclidean(p.m)
-    if isinstance(manifold, Sphere) and manifold.m != p.m:
-        raise ValueError("sphere dimension does not match the point")
-    n = p.n
-    out = _VerdictBuilder(tol)
-    near = tol * config_scale(p.x)
 
-    for i, j in ordered_pairs(n):
-        diff = p.x[i - 1] - p.x[j - 1]
-        dist = float(np.linalg.norm(diff))
-        if dist > near:
-            out.check(
-                "S1-direction", (i, j),
-                float(np.linalg.norm(p.u[(i, j)] - diff / dist)),
-            )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.check(
-                "S2-antisymmetry", (i, j),
-                float(np.linalg.norm(p.u[(i, j)] + p.u[(j, i)])),
-            )
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        ok, res = nonneg_dependent(
-            (p.u[(i, j)], p.u[(j, k)], p.u[(k, i)]), tol
-        )
-        out.check("S2-dependence", (i, j, k), 0.0 if ok else max(res, tol * 2))
-    for quad in itertools.combinations(range(1, n + 1), 4):
-        rows = _direction_rows(p.u, quad)
-        res, scale = _residual_matrix(rows)
-        for a in range(p.m):
-            for b in range(p.m):
-                out.check(
-                    "S3-four-consistency", quad + (a + 1, b + 1),
-                    abs(float(res[a, b])),
-                    tol * max(1.0, float(scale[a, b])),
-                )
+    Violations are reported in that order: S1-direction, S2-antisymmetry,
+    S2-dependence, S3-four-consistency, S4-on-manifold, S4-tangency.  Within
+    a condition, indices follow itertools enumeration order, and a
+    four-consistency entry is the sorted quad followed by the probe axes
+    (v, w), with w varying fastest.  Each condition runs as one array kernel
+    over the dense (n, n, m) directions, gathered through index tables
+    cached per n; the first three are the same kernels as in
+    membership_canonical.
+    """
+    manifold = _check_manifold(manifold, p.m)
+    n, m = p.n, p.m
+    U = _dense_directions(p.u, n, m)
+    dist = _distances(p.x)
+    near = tol * config_scale(p.x)
+    blocks = [
+        *_shared_blocks(("S1", "S2"), p.x, U, dist, near, tol),
+        _four_consistency_block(U, tol),
+    ]
     if isinstance(manifold, Sphere):
-        for i in range(1, n + 1):
-            out.check("S4-on-manifold", (i,), manifold.on_manifold_residual(p.x[i - 1]))
-        for i, j in ordered_pairs(n):
-            if float(np.linalg.norm(p.x[i - 1] - p.x[j - 1])) <= near:
-                out.check(
-                    "S4-tangency", (i, j),
-                    manifold.tangency_residual(p.u[(i, j)], p.x[i - 1]),
-                )
-    return out.verdict()
+        blocks += _sphere_blocks("S4", manifold, p.x, U, dist, near)
+    return _verdict(blocks, tol)
+
+
+def _four_consistency_block(U: np.ndarray, tol: float):
+    """The consistency identity on every 4-subset at every basis probe pair.
+
+    Rows run over (quad, v, w) in that nesting; each residual is bounded by
+    tol times the sum of the absolute terms (at least tol).
+    """
+    quads = _tables(U.shape[0]).subsets4
+    m = U.shape[2]
+    rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
+    prod_c = rows[:, _C_SLOTS].prod(axis=2)
+    prod_s = rows[:, _CSTAR_SLOTS].prod(axis=2)
+    res = np.einsum("c,qcv,qcw->qvw", _SIGNS, prod_c, prod_s)
+    scale = np.einsum("qcv,qcw->qvw", np.abs(prod_c), np.abs(prod_s))
+    probes = np.array(list(itertools.product(range(m), repeat=2)), dtype=np.intp)
+    index = np.concatenate(
+        [np.repeat(quads, m * m, axis=0), np.tile(probes, (len(quads), 1))], axis=1
+    )
+    return (
+        "S3-four-consistency",
+        index,
+        np.abs(res).reshape(-1),
+        tol * np.maximum(1.0, scale).reshape(-1),
+    )
 
 
 # -- classification --------------------------------------------------------------

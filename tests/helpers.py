@@ -238,3 +238,121 @@ def _entry(u, i, j):
     if (i, j) in u:
         return u[(i, j)]
     return -u[(j, i)]
+
+
+# -- per-tuple membership reference -------------------------------------------------------
+
+
+def _rel_gap(a, b):
+    if math.isinf(a) or math.isinf(b):
+        return 0.0 if a == b else math.inf
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _product_gap(values):
+    zeros = any(v == 0.0 for v in values)
+    infs = any(math.isinf(v) for v in values)
+    if zeros or infs:
+        return 0.0 if zeros and infs else math.inf
+    return abs(math.prod(values) - 1.0)
+
+
+def _apart(a, b, tol):
+    return np.linalg.norm(a - b) > tol and np.linalg.norm(a + b) > tol
+
+
+def _law_of_sines(u, i, j, k, tol):
+    uij, uji, ujk, ukj, uik, uki = (
+        u[p] for p in ((i, j), (j, i), (j, k), (k, j), (i, k), (k, i))
+    )
+    if _apart(uij, ujk, tol) and _apart(uij, uik, tol) and _apart(ujk, uik, tol):
+        sin_k = np.linalg.norm(uki - np.dot(uki, ukj) * ukj)
+        sin_j = np.linalg.norm(uji - np.dot(uji, ujk) * ujk)
+        return None if sin_j == 0.0 else float(sin_k / sin_j)
+    if np.linalg.norm(uik - ujk) <= tol and _apart(uij, uik, tol):
+        return 0.0
+    return None
+
+
+def _dependence_gap(vectors, tol):
+    a = np.stack(vectors)
+    u_mat, s, _ = np.linalg.svd(a, full_matrices=True)
+    s = np.concatenate([s, np.zeros(3 - len(s))])
+    smax = max(float(s[0]), 1e-30)
+    if s[-1] > tol * smax:
+        return max(float(s[-1]) / smax, 2 * tol)
+    if s[1] <= tol * smax:
+        return 0.0 if any(np.dot(a[0], row) < 0 for row in a) else 1.0
+    coeff = u_mat[:, -1]
+    worst = float((coeff * np.sign(coeff[np.argmax(np.abs(coeff))])).min())
+    return 0.0 if worst >= -tol else max(-worst, 2 * tol)
+
+
+def reference_membership(point, tol=1e-9):
+    """Membership by per-tuple loops, in the documented condition order.
+
+    A point with ratio coordinates gets the canonical conditions, one
+    without them the direction-only ones; Euclidean space only.  Returns
+    ([(condition, indices, residual) for each violation], max residual).
+    """
+    n, m, x, u = point.n, point.m, point.x, point.u
+    d = getattr(point, "d", None)
+    checks = []
+    labels = range(1, n + 1)
+    near = tol * cs.canonical.config_scale(x)
+
+    def dist(i, j):
+        return float(np.linalg.norm(x[i - 1] - x[j - 1]))
+
+    first, second = ("1", "3") if d is not None else ("S1", "S2")
+    for i, j in itertools.permutations(labels, 2):
+        if dist(i, j) > near:
+            expected = (x[i - 1] - x[j - 1]) / dist(i, j)
+            res = float(np.linalg.norm(u[(i, j)] - expected))
+            checks.append((f"{first}-direction", (i, j), res, tol))
+    if d is not None:
+        for i, j, k in itertools.permutations(labels, 3):
+            if dist(i, k) > near:
+                if dist(i, j) > near:
+                    res = _rel_gap(d[(i, j, k)], dist(i, j) / dist(i, k))
+                    checks.append(("1-ratio", (i, j, k), res, tol))
+                else:
+                    checks.append(("1-ratio-vanishing", (i, j, k), abs(d[(i, j, k)]), tol))
+        for i, j, k in itertools.permutations(labels, 3):
+            val = _law_of_sines(u, i, j, k, tol)
+            if val is not None:
+                name = "2-law-of-sines" if val != 0.0 else "2-cluster-zero"
+                checks.append((name, (i, j, k), _rel_gap(d[(i, j, k)], val), tol))
+    for i, j in itertools.combinations(labels, 2):
+        res = float(np.linalg.norm(u[(i, j)] + u[(j, i)]))
+        checks.append((f"{second}-antisymmetry", (i, j), res, tol))
+    for i, j, k in itertools.combinations(labels, 3):
+        res = _dependence_gap((u[(i, j)], u[(j, k)], u[(k, i)]), tol)
+        checks.append((f"{second}-dependence", (i, j, k), res, tol))
+    if d is not None:
+        for i in labels:
+            for j, k in itertools.combinations([t for t in labels if t != i], 2):
+                res = _product_gap([d[(i, j, k)], d[(i, k, j)]])
+                checks.append(("4-reciprocal", (i, j, k), res, tol))
+        for i, j, k in itertools.combinations(labels, 3):
+            for a, b, c in ((i, j, k), (i, k, j)):
+                res = _product_gap([d[(a, b, c)], d[(b, c, a)], d[(c, a, b)]])
+                checks.append(("4-cyclic", (a, b, c), res, tol))
+        for i, j, k, l in itertools.permutations(labels, 4):
+            res = _product_gap([d[(i, j, k)], d[(i, k, l)], d[(i, l, j)]])
+            checks.append(("4-cocycle", (i, j, k, l), res, tol))
+    else:
+        for quad in itertools.combinations(labels, 4):
+            circuits = cs.Circuit3.all_on(quad)
+            for p, q in itertools.product(range(m), repeat=2):
+                terms = [
+                    c.sign
+                    * math.prod(u[(min(e), max(e))][p] for e in c.edges)
+                    * math.prod(u[(min(e), max(e))][q] for e in zip(c.complement, c.complement[1:]))
+                    for c in circuits
+                ]
+                bound = tol * max(1.0, sum(abs(t) for t in terms))
+                index = quad + (p + 1, q + 1)
+                checks.append(("S3-four-consistency", index, abs(sum(terms)), bound))
+    violations = [(c, idx, res) for c, idx, res, bound in checks if res > bound]
+    return violations, max((res for _, _, res, _ in checks), default=0.0)

@@ -358,6 +358,24 @@ def test_invert_chart_outside_region_raises():
         cs.invert_chart(cs.corolla(3), a)
 
 
+def test_ambient_point_rejects_non_finite_coordinates():
+    a = lift([[0, 0], [1, 0], [0, 1]])
+    x = np.array(a.x)
+    x[1, 0] = math.nan
+    with pytest.raises(ValueError, match="x must be finite"):
+        cs.ambient_point(x, a.u, a.d)
+    x[1, 0] = math.inf
+    with pytest.raises(ValueError, match="x must be finite"):
+        cs.ambient_point(x, a.u, a.d)
+    u = dict(a.u)
+    u[(2, 3)] = np.array([math.nan, 0.0])
+    with pytest.raises(ValueError, match=r"u\[2,3\] is not a unit vector"):
+        cs.ambient_point(a.x, u, a.d)
+    d = dict(a.d)
+    d[(1, 2, 3)] = math.inf  # ratios may be infinite
+    assert cs.ambient_point(a.x, a.u, d).d[(1, 2, 3)] == math.inf
+
+
 def test_stratum_point_validation():
     t = cs.tree_from_nested([{1, 2}], 2)
     with pytest.raises(ValueError, match="not centered"):

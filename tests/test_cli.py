@@ -84,6 +84,35 @@ def test_domain_error_reports_json_on_stderr(tmp_path, capsys):
     assert payload["error"] == "ValueError"
 
 
+def _malformed(tmp_path, capsys, argv, src, key, value):
+    data = jsonio.loads(src.read_text())
+    data[key] = value
+    bad = tmp_path / f"bad_{key}.json"
+    bad.write_text(jsonio.dumps(data))
+    code, out, err = run(capsys, *argv, "--in", str(bad))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert repr(key) in payload["message"]
+
+
+def test_malformed_direction_field_reports_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(jsonio.dumps({"m": 2, "points": [[0, 0], [1, 0], [0, 1]]}))
+    pt = tmp_path / "pt.json"
+    assert run(capsys, "point", "alpha", "--in", str(cfg), "--out", str(pt))[0] == 0
+    _malformed(tmp_path, capsys, ["point", "membership"], pt, "u", "oops")
+
+
+def test_malformed_scales_field_reports_json(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    tree.write_text(jsonio.dumps(jsonio.tree_to_json(cs.tree_from_nested([{1, 2}], 3))))
+    sample = tmp_path / "s.json"
+    argv = ["chart", "sample", "--tree", str(tree), "--m", "2", "--out", str(sample)]
+    assert run(capsys, *argv)[0] == 0
+    _malformed(tmp_path, capsys, ["chart", "expand"], sample, "scales", "oops")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["trees", "bogus"])

@@ -92,6 +92,20 @@ def test_three_dependent_rejects_non_unit():
         cs.three_dependent([2, 0], [1, 0], [0, 1])
 
 
+def test_simplicial_point_rejects_non_finite_coordinates():
+    p = cs.to_simplicial(lift([[0, 0], [1, 0], [0, 1]]))
+    x = np.array(p.x)
+    x[0, 1] = -math.inf
+    with pytest.raises(ValueError, match="x must be finite"):
+        cs.simplicial_point(x, p.u)
+    u = dict(p.u)
+    u[(3, 1)] = np.array([0.0, math.nan])
+    with pytest.raises(ValueError, match=r"u\[3,1\] is not a unit vector"):
+        cs.simplicial_point(p.x, u)
+    with pytest.raises(ValueError, match="not a unit vector"):
+        cs.three_dependent([math.nan, 0.0], [1.0, 0.0], [0.0, 1.0])
+
+
 # -- four-consistency -----------------------------------------------------------------
 
 
