@@ -10,6 +10,7 @@ pinned at 0 and 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,22 +51,22 @@ def face_poset(n: int) -> FacePoset:
         raise ValueError(f"face poset supports 0 <= n <= {MAX_ASSOC_INDEX}")
     faces = tuple(trees.enumerate_trees(n + 2, "planar"))
     dims = tuple(n - trees.codim(t) for t in faces)
-    index = {t: i for i, t in enumerate(faces)}
     # a face is covered exactly by its single-edge contractions
-    covers = []
-    for a, low in enumerate(faces):
-        for v in low.internal_vertices:
-            covers.append((a, index[trees.contract(low, [v])]))
-    return FacePoset(n, faces, dims, tuple(sorted(set(covers))))
+    return FacePoset(n, faces, dims, tuple(trees.covering_pairs(faces)))
 
 
 def f_vector(n: int) -> tuple[int, ...]:
-    """Face counts by dimension 0..n; the alternating sum is 1."""
-    poset = face_poset(n)
-    counts = [0] * (n + 1)
-    for d in poset.dims:
-        counts[d] += 1
-    return tuple(counts)
+    """Face counts by dimension 0..n; the alternating sum is 1.
+
+    A face of dimension d is a dissection of the (n+3)-gon by n-d
+    non-crossing diagonals, counted by the Kirkman-Cayley formula.
+    """
+    if not 0 <= n <= MAX_ASSOC_INDEX:
+        raise ValueError(f"face poset supports 0 <= n <= {MAX_ASSOC_INDEX}")
+    return tuple(
+        math.comb(n, n - d) * math.comb(2 * n + 2 - d, n - d) // (n - d + 1)
+        for d in range(n + 1)
+    )
 
 
 def realize_face(

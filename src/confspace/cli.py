@@ -54,6 +54,12 @@ def _read_json(path: str):
     return jsonio.loads(Path(path).read_text())
 
 
+def _n_arg(args) -> int:
+    if args.n is None:
+        raise ValueError("--n is required")
+    return args.n
+
+
 def _setmap_arg(value: str, codomain: int | None = None) -> trees.SetMap:
     if set(value) <= set("0123456789,"):
         vals = tuple(int(t) for t in value.split(","))
@@ -158,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _trees_enumerate(args):
-    out = trees.enumerate_trees(args.n, args.variant or "full")
+    out = trees.enumerate_trees(_n_arg(args), args.variant or "full")
     if args.format == "dot":
         return "\n".join(trees.tree_to_dot(t, f"tree{i}") for i, t in enumerate(out))
     return jsonio.dumps([jsonio.tree_to_json(t) for t in out])
@@ -188,18 +194,13 @@ def _trees_prune(args):
 
 
 def _trees_poset(args):
-    out = trees.enumerate_trees(args.n, args.variant or "full")
+    out = trees.enumerate_trees(_n_arg(args), args.variant or "full")
     if args.format == "dot":
         return trees.hasse_to_dot(out)
     nodes = [
         {"tree": jsonio.tree_to_json(t), "codim": trees.codim(t)} for t in out
     ]
-    edges = [
-        [i, j]
-        for i, low in enumerate(out)
-        for j, high in enumerate(out)
-        if trees.codim(low) == trees.codim(high) + 1 and trees.leq(low, high)
-    ]
+    edges = [list(pair) for pair in trees.covering_pairs(out)]
     return jsonio.dumps({"n": args.n, "trees": nodes, "covers": edges})
 
 
@@ -342,14 +343,14 @@ def _maps_cosimplicial(args):
 
 
 def _assoc_faces(args):
-    poset = associahedron.face_poset(args.n)
+    poset = associahedron.face_poset(_n_arg(args))
     if args.format == "dot":
         return associahedron.face_poset_to_dot(poset)
     return jsonio.dumps(jsonio.face_poset_to_json(poset))
 
 
 def _assoc_fvector(args):
-    counts = associahedron.f_vector(args.n)
+    counts = associahedron.f_vector(_n_arg(args))
     if args.format == "json":
         return jsonio.dumps({"n": args.n, "f_vector": list(counts)})
     return jsonio.fvector_csv(counts)

@@ -94,10 +94,21 @@ def tree_to_json(t: trees.FTree) -> dict:
     return {"n": t.n, "parents": list(t.parent), "labels": labels}
 
 
+def _ints(value, field: str) -> list[int]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"field {field!r} must be a list of integers")
+    return list(value)
+
+
 def tree_from_json(data: dict) -> trees.FTree:
-    parents = list(data["parents"])
-    labels = list(data["labels"])
-    n = int(data["n"])
+    data = _object(data, "tree")
+    parents = _ints(data["parents"], "parents")
+    labels = _ints(data["labels"], "labels")
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("field 'n' must be an integer")
     if len(parents) != len(labels):
         raise ValueError("parents and labels must have equal length")
     roots = [v for v, p in enumerate(parents) if p == -1]

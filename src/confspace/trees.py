@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Triple = tuple[tuple[int, int], int]
 
 # Full enumeration grows like total partitions; these caps keep it tractable.
-MAX_FULL_LEAVES = 9
+MAX_FULL_LEAVES = 8
 MAX_PLANAR_LEAVES = 10
 
 
@@ -39,8 +39,13 @@ class FTree:
     """Canonical parent-array encoding of a rooted labelled tree.
 
     parent[v] is the id of the vertex above v; parent[0] == -1 for the root.
-    Construct trees through tree_from_nested / tree_from_json rather than
-    directly, so the canonical numbering invariant is established.
+
+    FTree(n, parent) is the boundary for outside input: it validates the
+    array and rejects any that is not in canonical order.  Trees built inside
+    the library (enumerate_trees, tree_from_nested and everything routed
+    through it) come from one builder, which turns a laminar family of
+    leaf-set bitmasks straight into the canonical array and hands it to a
+    trusted constructor that skips that validation.
     """
 
     n: int
@@ -206,48 +211,79 @@ def _check_nested(sets: Iterable[frozenset[int]], n: int) -> set[frozenset[int]]
     return out
 
 
+def _trusted(n: int, parent: tuple[int, ...]) -> FTree:
+    """An FTree over a parent array already known to be canonical."""
+    tree = object.__new__(FTree)
+    object.__setattr__(tree, "n", n)
+    object.__setattr__(tree, "parent", parent)
+    return tree
+
+
+def _from_family(masks: Sequence[int], n: int) -> FTree:
+    """The tree of a laminar family of leaf sets, given as bitmasks by size.
+
+    Bit i of a mask stands for leaf i.  Each set hangs below the first later
+    set containing it (the root if none does) and each leaf below the first
+    set containing it.  Internal vertices are numbered depth first, visiting
+    children by lowest leaf label: that is the order of the sets' root paths
+    written as lowest-label sequences, which is the canonical order.
+    """
+    k = len(masks)
+    up = [k] * k  # index k stands for the root
+    covered = [0] * (k + 1)
+    for a, m in enumerate(masks):
+        for b in range(a + 1, k):
+            if masks[b] & m == m:
+                up[a] = b
+                break
+        covered[up[a]] |= m
+    path: list[tuple[int, ...]] = [()] * (k + 1)
+    for a in range(k - 1, -1, -1):
+        m = masks[a]
+        path[a] = path[up[a]] + (m & -m,)
+    ids = [0] * (k + 1)
+    for v, a in enumerate(sorted(range(k), key=path.__getitem__), n + 1):
+        ids[a] = v
+    parent = [-1] + [0] * (n + k)
+    for a, m in enumerate(masks):
+        v = ids[a]
+        parent[v] = ids[up[a]]
+        own = m & ~covered[a]
+        while own:
+            low = own & -own
+            parent[low.bit_length() - 1] = v
+            own ^= low
+    return _trusted(n, tuple(parent))
+
+
+def _mask(labels: Iterable[int]) -> int:
+    out = 0
+    for i in labels:
+        out |= 1 << i
+    return out
+
+
 def tree_from_nested(sets: Iterable[Iterable[int]], n: int) -> FTree:
     """Build the tree whose internal vertices carry the given nested leaf sets."""
     coll = _check_nested(map(frozenset, sets), n)
-    parent_set: dict[frozenset[int], frozenset[int] | None] = {}
-    for a in coll:
-        sups = [b for b in coll if a < b]
-        parent_set[a] = min(sups, key=len) if sups else None
-    leaf_home: dict[int, frozenset[int] | None] = {}
+    if n < 1:
+        raise ValueError("a tree needs at least one leaf")
+    return _from_family(sorted(map(_mask, coll), key=int.bit_count), n)
+
+
+def _cluster_masks(tree: FTree) -> list[int]:
+    """Leaf-set bitmasks over the internal vertices n+1, n+2, ... in order.
+
+    Canonical numbering puts every internal vertex after its parent, so one
+    pass from the last vertex up collects each leaf set before it is used.
+    """
+    n, parent = tree.n, tree.parent
+    over = [0] * len(parent)
     for i in range(1, n + 1):
-        homes = [a for a in coll if i in a]
-        leaf_home[i] = min(homes, key=len) if homes else None
-
-    kids_of: dict[frozenset[int] | None, list] = {None: []}
-    for a in coll:
-        kids_of[a] = []
-    for a in coll:
-        kids_of[parent_set[a]].append(("set", a))
-    for i in range(1, n + 1):
-        kids_of[leaf_home[i]].append(("leaf", i))
-
-    nv = 1 + n + len(coll)
-    parent = [-1] * nv
-    ids: dict[frozenset[int], int] = {}
-    next_id = n + 1
-
-    def visit(key: frozenset[int] | None, my_id: int):
-        nonlocal next_id
-        ordered = sorted(
-            kids_of.get(key, []),
-            key=lambda item: item[1] if item[0] == "leaf" else min(item[1]),
-        )
-        for kind, val in ordered:
-            if kind == "leaf":
-                parent[val] = my_id
-            else:
-                ids[val] = next_id
-                parent[next_id] = my_id
-                next_id += 1
-                visit(val, ids[val])
-
-    visit(None, 0)
-    return FTree(n, tuple(parent))
+        over[parent[i]] |= 1 << i
+    for v in range(len(parent) - 1, n, -1):
+        over[parent[v]] |= over[v]
+    return over[n + 1 :]
 
 
 def nested_collection(tree: FTree) -> frozenset[frozenset[int]]:
@@ -392,30 +428,56 @@ def prune(tree: FTree, sigma: "SetMap") -> FTree:
     return tree_from_nested(kept, sigma.m)
 
 
+def covering_pairs(trees: Sequence[FTree]) -> list[tuple[int, int]]:
+    """Index pairs (i, j) with trees[j] a single-edge contraction of trees[i].
+
+    These are the covering pairs of `leq` among the given trees: trees[j]'s
+    clusters are trees[i]'s minus exactly one.  Each tree is looked up by
+    its family of cluster bitmasks, so repeated trees all get their edges.
+    Pairs come sorted.
+    """
+    families = [(t.n, frozenset(_cluster_masks(t))) for t in trees]
+    where: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for idx, key in enumerate(families):
+        where.setdefault(key, []).append(idx)
+    out = []
+    for i, (n, family) in enumerate(families):
+        found = [j for c in family for j in where.get((n, family - {c}), ())]
+        out += [(i, j) for j in sorted(found)]
+    return out
+
+
 # -- enumeration -------------------------------------------------------------
 
 
-def _nested_backtrack(candidates: list[frozenset[int]]) -> list[list[frozenset[int]]]:
-    compatible = [
-        [
-            not (a & b) or (a & b == a) or (a & b == b)
-            for b in candidates
-        ]
-        for a in candidates
-    ]
-    out: list[list[frozenset[int]]] = []
-    stack: list[int] = []
+def _laminar_families(candidates: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every pairwise nested or disjoint subfamily of the candidate bitmasks.
 
-    def grow(start: int):
-        out.append([candidates[i] for i in stack])
-        for i in range(start, len(candidates)):
-            if all(compatible[i][j] for j in stack):
-                stack.append(i)
-                grow(i + 1)
-                stack.pop()
-
-    grow(0)
-    return out
+    Families come out lazily, each in candidate order, depth first: a family
+    is followed by all its extensions by later candidates before the next
+    sibling.  Each stack entry carries the bitmask of later candidates still
+    compatible with its whole family, narrowed by one AND per step.
+    """
+    compat = []
+    for a in candidates:
+        bits = 0
+        for j, b in enumerate(candidates):
+            c = a & b
+            if c == 0 or c == a or c == b:
+                bits |= 1 << j
+        compat.append(bits)
+    yield ()
+    stack = [((1 << len(candidates)) - 1, ())]
+    while stack:
+        rest, family = stack.pop()
+        if rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            grown = family + (candidates[i],)
+            yield grown
+            stack.append((rest, family))
+            stack.append((rest & compat[i], grown))
 
 
 def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
@@ -424,6 +486,12 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
     variant "full" gives every tree, "trunk" only those with a univalent
     root, and "planar" those whose clusters are consecutive intervals with
     the full interval excluded (root valence at least two).
+
+    Candidate leaf sets are bitmasks ordered by size, then by their sorted
+    labels.  Families of them come out of a depth-first backtrack (the empty
+    family first, each family followed by its extensions by later
+    candidates), and each goes straight into the canonical builder.  This
+    order is part of the contract: callers and tests index into the list.
     """
     if variant not in ("full", "trunk", "planar"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -433,10 +501,9 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
                 f"planar enumeration supports 2 <= n <= {MAX_PLANAR_LEAVES}"
             )
         candidates = [
-            frozenset(range(i, j + 1))
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if not (i == 1 and j == n)
+            _mask(range(i, i + size))
+            for size in range(2, n)
+            for i in range(1, n - size + 2)
         ]
     else:
         if not 1 <= n <= MAX_FULL_LEAVES:
@@ -444,21 +511,19 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
                 f"{variant} enumeration supports 1 <= n <= {MAX_FULL_LEAVES}"
             )
         candidates = [
-            frozenset(c)
+            _mask(c)
             for size in range(2, n + 1)
             for c in itertools.combinations(range(1, n + 1), size)
         ]
-    candidates.sort(key=lambda a: (len(a), tuple(sorted(a))))
     if variant == "trunk":
         if n == 1:
             return [corolla(1)]
-        full = frozenset(range(1, n + 1))
-        rest = [a for a in candidates if a != full]
+        full = candidates.pop()  # the full leaf set, last by size, joins every family
         return [
-            tree_from_nested(coll + [full], n)
-            for coll in _nested_backtrack(rest)
+            _from_family(family + (full,), n)
+            for family in _laminar_families(candidates)
         ]
-    return [tree_from_nested(coll, n) for coll in _nested_backtrack(candidates)]
+    return [_from_family(family, n) for family in _laminar_families(candidates)]
 
 
 # -- index maps ---------------------------------------------------------------
@@ -526,11 +591,6 @@ def hasse_to_dot(trees: Sequence[FTree], name: str = "poset") -> str:
             for a in sorted(nested_collection(t), key=lambda a: (len(a), sorted(a)))
         ) + "}"
         lines.append(f'  t{idx} [label="{label}", shape=box];')
-    for i, low in enumerate(trees):
-        for j, high in enumerate(trees):
-            if i == j or codim(low) != codim(high) + 1:
-                continue
-            if leq(low, high):
-                lines.append(f"  t{i} -> t{j};")
+    lines += [f"  t{i} -> t{j};" for i, j in covering_pairs(trees)]
     lines.append("}")
     return "\n".join(lines)

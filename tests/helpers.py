@@ -141,6 +141,131 @@ def brute_nested_collections(n: int):
     return seen
 
 
+# -- reference tree builder and enumeration ------------------------------------------
+
+
+def reference_tree_from_nested(sets, n):
+    """Canonical tree of a nested family via frozensets and the public FTree.
+
+    Each set hangs below its smallest strict superset and each leaf below
+    its smallest containing set; internal vertices are numbered depth first
+    with children ordered by minimal leaf label.  The public constructor
+    then re-validates the array.
+    """
+    coll = {frozenset(a) for a in sets}
+    parent_set = {}
+    for a in coll:
+        sups = [b for b in coll if a < b]
+        parent_set[a] = min(sups, key=len) if sups else None
+    leaf_home = {}
+    for i in range(1, n + 1):
+        homes = [a for a in coll if i in a]
+        leaf_home[i] = min(homes, key=len) if homes else None
+
+    kids_of = {None: []}
+    for a in coll:
+        kids_of[a] = []
+    for a in coll:
+        kids_of[parent_set[a]].append(("set", a))
+    for i in range(1, n + 1):
+        kids_of[leaf_home[i]].append(("leaf", i))
+
+    parent = [-1] * (1 + n + len(coll))
+    next_id = n + 1
+
+    def visit(key, my_id):
+        nonlocal next_id
+        ordered = sorted(
+            kids_of.get(key, []),
+            key=lambda item: item[1] if item[0] == "leaf" else min(item[1]),
+        )
+        for kind, val in ordered:
+            if kind == "leaf":
+                parent[val] = my_id
+            else:
+                mine = next_id
+                parent[mine] = my_id
+                next_id += 1
+                visit(val, mine)
+
+    visit(None, 0)
+    return cs.FTree(n, tuple(parent))
+
+
+def reference_nested_backtrack(candidates):
+    """All compatible subfamilies of the candidate sets, in backtrack order."""
+    compatible = [
+        [not (a & b) or (a & b == a) or (a & b == b) for b in candidates]
+        for a in candidates
+    ]
+    out = []
+    stack = []
+
+    def grow(start):
+        out.append([candidates[i] for i in stack])
+        for i in range(start, len(candidates)):
+            if all(compatible[i][j] for j in stack):
+                stack.append(i)
+                grow(i + 1)
+                stack.pop()
+
+    grow(0)
+    return out
+
+
+def reference_enumerate_trees(n, variant="full"):
+    """All trees with n leaves, in the library's documented order."""
+    if variant == "planar":
+        candidates = [
+            frozenset(range(i, j + 1))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if not (i == 1 and j == n)
+        ]
+    else:
+        candidates = [
+            frozenset(c)
+            for size in range(2, n + 1)
+            for c in itertools.combinations(range(1, n + 1), size)
+        ]
+    candidates.sort(key=lambda a: (len(a), tuple(sorted(a))))
+    if variant == "trunk":
+        if n == 1:
+            return [cs.corolla(1)]
+        full = frozenset(range(1, n + 1))
+        rest = [a for a in candidates if a != full]
+        return [
+            reference_tree_from_nested(coll + [full], n)
+            for coll in reference_nested_backtrack(rest)
+        ]
+    return [
+        reference_tree_from_nested(coll, n)
+        for coll in reference_nested_backtrack(candidates)
+    ]
+
+
+def reference_face_poset(k):
+    """Face poset of the k-th associahedron with covers found by contraction."""
+    faces = tuple(reference_enumerate_trees(k + 2, "planar"))
+    dims = tuple(k - cs.codim(t) for t in faces)
+    index = {t: i for i, t in enumerate(faces)}
+    covers = []
+    for a, low in enumerate(faces):
+        for v in low.internal_vertices:
+            covers.append((a, index[cs.contract(low, [v])]))
+    return cs.FacePoset(k, faces, dims, tuple(sorted(set(covers))))
+
+
+def reference_covers(trees):
+    """Covering pairs by testing codim and leq over all ordered pairs."""
+    return [
+        (i, j)
+        for i, low in enumerate(trees)
+        for j, high in enumerate(trees)
+        if i != j and cs.codim(low) == cs.codim(high) + 1 and cs.leq(low, high)
+    ]
+
+
 # -- associahedron oracles -------------------------------------------------------------
 
 

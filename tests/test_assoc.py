@@ -18,12 +18,12 @@ def test_smallest_cases():
 
 
 def test_vertex_counts_are_catalan():
-    for n in range(0, 7):
+    for n in range(0, 9):
         assert cs.f_vector(n)[0] == catalan(n + 1)
 
 
 def test_euler_alternating_sum():
-    for n in range(0, 7):
+    for n in range(0, 9):
         counts = cs.f_vector(n)
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1
 
@@ -35,6 +35,17 @@ def test_counts_match_polygon_dissection_oracle():
         for k, cnt in by_size.items():
             assert counts[n - k] == cnt
             assert cnt == kirkman_cayley(n + 3, k)
+
+
+def test_face_poset_dims_and_covers_match_f_vector():
+    for n in range(0, 7):
+        poset = cs.face_poset(n)
+        counts = cs.f_vector(n)
+        histogram = [0] * (n + 1)
+        for d in poset.dims:
+            histogram[d] += 1
+        assert tuple(histogram) == counts
+        assert len(poset.covers) == sum(f * (n - d) for d, f in enumerate(counts))
 
 
 def test_poset_is_graded_with_unique_top():
@@ -126,6 +137,9 @@ def test_face_poset_range():
         cs.face_poset(-1)
     with pytest.raises(ValueError):
         cs.face_poset(9)
+    for bad in (-1, 9):
+        with pytest.raises(ValueError):
+            cs.f_vector(bad)
 
 
 def test_face_poset_dot():

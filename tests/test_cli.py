@@ -113,6 +113,54 @@ def test_malformed_scales_field_reports_json(tmp_path, capsys):
     _malformed(tmp_path, capsys, ["chart", "expand"], sample, "scales", "oops")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trees", "enumerate"],
+        ["trees", "poset"],
+        ["assoc", "faces"],
+        ["assoc", "fvector"],
+    ],
+)
+def test_missing_n_reports_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "--n" in payload["message"]
+
+
+def _tree_file(tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text(jsonio.dumps(jsonio.tree_to_json(cs.tree_from_nested([{1, 2}], 3))))
+    return tree
+
+
+def test_tree_labels_with_a_string_report_json(tmp_path, capsys):
+    _malformed(tmp_path, capsys, ["trees", "prune", "--map", "1,2"], _tree_file(tmp_path),
+               "labels", [0, "a", 2, 3, 0])
+
+
+def test_tree_parents_with_a_string_report_json(tmp_path, capsys):
+    _malformed(tmp_path, capsys, ["trees", "prune", "--map", "1,2"], _tree_file(tmp_path),
+               "parents", [-1, "a", 4, 0, 0])
+
+
+def test_tree_parents_not_a_list_report_json(tmp_path, capsys):
+    _malformed(tmp_path, capsys, ["trees", "prune", "--map", "1,2"], _tree_file(tmp_path),
+               "parents", 5)
+
+
+def test_tree_file_holding_an_array_reports_json(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2, 3]\n")
+    code, out, err = run(capsys, "trees", "prune", "--map", "1,2", "--in", str(bad))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "'tree'" in payload["message"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["trees", "bogus"])

@@ -195,6 +195,8 @@ def test_enumeration_range_errors():
     with pytest.raises(ValueError):
         cs.enumerate_trees(10)
     with pytest.raises(ValueError):
+        cs.enumerate_trees(9)
+    with pytest.raises(ValueError):
         cs.enumerate_trees(1, "planar")
     with pytest.raises(ValueError):
         cs.enumerate_trees(3, "weird")
