@@ -702,6 +702,50 @@ def _expansion_positions(s: StratumPoint, top: int) -> dict[int, np.ndarray]:
     return pos
 
 
+def _join_tables(t: trees.FTree) -> tuple[dict[Pair, int], dict[Index3, int]]:
+    """The join of every ordered leaf pair and of every ordered leaf triple."""
+    n = t.n
+    depth = {v: t.depth(v) for v in (0, *t.internal_vertices)}
+    pair_join: dict[Pair, int] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pair_join[(i, j)] = pair_join[(j, i)] = trees.join(t, (i, j))
+    # the join of three leaves is the shallowest of the pairwise joins
+    triple_join = {
+        (i, j, k): min(
+            (pair_join[(i, j)], pair_join[(i, k)], pair_join[(j, k)]),
+            key=depth.__getitem__,
+        )
+        for i, j, k in ordered_triples(n)
+    }
+    return pair_join, triple_join
+
+
+def _expand(
+    s: StratumPoint, pair_join: dict[Pair, int], triple_join: dict[Index3, int]
+) -> AmbientPoint:
+    """expand_chart with the join tables of s.tree already computed."""
+    t = s.tree
+    n = t.n
+    sub = {v: _expansion_positions(s, v) for v in (0, *t.internal_vertices)}
+    x = np.stack([sub[0][i] for i in range(1, n + 1)])
+    u: dict[Pair, np.ndarray] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            v = pair_join[(i, j)]
+            diff = sub[v][i] - sub[v][j]
+            u[(i, j)] = unit(diff)
+            u[(j, i)] = -u[(i, j)]
+    d: dict[Index3, float] = {}
+    for (i, j, k), w in triple_join.items():
+        dij = sub[w][i] - sub[w][j]
+        dik = sub[w][i] - sub[w][k]
+        num = math.sqrt(float(dij @ dij))
+        den = math.sqrt(float(dik @ dik))
+        d[(i, j, k)] = num / den if den > 0.0 else math.inf
+    return ambient_point(x, u, d)
+
+
 def expand_chart(s: StratumPoint) -> AmbientPoint:
     """Evaluate the chart map on stratum data.
 
@@ -711,33 +755,34 @@ def expand_chart(s: StratumPoint) -> AmbientPoint:
     equals lift_configuration of the expanded positions; with some scales
     zero it is the corresponding boundary point.
     """
-    t = s.tree
-    n = t.n
-    sub = {v: _expansion_positions(s, v) for v in (0, *t.internal_vertices)}
-    x = np.stack([sub[0][i] for i in range(1, n + 1)])
-    depth = {v: t.depth(v) for v in (0, *t.internal_vertices)}
-    pair_join: dict[Pair, int] = {}
-    u: dict[Pair, np.ndarray] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = trees.join(t, (i, j))
-            pair_join[(i, j)] = pair_join[(j, i)] = v
-            diff = sub[v][i] - sub[v][j]
-            u[(i, j)] = unit(diff)
-            u[(j, i)] = -u[(i, j)]
-    d: dict[Index3, float] = {}
-    for i, j, k in ordered_triples(n):
-        # the join of three leaves is the shallowest of the pairwise joins
-        w = min(
-            (pair_join[(i, j)], pair_join[(i, k)], pair_join[(j, k)]),
-            key=depth.__getitem__,
-        )
-        dij = sub[w][i] - sub[w][j]
-        dik = sub[w][i] - sub[w][k]
-        num = math.sqrt(float(dij @ dij))
-        den = math.sqrt(float(dik @ dik))
-        d[(i, j, k)] = num / den if den > 0.0 else math.inf
-    return ambient_point(x, u, d)
+    return _expand(s, *_join_tables(s.tree))
+
+
+def _trusted_stratum(tree: trees.FTree, root_config, configs, scales) -> StratumPoint:
+    """A StratumPoint over data already known to pass its validation."""
+    s = object.__new__(StratumPoint)
+    object.__setattr__(s, "tree", tree)
+    object.__setattr__(s, "root_config", root_config)
+    object.__setattr__(s, "configs", configs)
+    object.__setattr__(s, "scales", scales)
+    return s
+
+
+def _degeneration(s: StratumPoint, kmax: int) -> list[tuple[float, AmbientPoint]]:
+    """(2^-k, chart image of s with every scale times 2^-k) for k = 0..kmax.
+
+    A factor <= 1 keeps every scale of the validated s inside [0, bound) and
+    leaves the configurations alone, so the scaled copies skip validation;
+    the join tables depend on the tree only and are computed once.
+    """
+    tables = _join_tables(s.tree)
+    out = []
+    for k in range(kmax + 1):
+        factor = 2.0 ** (-k)
+        scales = {v: t * factor for v, t in s.scales.items()}
+        scaled = _trusted_stratum(s.tree, s.root_config, s.configs, scales)
+        out.append((factor, _expand(scaled, *tables)))
+    return out
 
 
 def _cluster_centers(t: trees.FTree, top: int, leaf_pos: dict[int, np.ndarray]):

@@ -4,11 +4,14 @@ One subcommand per construction; file based JSON/DOT/CSV input and output.
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 object goes to stderr) or a failing membership verdict, 2 on usage errors.
 All outputs are deterministic given the inputs and the seed.
+The argument parser is built once per process and reused by every `main`
+call; each parse returns a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -16,23 +19,24 @@ import numpy as np
 
 from . import associahedron, canonical, jsonio, maps, simplicial, trees
 
-# Each public operation is owned by exactly one subcommand, which invokes it
-# (directly or as part of its pipeline); the coverage test keys off this table.
+# Each public operation is owned by exactly one subcommand, whose handler calls
+# it (directly or as part of its pipeline); the coverage test traces one call
+# per subcommand and checks every listed operation against this table.
 COMMAND_OPS = {
     "trees enumerate": (trees.enumerate_trees,),
     "trees contract": (trees.contract, trees.nested_collection, trees.tree_from_nested),
     "trees prune": (trees.prune,),
-    "trees poset": (trees.leq, trees.codim),
+    "trees poset": (trees.covering_pairs, trees.codim),
     "point alpha": (canonical.lift_configuration, canonical.normalize),
     "point classify": (canonical.stratum_tree, trees.exclusion_relation, trees.tree_from_exclusions),
-    "point membership": (canonical.membership_canonical, canonical.ratio_from_directions),
+    "point membership": (canonical.membership_canonical,),
     "point project": (simplicial.to_simplicial,),
     "point permute": (canonical.permute,),
     "chart expand": (canonical.expand_chart, trees.join),
-    "chart invert": (canonical.invert_chart,),
+    "chart invert": (canonical.invert_chart, trees.leq),
     "chart sample": (canonical.stratum_sample,),
     "simplicial project": (maps.pullback,),
-    "simplicial membership": (simplicial.membership_simplicial, simplicial.three_dependent),
+    "simplicial membership": (simplicial.membership_simplicial,),
     "simplicial reconstruct": (simplicial.reconstruct_from_directions,),
     "simplicial approx": (simplicial.approximating_configuration, simplicial.stratum_tree_of_directions),
     "simplicial residuals": (simplicial.four_consistency_residual,),
@@ -84,6 +88,7 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json"):
     p.add_argument("--variant")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="confspace", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
@@ -375,8 +380,6 @@ def _assoc_realize(args):
 
 
 def _degenerate(args):
-    import itertools
-
     s = jsonio.stratum_from_json(_read_json(args.infile))
     n, m = s.tree.n, s.m
     header = ["k", "factor"]
@@ -388,15 +391,7 @@ def _degenerate(args):
         header += [f"u_{i}_{j}_{c}" for c in range(m)]
     header += [f"d_{i}_{j}_{k}" for i, j, k in triple_keys]
     rows = []
-    for k in range(args.kmax + 1):
-        factor = 2.0 ** (-k)
-        scaled = canonical.StratumPoint(
-            s.tree,
-            s.root_config,
-            s.configs,
-            {v: t * factor for v, t in s.scales.items()},
-        )
-        a = canonical.expand_chart(scaled)
+    for k, (factor, a) in enumerate(canonical._degeneration(s, args.kmax)):
         row: list = [k, factor]
         for i in range(1, n + 1):
             row += [float(v) for v in a.x[i - 1]]

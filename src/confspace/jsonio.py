@@ -102,13 +102,17 @@ def _ints(value, field: str) -> list[int]:
     return list(value)
 
 
+def _int(value, field: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"field {field!r} must be an integer")
+    return value
+
+
 def tree_from_json(data: dict) -> trees.FTree:
     data = _object(data, "tree")
     parents = _ints(data["parents"], "parents")
     labels = _ints(data["labels"], "labels")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("field 'n' must be an integer")
+    n = _int(data["n"], "n")
     if len(parents) != len(labels):
         raise ValueError("parents and labels must have equal length")
     roots = [v for v, p in enumerate(parents) if p == -1]
@@ -167,7 +171,9 @@ def setmap_to_json(sm: trees.SetMap) -> dict:
 
 
 def setmap_from_json(data: dict) -> trees.SetMap:
-    return trees.SetMap(int(data["m"]), int(data["n"]), tuple(int(v) for v in data["map"]))
+    data = _object(data, "map")
+    m, n = _int(data.get("m"), "m"), _int(data.get("n"), "n")
+    return trees.SetMap(m, n, tuple(_ints(data.get("map"), "map")))
 
 
 # -- geometric points ---------------------------------------------------------------

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 import confspace as cs
+from confspace import jsonio
 
 
 # -- sampling -------------------------------------------------------------------
@@ -21,14 +22,13 @@ import confspace as cs
 
 def sample_config(rng, n, m, min_sep=0.25):
     """Uniform points in a box with a pairwise separation margin."""
+    i, j = np.triu_indices(n, 1)
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(n, m))
-        ok = all(
-            np.linalg.norm(pts[i] - pts[j]) >= min_sep
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if ok:
+        diff = pts[i] - pts[j]
+        # a stacked matmul rounds like np.linalg.norm of each row
+        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+        if (dist >= min_sep).all():
             return pts
 
 
@@ -481,3 +481,27 @@ def reference_membership(point, tol=1e-9):
                 checks.append(("S3-four-consistency", index, abs(sum(terms)), bound))
     violations = [(c, idx, res) for c, idx, res, bound in checks if res > bound]
     return violations, max((res for _, _, res, _ in checks), default=0.0)
+
+
+# -- per-step degeneration reference -------------------------------------------------------
+
+
+def degenerate_csv(s, kmax):
+    """The `degenerate` CSV, one public StratumPoint and expand_chart per step."""
+    n, m = s.tree.n, s.m
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    triples = list(itertools.permutations(range(1, n + 1), 3))
+    header = ["k", "factor"]
+    header += [f"x_{i}_{c}" for i in range(1, n + 1) for c in range(m)]
+    header += [f"u_{i}_{j}_{c}" for i, j in pairs for c in range(m)]
+    header += [f"d_{i}_{j}_{k}" for i, j, k in triples]
+    rows = []
+    for k in range(kmax + 1):
+        factor = 2.0 ** (-k)
+        scales = {v: t * factor for v, t in s.scales.items()}
+        a = cs.expand_chart(cs.StratumPoint(s.tree, s.root_config, s.configs, scales))
+        row = [k, factor, *(float(v) for v in a.x.ravel())]
+        row += [float(v) for key in pairs for v in a.u[key]]
+        row += [a.d[key] for key in triples]
+        rows.append(row)
+    return jsonio.trajectory_csv(header, rows)

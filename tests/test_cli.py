@@ -1,12 +1,16 @@
 """Command line front end: coverage, determinism, exit codes, pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import confspace as cs
-from confspace import cli, jsonio
+from confspace import cli, jsonio, trees
+from helpers import degenerate_csv, sample_config
 
 
 def run(capsys, *argv):
@@ -18,15 +22,94 @@ def run(capsys, *argv):
 # -- registry coverage -----------------------------------------------------------
 
 
-def test_every_operation_owned_by_exactly_one_subcommand():
+def _one_call_per_subcommand(tmp_path):
+    """argv of one successful call of every subcommand, over files in tmp_path."""
+
+    def put(name, obj):
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(obj))
+        return str(path)
+
+    rng = np.random.default_rng(2)
+    a = cs.lift_configuration(sample_config(rng, 4, 2))
+    frames = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 2))]
+    t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
+    s = cs.stratum_sample(t, 2, seed=3)
+    xs = [0.0, 0.4, 1.0]
+    interval = cs.simplicial_point(
+        np.array(xs).reshape(-1, 1),
+        {
+            (i, j): np.array([1.0 if xs[i - 1] > xs[j - 1] else -1.0])
+            for i in range(1, 4) for j in range(1, 4) if i != j
+        },
+    )
+    cfg = put("cfg.json", {"m": 2, "points": [[0, 0], [1, 0], [0.2, 0.9]]})
+    tree = put("tree.json", jsonio.tree_to_json(t))
+    pt = put("pt.json", jsonio.ambient_to_json(a))
+    sp = put("sp.json", jsonio.simplicial_to_json(cs.to_simplicial(a)))
+    fp = put("fp.json", jsonio.framed_to_json(cs.framed_point(a, frames)))
+    fs = put("fs.json", jsonio.framed_to_json(cs.framed_point(cs.to_simplicial(a), frames)))
+    ip = put("ip.json", jsonio.framed_to_json(
+        cs.framed_point(interval, [np.array([1.0]), np.array([1.0]), np.array([-1.0])])
+    ))
+    st = put("s.json", jsonio.stratum_to_json(s))
+    ex = put("a.json", jsonio.ambient_to_json(cs.expand_chart(s)))
+    sm = put("sm.json", {"m": 3, "n": 4, "map": [1, 2, 3]})
+    corolla = put("corolla.json", jsonio.tree_to_json(cs.corolla(4)))
+    return {
+        "trees enumerate": ["trees", "enumerate", "--n", "3"],
+        "trees contract": ["trees", "contract", "--in", tree, "--edges", "1,2"],
+        "trees prune": ["trees", "prune", "--in", tree, "--map", sm],
+        "trees poset": ["trees", "poset", "--n", "3"],
+        "point alpha": ["point", "alpha", "--in", cfg, "--normalize"],
+        "point classify": ["point", "classify", "--in", pt],
+        "point membership": ["point", "membership", "--in", pt],
+        "point project": ["point", "project", "--in", pt],
+        "point permute": ["point", "permute", "--in", pt, "--map", "2,1,4,3"],
+        "chart expand": ["chart", "expand", "--in", st],
+        "chart invert": ["chart", "invert", "--tree", tree, "--in", ex],
+        "chart sample": ["chart", "sample", "--tree", tree, "--m", "2"],
+        "simplicial project": ["simplicial", "project", "--in", fs, "--map", "1,1,2"],
+        "simplicial membership": ["simplicial", "membership", "--in", sp],
+        "simplicial reconstruct": ["simplicial", "reconstruct", "--in", sp],
+        "simplicial approx": ["simplicial", "approx", "--in", sp, "--eps", "1e-3"],
+        "simplicial residuals": ["simplicial", "residuals", "--in", sp],
+        "maps project": ["maps", "project", "--in", fp, "--map", "1,3"],
+        "maps diagonal": ["maps", "diagonal", "--in", fp, "--index", "1", "--k", "1"],
+        "maps cosimplicial": ["maps", "cosimplicial", "--in", ip, "--map", "1,2", "--m", "2"],
+        "assoc faces": ["assoc", "faces", "--n", "2"],
+        "assoc fvector": ["assoc", "fvector", "--n", "2"],
+        "assoc realize": ["assoc", "realize", "--tree", corolla],
+        "degenerate": ["degenerate", "--in", st, "--kmax", "2"],
+    }
+
+
+def _called_code(argv):
+    """Exit code and the code objects of every Python function one main call runs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(previous)
+    return code, seen
+
+
+def test_every_operation_owned_by_exactly_one_subcommand(tmp_path, capsys):
     expected = {
         cs.enumerate_trees, cs.contract, cs.nested_collection,
-        cs.tree_from_nested, cs.prune, cs.leq, cs.codim,
+        cs.tree_from_nested, cs.prune, trees.covering_pairs, cs.leq, cs.codim,
         cs.exclusion_relation, cs.tree_from_exclusions, cs.join,
-        cs.lift_configuration, cs.normalize, cs.ratio_from_directions,
+        cs.lift_configuration, cs.normalize,
         cs.membership_canonical, cs.stratum_tree, cs.expand_chart,
         cs.invert_chart, cs.stratum_sample, cs.permute,
-        cs.to_simplicial, cs.three_dependent, cs.four_consistency_residual,
+        cs.to_simplicial, cs.four_consistency_residual,
         cs.membership_simplicial, cs.stratum_tree_of_directions,
         cs.reconstruct_from_directions, cs.approximating_configuration,
         cs.pullback, cs.project_indices, cs.diagonal_map, cs.cosimplicial_map,
@@ -36,6 +119,14 @@ def test_every_operation_owned_by_exactly_one_subcommand():
     assert len(owned) == len(set(owned)), "an operation appears twice"
     assert set(owned) == expected
     assert set(cli.COMMAND_OPS) == set(cli._HANDLERS)
+    calls = _one_call_per_subcommand(tmp_path)
+    assert set(calls) == set(cli.COMMAND_OPS)
+    for key, argv in calls.items():
+        code, seen = _called_code(argv)
+        capsys.readouterr()
+        assert code == 0, key
+        missed = [op.__name__ for op in cli.COMMAND_OPS[key] if op.__code__ not in seen]
+        assert not missed, f"{key} does not call {missed}"
 
 
 # -- documented examples ------------------------------------------------------------
@@ -161,12 +252,83 @@ def test_tree_file_holding_an_array_reports_json(tmp_path, capsys):
     assert "'tree'" in payload["message"]
 
 
+def _setmap_file_reports(tmp_path, capsys, text):
+    sm = tmp_path / "sm.json"
+    sm.write_text(text)
+    code, out, err = run(capsys, "trees", "prune", "--in", str(_tree_file(tmp_path)), "--map", str(sm))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    return payload["message"]
+
+
+def test_setmap_file_holding_an_array_reports_json(tmp_path, capsys):
+    assert "'map'" in _setmap_file_reports(tmp_path, capsys, "[1, 2]\n")
+
+
+def test_setmap_values_with_a_string_report_json(tmp_path, capsys):
+    text = jsonio.dumps({"m": 2, "n": 3, "map": [1, "a"]})
+    assert "'map'" in _setmap_file_reports(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("field", ["m", "n"])
+def test_setmap_size_not_an_integer_reports_json(tmp_path, capsys, field):
+    data = {"m": 2, "n": 3, "map": [1, 2]}
+    data[field] = "2"
+    assert repr(field) in _setmap_file_reports(tmp_path, capsys, jsonio.dumps(data))
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["trees", "bogus"])
     assert exc.value.code == 2
     code, _, _ = run(capsys, "trees", "enumerate", "--n", "3", "--tol", "-1")
     assert code == 2
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def _fresh_process(*argv):
+    """Exit code, stdout and stderr of the CLI run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cs.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "confspace.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once_and_leaks_no_option(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(jsonio.dumps({"m": 2, "points": [[0, 0], [1, 0], [0.2, 0.9]]}))
+    code, normalized, _ = run(capsys, "point", "alpha", "--in", str(cfg), "--normalize")
+    assert code == 0
+    code, plain, _ = run(capsys, "point", "alpha", "--in", str(cfg))
+    assert code == 0 and plain != normalized
+    assert _fresh_process("point", "alpha", "--in", str(cfg)) == (0, plain, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trees", "bogus"],
+        ["chart", "invert", "--in", "a.json"],
+        ["point", "alpha", "--tol", "x"],
+    ],
+)
+def test_usage_error_after_a_successful_call(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = _fresh_process(*argv)
+    assert first[0] == 2
+    assert run(capsys, "trees", "enumerate", "--n", "3")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == first
 
 
 # -- determinism ----------------------------------------------------------------------
@@ -298,6 +460,27 @@ def test_degenerate_trajectory(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("k,factor,x_1_0")
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize(
+    "t, m, zero",
+    [
+        (cs.tree_from_nested([{1, 2}], 3), 2, False),
+        (cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4), 1, False),
+        (cs.tree_from_nested([{1, 2}, {3, 4}], 5), 3, True),
+        (cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 3, False),
+        (cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 2, True),
+    ],
+)
+def test_degenerate_matches_per_step_reference(tmp_path, capsys, t, m, zero):
+    s = cs.stratum_sample(t, m, seed=17)
+    if zero:
+        s = cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales})
+    f = tmp_path / "s.json"
+    f.write_text(jsonio.dumps(jsonio.stratum_to_json(s)))
+    code, out, _ = run(capsys, "degenerate", "--in", str(f), "--kmax", "40")
+    assert code == 0
+    assert out == degenerate_csv(jsonio.stratum_from_json(jsonio.loads(f.read_text())), 40)
 
 
 def test_trees_commands(tmp_path, capsys):

@@ -231,3 +231,16 @@ def test_near_cluster_lift_passes_canonical_membership():
         [0.6856575448079565, -0.7279086382941143],
     ]
     assert cs.membership_canonical(lift(x)).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="interior chart point of a 4-level tree, smallest scale 0.00196: "
+    "8 1-ratio residuals up to 1.03e-9 at tol 1e-9 (tolerance policy, ROADMAP "
+    "open item 4)",
+)
+def test_deep_chart_point_passes_canonical_membership():
+    t = cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10))
+    a = cs.expand_chart(cs.stratum_sample(t, 3, 859126745))
+    assert cs.membership_canonical(a).passed
