@@ -53,7 +53,6 @@ from .simplicial import (
     calibrate_circuit_signs,
     four_consistency_residual,
     membership_simplicial,
-    permute_simplicial,
     reconstruct_from_directions,
     simplicial_point,
     stratum_tree_of_directions,

@@ -13,6 +13,15 @@ toward x_i (direction of x_i - x_j), and d_ijk = |x_i - x_j| / |x_i - x_k|.
 One relative tolerance governs unit-vector equality (Euclidean distance),
 vanishing of ratios, and point coincidence (relative to the configuration
 scale max(1, max_i |x_i|)).
+
+Storage: a point keeps its coordinates as three dense frozen arrays, x of
+shape (n, m), U of shape (n, n, m) with U[i-1, j-1] = u_ij and a zero
+diagonal, and (ambient points only) D of shape (n, n, n) with
+D[i-1, j-1, k-1] = d_ijk and NaN wherever i, j, k are not distinct.  Library
+code reads the arrays, so relabelling a point is one index gather.  The
+attributes u and d are read-only mappings over the same arrays, keyed by
+label tuples in itertools.permutations order, for callers that think in
+coordinates: u[(i, j)] is a frozen row, d[(i, j, k)] a Python float.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import trees
-from .numerics import nonneg_dependent_rows, require_unit, row_dots, row_norms, sign_distinct, unit
+from .numerics import nonneg_dependent_rows, require_unit, row_dots, row_norms, sign_distinct
 
 Pair = tuple[int, int]
 Index3 = tuple[int, int, int]
@@ -108,8 +117,8 @@ class _Tables(NamedTuple):
     cyclic: np.ndarray  # (i, j, k) and (i, k, j) for each i < j < k
     perms4: np.ndarray  # ordered 4-tuples
     subsets4: np.ndarray  # 4-subsets
-    pair_keys: tuple[Pair, ...]  # 1-based keys of the ordered pairs
-    triple_keys: tuple[Index3, ...]  # 1-based keys of the ordered triples
+    pair_index: dict[Pair, Pair]  # 1-based key -> 0-based index, ordered pairs
+    triple_index: dict[Index3, Index3]  # the same for ordered triples
     get_pairs: Callable[[Mapping], tuple]
     get_triples: Callable[[Mapping], tuple]
 
@@ -117,12 +126,14 @@ class _Tables(NamedTuple):
 @functools.lru_cache(maxsize=32)
 def _tables(n: int) -> _Tables:
     idx = range(n)
-    pair_keys = tuple(ordered_pairs(n))
-    triple_keys = tuple(ordered_triples(n))
+    pair_index = {(i + 1, j + 1): (i, j) for i, j in itertools.permutations(idx, 2)}
+    triple_index = {
+        (i + 1, j + 1, k + 1): (i, j, k) for i, j, k in itertools.permutations(idx, 3)
+    }
     return _Tables(
-        pairs=_index_table(itertools.permutations(idx, 2), 2),
+        pairs=_index_table(pair_index.values(), 2),
         upairs=_index_table(itertools.combinations(idx, 2), 2),
-        triples=_index_table(itertools.permutations(idx, 3), 3),
+        triples=_index_table(triple_index.values(), 3),
         subsets3=_index_table(itertools.combinations(idx, 3), 3),
         reciprocal=_index_table(
             (
@@ -138,10 +149,10 @@ def _tables(n: int) -> _Tables:
         ),
         perms4=_index_table(itertools.permutations(idx, 4), 4),
         subsets4=_index_table(itertools.combinations(idx, 4), 4),
-        pair_keys=pair_keys,
-        triple_keys=triple_keys,
-        get_pairs=_getter(pair_keys),
-        get_triples=_getter(triple_keys),
+        pair_index=pair_index,
+        triple_index=triple_index,
+        get_pairs=_getter(tuple(pair_index)),
+        get_triples=_getter(tuple(triple_index)),
     )
 
 
@@ -160,11 +171,10 @@ class Configuration:
             raise ValueError("points must form an (n, m) array")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        n = pts.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.array_equal(pts[i], pts[j]):
-                    raise ValueError(f"points {i + 1} and {j + 1} coincide")
+        i, j = np.nonzero(np.arange(len(pts))[:, None] < np.arange(len(pts)))
+        same = np.flatnonzero((pts[i] == pts[j]).all(axis=1))
+        if same.size:
+            raise ValueError(f"points {i[same[0]] + 1} and {j[same[0]] + 1} coincide")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -231,21 +241,73 @@ class Sphere:
 ManifoldDescriptor = Euclidean | Sphere
 
 
-# -- ambient points ----------------------------------------------------------
+# -- points ------------------------------------------------------------------
+
+
+class _Coordinates(Mapping):
+    """Read-only mapping view of U or D under 1-based label tuples, in
+    itertools.permutations order; any other key raises KeyError."""
+
+    __slots__ = ("_array", "_index")
+
+    def __init__(self, array: np.ndarray, index: dict):
+        self._array = array
+        self._index = index
+
+    def __getitem__(self, key):
+        value = self._array[self._index[key]]
+        return value if isinstance(value, np.ndarray) else float(value)
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True, eq=False)
-class AmbientPoint:
-    """Candidate point of the compactification: positions, directions, ratios."""
+class _Record:
+    """Positions x (n, m) and directions U (n, n, m), both frozen."""
 
-    m: int
     x: np.ndarray
-    u: dict[Pair, np.ndarray]
-    d: dict[Index3, float]
+    U: np.ndarray
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def u(self) -> Mapping[Pair, np.ndarray]:
+        return _Coordinates(self.U, _tables(self.n).pair_index)
+
+
+@dataclass(frozen=True, eq=False)
+class SimplicialPoint(_Record):
+    """Positions plus pairwise unit directions; no ratio coordinates."""
+
+
+@dataclass(frozen=True, eq=False)
+class AmbientPoint(_Record):
+    """Candidate point of the compactification: positions, directions, ratios."""
+
+    D: np.ndarray
+
+    @property
+    def d(self) -> Mapping[Index3, float]:
+        return _Coordinates(self.D, _tables(self.n).triple_index)
+
+
+def _trusted(x: np.ndarray, U: np.ndarray, D: np.ndarray | None = None):
+    """A point (simplicial if D is None) over arrays gathered from a
+    validated point: they pass validation unchanged, so they are only frozen."""
+    for arr in (x, U, D):
+        if arr is not None:
+            arr.flags.writeable = False
+    return SimplicialPoint(x, U) if D is None else AmbientPoint(x, U, D)
 
 
 def _positions(x) -> np.ndarray:
@@ -259,13 +321,13 @@ def _positions(x) -> np.ndarray:
     return pts
 
 
-def _unit_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> dict[Pair, np.ndarray]:
-    """Check and renormalize every u[i,j] in one array pass; rows are frozen."""
+def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
+    """The direction mapping as a dense U, looked up in one call."""
     t = _tables(n)
     try:
         vals = t.get_pairs(u)
     except KeyError:
-        i, j = next(key for key in t.pair_keys if key not in u)
+        i, j = next(key for key in t.pair_index if key not in u)
         raise ValueError(f"missing direction u[{i},{j}]") from None
     rows = None
     try:
@@ -273,75 +335,110 @@ def _unit_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> dict[Pair,
     except ValueError:
         pass
     if rows is None or rows.shape[1:] != (m,):
-        for i, j in t.pair_keys:
+        for i, j in t.pair_index:
             if np.shape(u[(i, j)]) != (m,):
                 raise ValueError(f"direction u[{i},{j}] has wrong dimension")
         raise ValueError("directions must be numeric vectors")
-    nrm = row_norms(rows)
+    U = np.zeros((n, n, m))
+    i, j = t.pairs.T
+    U[i, j] = rows
+    return U
+
+
+def _unit_directions(U: np.ndarray) -> np.ndarray:
+    """Check and renormalize every u_ij in one array pass, then freeze U."""
+    t = _tables(len(U))
+    i, j = t.pairs.T
+    nrm = row_norms(U[i, j])
     bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))
     if bad.size:
-        i, j = t.pair_keys[bad[0]]
-        raise ValueError(f"u[{i},{j}] is not a unit vector (norm {nrm[bad[0]]})")
+        a, b = t.pairs[bad[0]] + 1
+        raise ValueError(f"u[{a},{b}] is not a unit vector (norm {nrm[bad[0]]})")
     off = np.abs(nrm - 1.0) > 1e-12
-    rows[off] /= nrm[off, None]
-    rows.flags.writeable = False
-    return dict(zip(t.pair_keys, rows))
+    U[i[off], j[off]] /= nrm[off, None]
+    U.flags.writeable = False
+    return U
+
+
+def _ratios(D: np.ndarray) -> np.ndarray:
+    """Check that every d_ijk lies in [0, inf], then freeze D."""
+    t = _tables(len(D))
+    bad = np.flatnonzero(~(D[tuple(t.triples.T)] >= 0.0))
+    if bad.size:
+        i, j, k = t.triples[bad[0]] + 1
+        raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
+    D.flags.writeable = False
+    return D
+
+
+def _checked(x, U: np.ndarray, D: np.ndarray) -> AmbientPoint:
+    """ambient_point's array check, for coordinates computed here."""
+    return AmbientPoint(_positions(x), _unit_directions(U), _ratios(D))
 
 
 def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) -> AmbientPoint:
     """Validate index completeness, renormalize directions, freeze arrays."""
     pts = _positions(x)
     n, m = pts.shape
-    uu = _unit_directions(u, n, m)
+    U = _unit_directions(_gather_directions(u, n, m))
     t = _tables(n)
     try:
         vals = np.array(t.get_triples(d), dtype=float)
     except KeyError:
-        i, j, k = next(key for key in t.triple_keys if key not in d)
+        i, j, k = next(key for key in t.triple_index if key not in d)
         raise ValueError(f"missing ratio d[{i},{j},{k}]") from None
-    bad = np.flatnonzero(np.isnan(vals) | (vals < 0.0))
-    if bad.size:
-        i, j, k = t.triple_keys[bad[0]]
-        raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
-    return AmbientPoint(m, pts, uu, dict(zip(t.triple_keys, vals.tolist())))
+    D = np.full((n, n, n), np.nan)
+    D[tuple(t.triples.T)] = vals
+    return AmbientPoint(pts, U, _ratios(D))
 
 
 def lift_configuration(c) -> AmbientPoint:
     """Attach exact direction and ratio coordinates to an open configuration."""
     cfg = as_configuration(c)
     pts, n = cfg.points, cfg.n
-    nrm = {}
-    u: dict[Pair, np.ndarray] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = pts[i - 1] - pts[j - 1]
-            dist = float(np.linalg.norm(diff))
-            if dist == 0.0:
-                raise ValueError(f"points {i} and {j} coincide")
-            nrm[(i, j)] = nrm[(j, i)] = dist
-            u[(i, j)] = diff / dist
-            u[(j, i)] = -u[(i, j)]
-    d = {
-        (i, j, k): nrm[(i, j)] / nrm[(i, k)]
-        for i, j, k in ordered_triples(n)
-    }
-    return ambient_point(pts, u, d)
+    i, j = _tables(n).upairs.T
+    # huge coordinates overflow to inf and NaN here; _checked rejects them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        U, nrm = _pair_directions(pts[i] - pts[j], n)
+        zero = np.flatnonzero(nrm == 0.0)
+        if zero.size:
+            raise ValueError(f"points {i[zero[0]] + 1} and {j[zero[0]] + 1} coincide")
+        dist = np.zeros((n, n))
+        dist[i, j] = dist[j, i] = nrm
+        D = np.full((n, n, n), np.nan)
+        i, j, k = _tables(n).triples.T
+        D[i, j, k] = dist[i, j] / dist[i, k]
+    return _checked(pts, U, D)
 
 
-def permute(sigma, a: AmbientPoint) -> AmbientPoint:
-    """Relabel indices: entry i of the result carries the data of sigma(i)."""
+def _pair_directions(diff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """U and the norms from the differences of the pairs i < j (combinations
+    order); u_ji is the negated u_ij, so a zero component keeps its sign."""
+    i, j = _tables(n).upairs.T
+    nrm = row_norms(diff)
+    U = np.zeros((n, n, diff.shape[1]))
+    U[i, j] = diff / nrm[:, None]
+    U[j, i] = -U[i, j]
+    return U, nrm
+
+
+def _relabel(p: _Record, values: Sequence[int]):
+    """x, U and D (None for a simplicial point) of p with label i carrying
+    the data of label values[i-1]: one index gather each."""
+    s = np.asarray(values, dtype=np.intp) - 1
+    D = p.D[np.ix_(s, s, s)] if isinstance(p, AmbientPoint) else None
+    return p.x[s], p.U[np.ix_(s, s)], D
+
+
+def permute(sigma, p: _Record):
+    """Relabel indices: entry i of the result carries the data of sigma(i).
+
+    Works on ambient and simplicial points, returning the same kind.
+    """
     values = tuple(sigma.values) if isinstance(sigma, trees.SetMap) else tuple(sigma)
-    n = a.n
-    if sorted(values) != list(range(1, n + 1)):
+    if sorted(values) != list(range(1, p.n + 1)):
         raise ValueError("sigma is not a permutation of the labels")
-
-    def s(i: int) -> int:
-        return values[i - 1]
-
-    x = np.stack([a.x[s(i) - 1] for i in range(1, n + 1)])
-    u = {(i, j): a.u[(s(i), s(j))] for i, j in ordered_pairs(n)}
-    d = {(i, j, k): a.d[(s(i), s(j), s(k))] for i, j, k in ordered_triples(n)}
-    return ambient_point(x, u, d)
+    return _trusted(*_relabel(p, values))
 
 
 # -- law of sines ------------------------------------------------------------
@@ -429,15 +526,6 @@ def _verdict(blocks: Sequence[_Block], tol: float) -> Verdict:
     return Verdict(tuple(violations), worst)
 
 
-def _dense_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
-    """The directions as an (n, n, m) array, U[i-1, j-1] = u_ij, zero diagonal."""
-    out = np.zeros((n, n, m))
-    t = _tables(n)
-    if len(t.pairs):
-        out[t.pairs[:, 0], t.pairs[:, 1]] = t.get_pairs(u)
-    return out
-
-
 def _distances(x: np.ndarray) -> np.ndarray:
     return row_norms(x[:, None, :] - x[None, :, :])
 
@@ -508,17 +596,14 @@ def membership_canonical(
     4-reciprocal, 4-cyclic, 4-cocycle, 5-on-manifold, 5-tangency.  Within a
     condition, indices follow itertools enumeration order (permutations for
     ordered tuples, combinations for subsets).  Each condition runs as one
-    array kernel over dense (n, n, m) directions and (n, n, n) ratios,
-    gathered through index tables cached per n.
+    array kernel over the point's U and D, read through index tables cached
+    per n.
     """
     manifold = _check_manifold(manifold, a.m)
-    n = a.n
-    t = _tables(n)
-    U = _dense_directions(a.u, n, a.m)
-    d = np.array(t.get_triples(a.d), dtype=float)
-    D = np.full((n, n, n), np.nan)
+    t = _tables(a.n)
+    U, D = a.U, a.D
     i, j, k = t.triples.T
-    D[i, j, k] = d
+    d = D[i, j, k]
     dist = _distances(a.x)
     near = tol * config_scale(a.x)
     direction, antisymmetry, dependence = _shared_blocks(("1", "3"), a.x, U, dist, near, tol)
@@ -573,18 +658,15 @@ def stratum_tree(a: AmbientPoint, tol: float = DEFAULT_TOL) -> trees.FTree:
     Raises if the vanishing pattern violates the exclusion axioms, which
     signals a non-member point or an unsuitable tolerance.
     """
-    n = a.n
-    rel = {
-        ((i, j), k)
-        for i, j, k in ordered_triples(n)
-        if a.d[(i, j, k)] <= tol
-    }
-    near = tol * config_scale(a.x)
-    trunk = all(
-        float(np.linalg.norm(a.x[i - 1] - a.x[j - 1])) <= near
-        for i, j in itertools.combinations(range(1, n + 1), 2)
-    )
-    return trees.tree_from_exclusions(rel, n, trunk)
+    rel = {((i, j), k) for i, j, k in (np.argwhere(a.D <= tol) + 1).tolist()}
+    return trees.tree_from_exclusions(rel, a.n, _is_trunk(a.x, tol))
+
+
+def _is_trunk(x: np.ndarray, tol: float) -> bool:
+    """Whether all positions coincide relative to the configuration scale."""
+    near = tol * config_scale(x)
+    i, j = _tables(len(x)).upairs.T
+    return bool((row_norms(x[i] - x[j]) <= near).all())
 
 
 # -- stratum data and charts ---------------------------------------------------
@@ -613,7 +695,9 @@ class StratumPoint:
         m = root.shape[1] if root.ndim == 2 else 0
         if root.ndim != 2 or m < 1:
             raise ValueError("root configuration must be an (#v0, m) array")
-        _min_pairwise(root, "root configuration", strict=True)
+        q = _min_pairwise(root)
+        if q == 0.0:
+            raise ValueError("root configuration has coincident points")
         configs = {}
         for v in t.internal_vertices:
             if v not in self.configs:
@@ -625,11 +709,14 @@ class StratumPoint:
                 raise ValueError(f"configuration at vertex {v} is not centered")
             if abs(float(np.linalg.norm(cfg, axis=1).max()) - 1.0) > 1e-8:
                 raise ValueError(f"configuration at vertex {v} is not max-norm 1")
-            _min_pairwise(cfg, f"configuration at vertex {v}", strict=True)
+            gap = _min_pairwise(cfg)
+            if gap == 0.0:
+                raise ValueError(f"configuration at vertex {v} has coincident points")
+            q = min(q, gap)
             cfg = cfg.copy()
             cfg.flags.writeable = False
             configs[v] = cfg
-        bound = scale_bound(t, root, configs)
+        bound = _scale_bound(q)
         scales = {}
         for v in t.internal_vertices:
             if v not in self.scales:
@@ -651,99 +738,84 @@ class StratumPoint:
         return self.root_config.shape[1]
 
 
-def _min_pairwise(rows: np.ndarray, what: str, strict: bool = False) -> float:
-    best = math.inf
-    for i in range(rows.shape[0]):
-        for j in range(i + 1, rows.shape[0]):
-            best = min(best, float(np.linalg.norm(rows[i] - rows[j])))
-    if strict and best == 0.0:
-        raise ValueError(f"{what} has coincident points")
-    return best
+def _min_pairwise(rows: np.ndarray) -> float:
+    """Smallest distance between two rows (inf for fewer than two); NaN
+    distances are skipped."""
+    i, j = _tables(len(rows)).upairs.T
+    return float(np.fmin.reduce(row_norms(rows[i] - rows[j]), initial=math.inf))
 
 
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
     """Largest admissible scale parameter for the given stratum data."""
-    q = math.inf
-    root = np.asarray(root_config, dtype=float)
-    if root.shape[0] >= 2:
-        q = min(q, _min_pairwise(root, "root"))
-    for v in tree.internal_vertices:
-        q = min(q, _min_pairwise(np.asarray(configs[v], dtype=float), f"vertex {v}"))
+    rows = (root_config, *(configs[v] for v in tree.internal_vertices))
+    return _scale_bound(min(_min_pairwise(np.asarray(r, dtype=float)) for r in rows))
+
+
+def _scale_bound(q: float) -> float:
+    """scale_bound from the smallest pairwise distance q in the stratum data."""
     if math.isinf(q):
         return 1.0
     third = q / 3.0
     return third / (1.0 + third)
 
 
-def _vertex_data(s: StratumPoint):
-    cfg = {0: s.root_config}
-    cfg.update(s.configs)
-    tv = {0: 1.0}
-    tv.update(s.scales)
-    return cfg, tv
-
-
-def _expansion_positions(s: StratumPoint, top: int) -> dict[int, np.ndarray]:
-    """Positions of every vertex under `top`, with the scale at `top` set to 1."""
+def _expansion_positions(s: StratumPoint) -> np.ndarray:
+    """P[v, i-1], the position of leaf i in the expansion of the subtree at
+    vertex v with the scale at v set to 1 (zero for leaves not under v).
+    Offsets are summed top down, in the rounding order of a walk to the leaf."""
     t = s.tree
-    cfg, tv = _vertex_data(s)
-    pos = {top: np.zeros(s.m)}
-    sv = {top: 1.0}
-    stack = [top]
-    while stack:
-        w = stack.pop()
-        if 1 <= w <= t.n:
-            continue
-        for idx, c in enumerate(t.children[w]):
-            pos[c] = sv[w] * cfg[w][idx] + pos[w]
-            if c > t.n:
-                sv[c] = sv[w] * tv[c]
-                stack.append(c)
-    return pos
+    cfg = {0: s.root_config, **s.configs}
+    tv = {0: 1.0, **s.scales}
+    P = np.zeros((t.num_vertices, t.n, s.m))
+    for top in (0, *t.internal_vertices):
+        pos = {top: np.zeros(s.m)}
+        sv = {top: 1.0}
+        stack = [top]
+        while stack:
+            w = stack.pop()
+            for idx, c in enumerate(t.children[w]):
+                pos[c] = sv[w] * cfg[w][idx] + pos[w]
+                if c > t.n:
+                    sv[c] = sv[w] * tv[c]
+                    stack.append(c)
+                else:
+                    P[top, c - 1] = pos[c]
+    return P
 
 
-def _join_tables(t: trees.FTree) -> tuple[dict[Pair, int], dict[Index3, int]]:
-    """The join of every ordered leaf pair and of every ordered leaf triple."""
-    n = t.n
-    depth = {v: t.depth(v) for v in (0, *t.internal_vertices)}
-    pair_join: dict[Pair, int] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pair_join[(i, j)] = pair_join[(j, i)] = trees.join(t, (i, j))
+def _join_tables(t: trees.FTree) -> tuple[np.ndarray, np.ndarray]:
+    """The join of every leaf pair i < j (combinations order) and of every
+    ordered leaf triple (permutations order), as vertex index arrays."""
+    tab = _tables(t.n)
+    i, j = tab.upairs.T
+    pair_join = np.array([trees.join(t, (a, b)) for a, b in (tab.upairs + 1).tolist()], dtype=np.intp)
+    J = np.zeros((t.n, t.n), dtype=np.intp)
+    J[i, j] = J[j, i] = pair_join
+    depth = np.array([t.depth(v) for v in range(t.num_vertices)])
     # the join of three leaves is the shallowest of the pairwise joins
-    triple_join = {
-        (i, j, k): min(
-            (pair_join[(i, j)], pair_join[(i, k)], pair_join[(j, k)]),
-            key=depth.__getitem__,
-        )
-        for i, j, k in ordered_triples(n)
-    }
-    return pair_join, triple_join
+    i, j, k = tab.triples.T
+    cand = np.stack([J[i, j], J[i, k], J[j, k]], axis=1)
+    W = cand[np.arange(len(cand)), np.argmin(depth[cand], axis=1)]
+    return pair_join, W
 
 
-def _expand(
-    s: StratumPoint, pair_join: dict[Pair, int], triple_join: dict[Index3, int]
-) -> AmbientPoint:
+def _expand(s: StratumPoint, pair_join: np.ndarray, triple_join: np.ndarray) -> AmbientPoint:
     """expand_chart with the join tables of s.tree already computed."""
-    t = s.tree
-    n = t.n
-    sub = {v: _expansion_positions(s, v) for v in (0, *t.internal_vertices)}
-    x = np.stack([sub[0][i] for i in range(1, n + 1)])
-    u: dict[Pair, np.ndarray] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = pair_join[(i, j)]
-            diff = sub[v][i] - sub[v][j]
-            u[(i, j)] = unit(diff)
-            u[(j, i)] = -u[(i, j)]
-    d: dict[Index3, float] = {}
-    for (i, j, k), w in triple_join.items():
-        dij = sub[w][i] - sub[w][j]
-        dik = sub[w][i] - sub[w][k]
-        num = math.sqrt(float(dij @ dij))
-        den = math.sqrt(float(dik @ dik))
-        d[(i, j, k)] = num / den if den > 0.0 else math.inf
-    return ambient_point(x, u, d)
+    n = s.tree.n
+    t = _tables(n)
+    P = _expansion_positions(s)
+    i, j = t.upairs.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        U, nrm = _pair_directions(P[pair_join, i] - P[pair_join, j], n)
+    if (nrm == 0.0).any():
+        raise ValueError("cannot normalize a zero vector")
+    i, j, k = t.triples.T
+    w = triple_join
+    num = row_norms(P[w, i] - P[w, j])
+    den = row_norms(P[w, i] - P[w, k])
+    D = np.full((n, n, n), np.nan)
+    D[i, j, k] = np.divide(num, den, out=np.full(len(w), math.inf), where=den > 0.0)
+    return _checked(P[0], U, D)
 
 
 def expand_chart(s: StratumPoint) -> AmbientPoint:
@@ -824,10 +896,10 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
         for j in labs:
             if j == i0:
                 continue
-            length = 1.0 if j == k0 else a.d[(i0, j, k0)]
+            length = 1.0 if j == k0 else a.D[i0 - 1, j - 1, k0 - 1]
             if math.isinf(length):
                 raise ValueError("point lies outside the chart region of the tree")
-            z[j] = length * a.u[(j, i0)]
+            z[j] = length * a.U[j - 1, i0 - 1]
         frames[v] = _cluster_centers(T, v, z)
 
     root_config = np.stack([frames[0][c] for c in T.children[0]])
@@ -871,7 +943,7 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
             if top == 0.0:
                 continue
             pts = pts / top
-            if k == 1 or _min_pairwise(pts, "sample") >= margin:
+            if k == 1 or _min_pairwise(pts) >= margin:
                 return pts
         raise RuntimeError("sampling failed to reach the separation margin")
 
@@ -903,9 +975,11 @@ def ambient_distance(a: AmbientPoint, b: AmbientPoint) -> float:
     """
     if a.n != b.n or a.m != b.m:
         raise ValueError("points have different index sets")
+    t = _tables(a.n)
     out = float(np.abs(a.x - b.x).max()) if a.n else 0.0
-    for key in a.u:
-        out = max(out, float(np.linalg.norm(a.u[key] - b.u[key])))
-    for key in a.d:
-        out = max(out, compactified_gap(a.d[key], b.d[key]))
-    return out
+    i, j = t.pairs.T
+    directions = row_norms(a.U[i, j] - b.U[i, j])
+    i, j, k = t.triples.T
+    with np.errstate(invalid="ignore"):
+        ca, cb = (np.where(np.isinf(v), 1.0, v / (1.0 + v)) for v in (a.D[i, j, k], b.D[i, j, k]))
+    return max(out, float(directions.max(initial=0.0)), float(np.abs(ca - cb).max(initial=0.0)))

@@ -231,7 +231,7 @@ def _point_classify(args):
 
 def _point_membership(args):
     data = _read_json(args.infile)
-    variant = args.variant or ("canonical" if "d" in data else "simplicial")
+    variant = args.variant or ("canonical" if isinstance(data, dict) and "d" in data else "simplicial")
     if variant == "canonical":
         a = jsonio.ambient_from_json(data)
         verdict = canonical.membership_canonical(a, _manifold(args.manifold, a.m), args.tol)
@@ -302,10 +302,7 @@ def _simplicial_residuals(args):
     rows = []
     basis = np.eye(p.m)
     for quad in itertools.combinations(range(1, p.n + 1), 4):
-        sub = {
-            pair: p.u[pair]
-            for pair in itertools.permutations(quad, 2)
-        }
+        sub = {(i, j): p.U[i - 1, j - 1] for i, j in itertools.permutations(quad, 2)}
         for a in range(p.m):
             for b in range(p.m):
                 res = simplicial.four_consistency_residual(sub, basis[a], basis[b])
@@ -382,23 +379,15 @@ def _assoc_realize(args):
 def _degenerate(args):
     s = jsonio.stratum_from_json(_read_json(args.infile))
     n, m = s.tree.n, s.m
-    header = ["k", "factor"]
-    for i in range(1, n + 1):
-        header += [f"x_{i}_{c}" for c in range(m)]
-    pair_keys = list(canonical.ordered_pairs(n))
-    triple_keys = list(canonical.ordered_triples(n))
-    for i, j in pair_keys:
-        header += [f"u_{i}_{j}_{c}" for c in range(m)]
-    header += [f"d_{i}_{j}_{k}" for i, j, k in triple_keys]
-    rows = []
-    for k, (factor, a) in enumerate(canonical._degeneration(s, args.kmax)):
-        row: list = [k, factor]
-        for i in range(1, n + 1):
-            row += [float(v) for v in a.x[i - 1]]
-        for key in pair_keys:
-            row += [float(v) for v in a.u[key]]
-        row += [a.d[key] for key in triple_keys]
-        rows.append(row)
+    t = canonical._tables(n)
+    header = ["k", "factor", *(f"x_{i}_{c}" for i in range(1, n + 1) for c in range(m))]
+    header += [f"u_{i}_{j}_{c}" for i, j in t.pair_index for c in range(m)]
+    header += [f"d_{i}_{j}_{k}" for i, j, k in t.triple_index]
+    pairs, triples = tuple(t.pairs.T), tuple(t.triples.T)
+    rows = [
+        [k, factor, *a.x.ravel().tolist(), *a.U[pairs].ravel().tolist(), *a.D[triples].tolist()]
+        for k, (factor, a) in enumerate(canonical._degeneration(s, args.kmax))
+    ]
     return jsonio.trajectory_csv(header, rows)
 
 

@@ -18,6 +18,7 @@ from .canonical import (
     Configuration,
     StratumPoint,
     Verdict,
+    _tables,
     ambient_point,
 )
 from .maps import FramedPoint, framed_point
@@ -184,16 +185,27 @@ def config_to_json(c: Configuration) -> dict:
 
 
 def config_from_json(data: dict) -> Configuration:
+    data = _object(data, "configuration")
     pts = _floats(data["points"], "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if int(data.get("m", pts.shape[1])) != pts.shape[1]:
+    if "m" in data and _int(data["m"], "m") != pts.shape[1]:
         raise ValueError("declared dimension does not match the points")
     return Configuration(pts)
 
 
-def _u_to_json(u):
-    return {f"{i},{j}": list(map(float, vec)) for (i, j), vec in u.items()}
+def _keyed(arr: np.ndarray, index: dict, table: np.ndarray) -> dict:
+    """{"i,j": u_ij} or {"i,j,k": d_ijk}, read from U or D along an index table."""
+    return dict(zip((",".join(map(str, key)) for key in index), arr[tuple(table.T)].tolist()))
+
+
+def _point_to_json(p) -> dict:
+    """m, x, u and, for an ambient point, d."""
+    t = _tables(p.n)
+    out = {"m": p.m, "x": p.x.tolist(), "u": _keyed(p.U, t.pair_index, t.pairs)}
+    if isinstance(p, AmbientPoint):
+        out["d"] = _keyed(p.D, t.triple_index, t.triples)
+    return out
 
 
 def _object(data, field: str) -> dict:
@@ -231,15 +243,11 @@ def _u_from_json(data):
 
 
 def ambient_to_json(a: AmbientPoint) -> dict:
-    return {
-        "m": a.m,
-        "x": [list(map(float, row)) for row in a.x],
-        "u": _u_to_json(a.u),
-        "d": {f"{i},{j},{k}": val for (i, j, k), val in a.d.items()},
-    }
+    return _point_to_json(a)
 
 
 def ambient_from_json(data: dict) -> AmbientPoint:
+    data = _object(data, "point")
     x = _floats(data["x"], "x")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -250,11 +258,7 @@ def ambient_from_json(data: dict) -> AmbientPoint:
 
 
 def simplicial_to_json(p: SimplicialPoint, frames=None) -> dict:
-    out = {
-        "m": p.m,
-        "x": [list(map(float, row)) for row in p.x],
-        "u": _u_to_json(p.u),
-    }
+    out = _point_to_json(p)
     if frames is not None:
         out["frames"] = [
             list(map(float, frames[i])) for i in range(1, p.n + 1)
@@ -263,6 +267,7 @@ def simplicial_to_json(p: SimplicialPoint, frames=None) -> dict:
 
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:
+    data = _object(data, "point")
     x = _floats(data["x"], "x")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -270,24 +275,25 @@ def simplicial_from_json(data: dict) -> SimplicialPoint:
 
 
 def framed_to_json(fp: FramedPoint) -> dict:
-    if fp.is_ambient:
-        out = ambient_to_json(fp.point)
-    else:
-        out = simplicial_to_json(fp.point)
+    out = _point_to_json(fp.point)
     out["frames"] = [list(map(float, fp.frames[i])) for i in range(1, fp.n + 1)]
     return out
 
 
 def framed_from_json(data: dict) -> FramedPoint:
+    data = _object(data, "point")
     if "frames" not in data:
         raise ValueError("framed point needs a frames field")
     point = ambient_from_json(data) if "d" in data else simplicial_from_json(data)
+    if not isinstance(data["frames"], list):
+        raise ValueError("field 'frames' must be a list")
     frames = [_floats(f, "frames") for f in data["frames"]]
     return framed_point(point, frames)
 
 
 def point_from_json(data: dict):
     """Dispatch on the schema: framed, ambient, or simplicial."""
+    data = _object(data, "point")
     if "frames" in data:
         return framed_from_json(data)
     if "d" in data:
@@ -316,6 +322,7 @@ def stratum_to_json(s: StratumPoint) -> dict:
 
 
 def stratum_from_json(data: dict) -> StratumPoint:
+    data = _object(data, "stratum")
     t = tree_from_json(data["tree"])
     key_of = {_vertex_key(t, v): v for v in t.internal_vertices}
     configs = {}

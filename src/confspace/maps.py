@@ -28,22 +28,18 @@ from .canonical import (
     AmbientPoint,
     Euclidean,
     ManifoldDescriptor,
+    SimplicialPoint,
     Sphere,
     Verdict,
     Violation,
-    ambient_point,
+    _relabel,
+    _tables,
+    _trusted,
+    ambient_point,  # unused here; perfbench/selftest.py checks this binding site
     membership_canonical,
-    ordered_pairs,
-    ordered_triples,
 )
 from .numerics import require_unit
-from .simplicial import (
-    SimplicialPoint,
-    membership_simplicial,
-    simplicial_point,
-)
-
-Pair = tuple[int, int]
+from .simplicial import membership_simplicial
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +117,7 @@ def project_indices(sigma: trees.SetMap, p):
         return framed_point(inner, frames)
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
-    x = np.stack([p.x[sigma(j) - 1] for j in range(1, sigma.m + 1)])
-    u = {
-        (a, b): p.u[(sigma(a), sigma(b))]
-        for a, b in ordered_pairs(sigma.m)
-    }
-    if isinstance(p, AmbientPoint):
-        d = {
-            (a, b, c): p.d[(sigma(a), sigma(b), sigma(c))]
-            for a, b, c in ordered_triples(sigma.m)
-        }
-        return ambient_point(x, u, d)
-    return simplicial_point(x, u)
+    return _trusted(*_relabel(p, sigma.values))
 
 
 # -- contravariant action on framed direction points ------------------------------
@@ -150,16 +135,20 @@ def pullback(sigma: trees.SetMap, fp: FramedPoint) -> FramedPoint:
     p: SimplicialPoint = fp.point
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
-    x = np.stack([p.x[sigma(j) - 1] for j in range(1, sigma.m + 1)])
-    frames = {j: fp.frames[sigma(j)] for j in range(1, sigma.m + 1)}
-    u: dict[Pair, np.ndarray] = {}
-    for a, b in ordered_pairs(sigma.m):
-        if sigma(a) != sigma(b):
-            u[(a, b)] = p.u[(sigma(a), sigma(b))]
-        else:
-            f = fp.frames[sigma(a)]
-            u[(a, b)] = f if a < b else -f
-    return framed_point(simplicial_point(x, u), frames)
+    x, U, _ = _relabel(p, sigma.values)
+    frames = [fp.frames[v] for v in sigma.values]
+    _frame_collapsed(U, sigma.values, frames)
+    return framed_point(_trusted(x, U), frames)
+
+
+def _frame_collapsed(U: np.ndarray, values, frames):
+    """Where 0-based labels a < b share a target in values, set u_ab to
+    +frames[a] and u_ba to -frames[a], the frame of that common target."""
+    values = np.asarray(values)
+    a, b = np.nonzero(np.triu(values[:, None] == values[None, :], 1))
+    frames = np.reshape(frames, (len(values), U.shape[2]))
+    U[a, b] = frames[a]
+    U[b, a] = -frames[a]
 
 
 # -- doubling maps -----------------------------------------------------------------
@@ -191,10 +180,9 @@ def _check_assoc_parameter(assoc: AmbientPoint, k: int, tol: float):
         raise ValueError("interval parameter must be one-dimensional")
     if assoc.n != k + 1:
         raise ValueError(f"interval parameter needs {k + 1} indices")
-    for r, s in ordered_pairs(assoc.n):
-        want = -1.0 if r < s else 1.0
-        if abs(float(assoc.u[(r, s)][0]) - want) > tol:
-            raise ValueError("interval parameter is not in increasing order")
+    r, s = _tables(assoc.n).pairs.T
+    if (np.abs(assoc.U[r, s, 0] - np.where(r < s, -1.0, 1.0)) > tol).any():
+        raise ValueError("interval parameter is not in increasing order")
     verdict = membership_canonical(assoc, Euclidean(1), tol)
     if not verdict.passed:
         raise ValueError("interval parameter fails membership")
@@ -227,32 +215,21 @@ def diagonal_map(
         if assoc is None:
             raise ValueError("k >= 2 needs an interval parameter")
         _check_assoc_parameter(assoc, k, tol)
-    cluster = range(i, i + k + 1)
-    frame = fp.frames[i]
-
-    x = np.stack([p.x[sigma(j) - 1] for j in range(1, n + k + 1)])
-    frames = {j: fp.frames[sigma(j)] for j in range(1, n + k + 1)}
-    u: dict[Pair, np.ndarray] = {}
-    for a, b in ordered_pairs(n + k):
-        if sigma(a) != sigma(b):
-            u[(a, b)] = p.u[(sigma(a), sigma(b))]
-        else:
-            u[(a, b)] = frame if a < b else -frame
-    d: dict[tuple[int, int, int], float] = {}
-    for a, b, c in ordered_triples(n + k):
-        in_cluster = (a in cluster, b in cluster, c in cluster)
-        count = sum(in_cluster)
-        if count <= 1:
-            d[(a, b, c)] = p.d[(sigma(a), sigma(b), sigma(c))]
-        elif count == 3:
-            d[(a, b, c)] = assoc.d[(a - i + 1, b - i + 1, c - i + 1)]
-        elif in_cluster[0] and in_cluster[1]:
-            d[(a, b, c)] = 0.0
-        elif in_cluster[1] and in_cluster[2]:
-            d[(a, b, c)] = 1.0
-        else:
-            d[(a, b, c)] = math.inf
-    return framed_point(ambient_point(x, u, d), frames)
+    x, U, D = _relabel(p, sigma.values)
+    frames = [fp.frames[v] for v in sigma.values]
+    _frame_collapsed(U, sigma.values, frames)
+    # triples with two indices in the new cluster i..i+k; the gather left
+    # NaN there, and the cluster block itself is the interval parameter's
+    cluster = slice(i - 1, i + k)
+    inside = np.zeros(n + k, dtype=bool)
+    inside[cluster] = True
+    triples = _tables(n + k).triples
+    ia, ib, ic = inside[triples].T
+    for mask, value in ((ia & ib & ~ic, 0.0), (ib & ic & ~ia, 1.0), (ia & ic & ~ib, math.inf)):
+        D[tuple(triples[mask].T)] = value
+    if k >= 2:
+        D[cluster, cluster, cluster] = assoc.D
+    return framed_point(_trusted(x, U, D), frames)
 
 
 # -- cosimplicial structure over the interval ---------------------------------------

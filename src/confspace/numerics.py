@@ -37,10 +37,6 @@ def require_unit(v: np.ndarray, where: str = "vector", slack: float = 1e-6) -> n
     return v / nrm
 
 
-def vectors_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    return float(np.linalg.norm(a - b)) <= tol
-
-
 def sign_distinct(a: np.ndarray, b: np.ndarray, tol: float):
     """True iff b is within tol of neither a nor -a; row-wise on stacked vectors."""
     return (row_norms(a - b) > tol) & (row_norms(a + b) > tol)

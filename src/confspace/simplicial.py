@@ -39,26 +39,28 @@ from .canonical import (
     AmbientPoint,
     Configuration,
     ManifoldDescriptor,
+    SimplicialPoint,
     Sphere,
     Verdict,
     _check_manifold,
-    _dense_directions,
     _distances,
+    _gather_directions,
+    _is_trunk,
     _positions,
     _shared_blocks,
     _sphere_blocks,
     _tables,
+    _trusted,
     _unit_directions,
     _verdict,
     config_scale,
     normalize,
-    ordered_pairs,
-    ordered_triples,
 )
 from .numerics import (
     nonneg_dependent,
     ray_intersection,
     require_unit,
+    row_norms,
     sign_distinct,
 )
 
@@ -68,41 +70,14 @@ Pair = tuple[int, int]
 # -- points -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SimplicialPoint:
-    """Positions plus pairwise unit directions; no ratio coordinates."""
-
-    m: int
-    x: np.ndarray
-    u: dict[Pair, np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
 def simplicial_point(x, u: Mapping[Pair, np.ndarray]) -> SimplicialPoint:
     pts = _positions(x)
-    n, m = pts.shape
-    return SimplicialPoint(m, pts, _unit_directions(u, n, m))
+    return SimplicialPoint(pts, _unit_directions(_gather_directions(u, *pts.shape)))
 
 
 def to_simplicial(a: AmbientPoint) -> SimplicialPoint:
     """Forget the ratio coordinates."""
-    return simplicial_point(a.x, a.u)
-
-
-def permute_simplicial(sigma, p: SimplicialPoint) -> SimplicialPoint:
-    values = tuple(sigma.values) if isinstance(sigma, trees.SetMap) else tuple(sigma)
-    n = p.n
-    if sorted(values) != list(range(1, n + 1)):
-        raise ValueError("sigma is not a permutation of the labels")
-    x = np.stack([p.x[values[i - 1] - 1] for i in range(1, n + 1)])
-    u = {
-        (i, j): p.u[(values[i - 1], values[j - 1])]
-        for i, j in ordered_pairs(n)
-    }
-    return simplicial_point(x, u)
+    return _trusted(a.x, a.U)
 
 
 # -- dependence and consistency -------------------------------------------------
@@ -264,13 +239,10 @@ def calibrate_circuit_signs(
             for b in range(a + 1, 4)
         ) < 0.1:
             pts = rng.uniform(-1.0, 1.0, size=(4, 2))
-        u = {}
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    diff = pts[a] - pts[b]
-                    u[(a + 1, b + 1)] = diff / np.linalg.norm(diff)
-        urows = _direction_rows(u, [1, 2, 3, 4])
+        urows = np.stack([
+            (pts[a] - pts[b]) / np.linalg.norm(pts[a] - pts[b])
+            for a, b in itertools.combinations(range(4), 2)
+        ])
         v = rng.normal(size=2)
         v /= np.linalg.norm(v)
         w = rng.normal(size=2)
@@ -320,13 +292,11 @@ def membership_simplicial(
     a condition, indices follow itertools enumeration order, and a
     four-consistency entry is the sorted quad followed by the probe axes
     (v, w), with w varying fastest.  Each condition runs as one array kernel
-    over the dense (n, n, m) directions, gathered through index tables
-    cached per n; the first three are the same kernels as in
-    membership_canonical.
+    over the point's U, read through index tables cached per n; the first
+    three are the same kernels as in membership_canonical.
     """
     manifold = _check_manifold(manifold, p.m)
-    n, m = p.n, p.m
-    U = _dense_directions(p.u, n, m)
+    U = p.U
     dist = _distances(p.x)
     near = tol * config_scale(p.x)
     blocks = [
@@ -366,15 +336,13 @@ def _four_consistency_block(U: np.ndarray, tol: float):
 # -- classification --------------------------------------------------------------
 
 
-def _direction_exclusions(u: Mapping[Pair, np.ndarray], n: int, tol: float):
-    rel = set()
-    for i, j, k in ordered_triples(n):
-        if (
-            float(np.linalg.norm(u[(i, k)] - u[(j, k)])) <= tol
-            and sign_distinct(u[(i, j)], u[(i, k)], tol)
-        ):
-            rel.add(((i, j), k))
-    return rel
+def _direction_exclusions(U: np.ndarray, tol: float):
+    """Triples ((i, j), k) whose directions from k to i and to j agree while
+    u_ij is not parallel to them, tested in one array pass."""
+    t = _tables(len(U))
+    i, j, k = t.triples.T
+    hit = (row_norms(U[i, k] - U[j, k]) <= tol) & sign_distinct(U[i, j], U[i, k], tol)
+    return {((a, b), c) for a, b, c in (t.triples[hit] + 1).tolist()}
 
 
 def stratum_tree_of_directions(p: SimplicialPoint, tol: float = DEFAULT_TOL) -> trees.FTree:
@@ -385,13 +353,8 @@ def stratum_tree_of_directions(p: SimplicialPoint, tol: float = DEFAULT_TOL) -> 
     added when all positions coincide.  Raises if the pattern violates the
     exclusion axioms at this tolerance.
     """
-    rel = _direction_exclusions(p.u, p.n, tol)
-    near = tol * config_scale(p.x)
-    trunk = all(
-        float(np.linalg.norm(p.x[i - 1] - p.x[j - 1])) <= near
-        for i, j in itertools.combinations(range(1, p.n + 1), 2)
-    )
-    return trees.tree_from_exclusions(rel, p.n, trunk)
+    rel = _direction_exclusions(p.U, tol)
+    return trees.tree_from_exclusions(rel, p.n, _is_trunk(p.x, tol))
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -428,26 +391,18 @@ def reconstruct_from_directions(
     m = len(next(iter(u.values())))
     if n == 1:
         return Configuration(np.zeros((1, m)))
-    if _direction_exclusions(u, n, tol):
+    U = _gather_directions(u, n, m)
+    if _direction_exclusions(U, tol):
         raise ValueError("direction matrix has exclusions; not a single stratum")
 
-    ref = u[(1, 2)]
-    collinear = all(
-        not sign_distinct(u[pair], ref, tol) for pair in itertools.permutations(range(1, n + 1), 2)
-    )
-    if collinear:
-        rank = {
-            i: sum(
-                1
-                for j in range(1, n + 1)
-                if j != i and float(np.linalg.norm(u[(i, j)] - ref)) <= tol
-            )
-            for i in range(1, n + 1)
-        }
-        if sorted(rank.values()) != list(range(n)):
+    ref = U[0, 1]
+    i, j = _tables(n).pairs.T
+    if not sign_distinct(U[i, j], ref, tol).any():
+        # all directions parallel: rank each label by the pairs pointing along ref
+        rank = np.bincount(i[row_norms(U[i, j] - ref) <= tol], minlength=n)
+        if sorted(rank.tolist()) != list(range(n)):
             raise ValueError("collinear directions do not totally order the labels")
-        pts = np.stack([rank[i] * ref for i in range(1, n + 1)])
-        return normalize(pts)
+        return normalize(rank[:, None] * ref)
 
     placed: dict[int, np.ndarray] = {1: np.zeros(m), 2: u[(2, 1)].copy()}
     while len(placed) < n:
@@ -505,7 +460,7 @@ def approximating_configuration(
             continue
         reps = [min(t.leaves_over[c]) for c in kids]
         sub = {
-            (a + 1, b + 1): p.u[(reps[a], reps[b])]
+            (a + 1, b + 1): p.U[reps[a] - 1, reps[b] - 1]
             for a in range(len(reps))
             for b in range(len(reps))
             if a != b

@@ -505,3 +505,119 @@ def degenerate_csv(s, kmax):
         row += [a.d[key] for key in triples]
         rows.append(row)
     return jsonio.trajectory_csv(header, rows)
+
+
+# -- dict-based coordinate references -------------------------------------------------------
+#
+# The library keeps coordinates as dense arrays; these rebuild the same points
+# the way they were first written, one dict entry per pair or triple, and hand
+# the dicts to the public validating constructors.
+
+
+def _labels(n):
+    return range(1, n + 1)
+
+
+def reference_lift_dicts(pts):
+    """The u and d dicts of an open configuration, one pair at a time."""
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    nrm, u = {}, {}
+    for i in _labels(n):
+        for j in range(i + 1, n + 1):
+            diff = pts[i - 1] - pts[j - 1]
+            nrm[(i, j)] = nrm[(j, i)] = float(np.linalg.norm(diff))
+            u[(i, j)] = diff / nrm[(i, j)]
+            u[(j, i)] = -u[(i, j)]
+    d = {(i, j, k): nrm[(i, j)] / nrm[(i, k)] for i, j, k in itertools.permutations(_labels(n), 3)}
+    return u, d
+
+
+def reference_lift(pts):
+    return cs.ambient_point(pts, *reference_lift_dicts(pts))
+
+
+def reference_relabel(values, p):
+    """permute / project_indices: label a carries the data of values[a-1]."""
+    k = len(values)
+    x = np.stack([p.x[v - 1] for v in values])
+    u = {(a, b): p.u[(values[a - 1], values[b - 1])] for a, b in itertools.permutations(_labels(k), 2)}
+    if not isinstance(p, cs.AmbientPoint):
+        return cs.simplicial_point(x, u)
+    d = {
+        (a, b, c): p.d[(values[a - 1], values[b - 1], values[c - 1])]
+        for a, b, c in itertools.permutations(_labels(k), 3)
+    }
+    return cs.ambient_point(x, u, d)
+
+
+def _framed_directions(values, p, frame_of):
+    u = {}
+    for a, b in itertools.permutations(_labels(len(values)), 2):
+        if values[a - 1] != values[b - 1]:
+            u[(a, b)] = p.u[(values[a - 1], values[b - 1])]
+        else:
+            f = frame_of(values[a - 1])
+            u[(a, b)] = f if a < b else -f
+    return u
+
+
+def reference_pullback(sigma, fp):
+    values = sigma.values
+    x = np.stack([fp.point.x[v - 1] for v in values])
+    u = _framed_directions(values, fp.point, fp.frames.__getitem__)
+    return cs.framed_point(cs.simplicial_point(x, u), [fp.frames[v] for v in values])
+
+
+def reference_diagonal(fp, i, k=1, assoc=None):
+    p = fp.point
+    values = cs.doubling_map(i, k, p.n).values
+    cluster = range(i, i + k + 1)
+    x = np.stack([p.x[v - 1] for v in values])
+    u = _framed_directions(values, p, fp.frames.__getitem__)
+    d = {}
+    for a, b, c in itertools.permutations(_labels(len(values)), 3):
+        inside = (a in cluster, b in cluster, c in cluster)
+        if sum(inside) <= 1:
+            d[(a, b, c)] = p.d[(values[a - 1], values[b - 1], values[c - 1])]
+        elif sum(inside) == 3:
+            d[(a, b, c)] = assoc.d[(a - i + 1, b - i + 1, c - i + 1)]
+        elif inside[0] and inside[1]:
+            d[(a, b, c)] = 0.0
+        elif inside[1] and inside[2]:
+            d[(a, b, c)] = 1.0
+        else:
+            d[(a, b, c)] = math.inf
+    return cs.framed_point(cs.ambient_point(x, u, d), [fp.frames[v] for v in values])
+
+
+def reference_expand(s):
+    """expand_chart with one subtree walk per vertex and one loop per pair and triple."""
+    t = s.tree
+    cfg = {0: s.root_config, **s.configs}
+    tv = {0: 1.0, **s.scales}
+    sub = {}
+    for top in (0, *t.internal_vertices):
+        pos, sv, stack = {top: np.zeros(s.m)}, {top: 1.0}, [top]
+        while stack:
+            w = stack.pop()
+            for idx, c in enumerate(t.children[w]):
+                pos[c] = sv[w] * cfg[w][idx] + pos[w]
+                if c > t.n:
+                    sv[c] = sv[w] * tv[c]
+                    stack.append(c)
+        sub[top] = pos
+    x = np.stack([sub[0][i] for i in _labels(t.n)])
+    u = {}
+    for i in _labels(t.n):
+        for j in range(i + 1, t.n + 1):
+            diff = sub[cs.join(t, (i, j))][i] - sub[cs.join(t, (i, j))][j]
+            u[(i, j)] = diff / float(np.linalg.norm(diff))
+            u[(j, i)] = -u[(i, j)]
+    d = {}
+    for i, j, k in itertools.permutations(_labels(t.n), 3):
+        w = cs.join(t, (i, j, k))
+        num = math.sqrt(float((sub[w][i] - sub[w][j]) @ (sub[w][i] - sub[w][j])))
+        den = math.sqrt(float((sub[w][i] - sub[w][k]) @ (sub[w][i] - sub[w][k])))
+        d[(i, j, k)] = num / den if den > 0.0 else math.inf
+    return cs.ambient_point(x, u, d)

@@ -278,6 +278,53 @@ def test_setmap_size_not_an_integer_reports_json(tmp_path, capsys, field):
     assert repr(field) in _setmap_file_reports(tmp_path, capsys, jsonio.dumps(data))
 
 
+def _loader_inputs():
+    """Well-formed configuration and framed point JSON for the loader tests."""
+    rng = np.random.default_rng(4)
+    a = cs.lift_configuration(sample_config(rng, 3, 2))
+    frames = [v / np.linalg.norm(v) for v in rng.normal(size=(3, 2))]
+    return {
+        "cfg": {"m": 2, "points": a.x.tolist()},
+        "fa": jsonio.framed_to_json(cs.framed_point(a, frames)),
+        "fs": jsonio.framed_to_json(cs.framed_point(cs.to_simplicial(a), frames)),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, source, edit, field",
+    [
+        (["point", "alpha"], None, None, "configuration"),
+        (["point", "membership"], None, None, "point"),
+        (["point", "classify"], None, None, "point"),
+        (["chart", "expand"], None, None, "stratum"),
+        (["simplicial", "membership"], None, None, "point"),
+        (["maps", "project", "--map", "1"], None, None, "point"),
+        (["point", "alpha"], "cfg", ("m", [2]), "m"),
+        (["point", "alpha"], "cfg", ("m", "x"), "m"),
+        (["maps", "diagonal", "--index", "1"], "fa", ("frames", 5), "frames"),
+        (["simplicial", "project", "--map", "1,2"], "fs", ("frames", 5), "frames"),
+    ],
+    ids=[
+        "alpha-array", "membership-array", "classify-array", "expand-array",
+        "simplicial-membership-array", "maps-project-array", "config-m-list",
+        "config-m-string", "diagonal-frames-int", "simplicial-project-frames-int",
+    ],
+)
+def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, field):
+    if source is None:
+        data = [1, 2]
+    else:
+        data = _loader_inputs()[source]
+        data[edit[0]] = edit[1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps(data))
+    code, out, err = run(capsys, *argv, "--in", str(bad))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert repr(field) in payload["message"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["trees", "bogus"])

@@ -93,7 +93,7 @@ def test_membership_is_permutation_equivariant(seed, n, m, kind, data):
     b = cs.permute(sigma, a)
     for check, left, right in (
         (cs.membership_canonical, a, b),
-        (cs.membership_simplicial, cs.to_simplicial(a), cs.permute_simplicial(sigma, cs.to_simplicial(a))),
+        (cs.membership_simplicial, cs.to_simplicial(a), cs.permute(sigma, cs.to_simplicial(a))),
     ):
         before, after = check(left), check(right)
         assert before.passed == after.passed

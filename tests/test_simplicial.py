@@ -50,7 +50,7 @@ def test_projection_commutes_with_permutation():
     a = lift(sample_config(rng, 5, 3))
     perm = (3, 1, 5, 2, 4)
     left = cs.to_simplicial(cs.permute(perm, a))
-    right = cs.permute_simplicial(perm, cs.to_simplicial(a))
+    right = cs.permute(perm, cs.to_simplicial(a))
     assert np.array_equal(left.x, right.x)
     assert direction_error(left.u, right.u) == 0.0
 
