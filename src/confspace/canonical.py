@@ -93,7 +93,8 @@ def _rel_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _index_table(tuples, r: int) -> np.ndarray:
-    return np.array(list(tuples), dtype=np.intp).reshape(-1, r)
+    # one int at a time: a list of tuples would hold the whole table as objects
+    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, r)
 
 
 def _getter(keys: tuple) -> Callable[[Mapping], tuple]:
@@ -115,8 +116,6 @@ class _Tables(NamedTuple):
     subsets3: np.ndarray  # i < j < k
     reciprocal: np.ndarray  # (i, j, k) with j < k, both != i
     cyclic: np.ndarray  # (i, j, k) and (i, k, j) for each i < j < k
-    perms4: np.ndarray  # ordered 4-tuples
-    subsets4: np.ndarray  # 4-subsets
     pair_index: dict[Pair, Pair]  # 1-based key -> 0-based index, ordered pairs
     triple_index: dict[Index3, Index3]  # the same for ordered triples
     get_pairs: Callable[[Mapping], tuple]
@@ -147,13 +146,19 @@ def _tables(n: int) -> _Tables:
             (c for i, j, k in itertools.combinations(idx, 3) for c in ((i, j, k), (i, k, j))),
             3,
         ),
-        perms4=_index_table(itertools.permutations(idx, 4), 4),
-        subsets4=_index_table(itertools.combinations(idx, 4), 4),
         pair_index=pair_index,
         triple_index=triple_index,
         get_pairs=_getter(tuple(pair_index)),
         get_triples=_getter(tuple(triple_index)),
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _quads(n: int, ordered: bool) -> np.ndarray:
+    """Ordered 4-tuples or 4-subsets of n labels, 0-based: they grow as n^4
+    and only the cocycle and four-consistency checks read them."""
+    tuples = itertools.permutations if ordered else itertools.combinations
+    return _index_table(tuples(range(n), 4), 4)
 
 
 # -- configurations ----------------------------------------------------------
@@ -631,6 +636,8 @@ def membership_canonical(
     )
 
     # condition 4: product identities for extended ratios
+    perms4 = _quads(a.n, True)
+
     def products(table: np.ndarray, *slots: tuple[int, int, int]) -> np.ndarray:
         factors = [D[tuple(table[:, s] for s in slot)] for slot in slots]
         return _extended_residuals(np.stack(factors, axis=1))
@@ -639,7 +646,7 @@ def membership_canonical(
         direction, ratio, sines, antisymmetry, dependence,
         ("4-reciprocal", t.reciprocal, products(t.reciprocal, (0, 1, 2), (0, 2, 1)), None),
         ("4-cyclic", t.cyclic, products(t.cyclic, (0, 1, 2), (1, 2, 0), (2, 0, 1)), None),
-        ("4-cocycle", t.perms4, products(t.perms4, (0, 1, 2), (0, 2, 3), (0, 3, 1)), None),
+        ("4-cocycle", perms4, products(perms4, (0, 1, 2), (0, 2, 3), (0, 3, 1)), None),
     ]
     # condition 5: submanifold clauses
     if isinstance(manifold, Sphere):
@@ -695,6 +702,8 @@ class StratumPoint:
         m = root.shape[1] if root.ndim == 2 else 0
         if root.ndim != 2 or m < 1:
             raise ValueError("root configuration must be an (#v0, m) array")
+        if not np.isfinite(root).all():
+            raise ValueError("root configuration must be finite")
         q = _min_pairwise(root)
         if q == 0.0:
             raise ValueError("root configuration has coincident points")
@@ -705,6 +714,8 @@ class StratumPoint:
             cfg = np.asarray(self.configs[v], dtype=float)
             if cfg.shape != (len(t.children[v]), m):
                 raise ValueError(f"configuration at vertex {v} has wrong shape")
+            if not np.isfinite(cfg).all():
+                raise ValueError(f"configuration at vertex {v} must be finite")
             if float(np.linalg.norm(cfg.mean(axis=0))) > 1e-8:
                 raise ValueError(f"configuration at vertex {v} is not centered")
             if abs(float(np.linalg.norm(cfg, axis=1).max()) - 1.0) > 1e-8:
@@ -787,15 +798,20 @@ def _join_tables(t: trees.FTree) -> tuple[np.ndarray, np.ndarray]:
     """The join of every leaf pair i < j (combinations order) and of every
     ordered leaf triple (permutations order), as vertex index arrays."""
     tab = _tables(t.n)
+    masks, depth = trees._structure(t)
+    ids = np.arange(t.n + 1, t.num_vertices)
+    bits = np.array(masks[t.n + 1 :], dtype=object)[:, None] >> np.arange(1, t.n + 1)
+    inside = (bits & 1).astype(bool)  # [v - n - 1, i - 1]: leaf i lies over vertex v
+    # a pair's join is the deepest internal vertex over both leaves, which is
+    # the last in canonical numbering, else the root
     i, j = tab.upairs.T
-    pair_join = np.array([trees.join(t, (a, b)) for a, b in (tab.upairs + 1).tolist()], dtype=np.intp)
+    pair_join = (ids[:, None] * (inside[:, i] & inside[:, j])).max(axis=0, initial=0)
     J = np.zeros((t.n, t.n), dtype=np.intp)
     J[i, j] = J[j, i] = pair_join
-    depth = np.array([t.depth(v) for v in range(t.num_vertices)])
     # the join of three leaves is the shallowest of the pairwise joins
     i, j, k = tab.triples.T
     cand = np.stack([J[i, j], J[i, k], J[j, k]], axis=1)
-    W = cand[np.arange(len(cand)), np.argmin(depth[cand], axis=1)]
+    W = cand[np.arange(len(cand)), np.argmin(np.array(depth)[cand], axis=1)]
     return pair_join, W
 
 
@@ -857,16 +873,15 @@ def _degeneration(s: StratumPoint, kmax: int) -> list[tuple[float, AmbientPoint]
     return out
 
 
-def _cluster_centers(t: trees.FTree, top: int, leaf_pos: dict[int, np.ndarray]):
-    """Recursive child averages for every vertex under `top`."""
+def _cluster_centers(t: trees.FTree, masks: list[int], top: int, leaf_pos: dict[int, np.ndarray]):
+    """Recursive child averages for every vertex under `top`: top and the
+    internal vertices whose leaf set lies in top's, children before parents,
+    which canonical numbering puts last."""
     centers = dict(leaf_pos)
-    order = sorted(
-        (v for v in (0, *t.internal_vertices) if top in t.root_path(v)),
-        key=t.depth,
-        reverse=True,
-    )
-    for v in order:
-        centers[v] = np.mean([centers[c] for c in t.children[v]], axis=0)
+    below = masks[top]
+    for v in (*range(t.num_vertices - 1, t.n, -1), 0):
+        if v == top or (v and masks[v] & below == masks[v]):
+            centers[v] = np.mean([centers[c] for c in t.children[v]], axis=0)
     return centers
 
 
@@ -886,8 +901,9 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     if not trees.leq(T, observed):
         raise ValueError("point lies outside the chart region of the tree")
 
+    masks = trees._structure(T)[0]
     leaf_pos = {i: np.asarray(a.x[i - 1], dtype=float) for i in range(1, T.n + 1)}
-    frames: dict[int, dict[int, np.ndarray]] = {0: _cluster_centers(T, 0, leaf_pos)}
+    frames: dict[int, dict[int, np.ndarray]] = {0: _cluster_centers(T, masks, 0, leaf_pos)}
     for v in T.internal_vertices:
         labs = sorted(T.leaves_over[v])
         i0 = min(T.leaves_over[T.children[v][0]])
@@ -900,7 +916,7 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
             if math.isinf(length):
                 raise ValueError("point lies outside the chart region of the tree")
             z[j] = length * a.U[j - 1, i0 - 1]
-        frames[v] = _cluster_centers(T, v, z)
+        frames[v] = _cluster_centers(T, masks, v, z)
 
     root_config = np.stack([frames[0][c] for c in T.children[0]])
     configs: dict[int, np.ndarray] = {}

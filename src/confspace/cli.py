@@ -32,7 +32,7 @@ COMMAND_OPS = {
     "point membership": (canonical.membership_canonical,),
     "point project": (simplicial.to_simplicial,),
     "point permute": (canonical.permute,),
-    "chart expand": (canonical.expand_chart, trees.join),
+    "chart expand": (canonical.expand_chart,),
     "chart invert": (canonical.invert_chart, trees.leq),
     "chart sample": (canonical.stratum_sample,),
     "simplicial project": (maps.pullback,),

@@ -257,13 +257,8 @@ def ambient_from_json(data: dict) -> AmbientPoint:
     return ambient_point(x, _u_from_json(data["u"]), d)
 
 
-def simplicial_to_json(p: SimplicialPoint, frames=None) -> dict:
-    out = _point_to_json(p)
-    if frames is not None:
-        out["frames"] = [
-            list(map(float, frames[i])) for i in range(1, p.n + 1)
-        ]
-    return out
+def simplicial_to_json(p: SimplicialPoint) -> dict:
+    return _point_to_json(p)
 
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:

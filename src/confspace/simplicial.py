@@ -28,6 +28,7 @@ calibrate_circuit_signs, is:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -47,6 +48,7 @@ from .canonical import (
     _gather_directions,
     _is_trunk,
     _positions,
+    _quads,
     _shared_blocks,
     _sphere_blocks,
     _tables,
@@ -314,7 +316,7 @@ def _four_consistency_block(U: np.ndarray, tol: float):
     Rows run over (quad, v, w) in that nesting; each residual is bounded by
     tol times the sum of the absolute terms (at least tol).
     """
-    quads = _tables(U.shape[0]).subsets4
+    quads = _quads(U.shape[0], False)
     m = U.shape[2]
     rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
     prod_c = rows[:, _C_SLOTS].prod(axis=2)
@@ -360,17 +362,6 @@ def stratum_tree_of_directions(p: SimplicialPoint, tol: float = DEFAULT_TOL) -> 
 # -- reconstruction ---------------------------------------------------------------
 
 
-def _infer_indices(u: Mapping[Pair, np.ndarray]) -> int:
-    idx = {i for pair in u for i in pair}
-    n = max(idx)
-    if idx != set(range(1, n + 1)):
-        raise ValueError("direction matrix does not cover labels 1..n")
-    for pair in itertools.permutations(range(1, n + 1), 2):
-        if pair not in u:
-            raise ValueError(f"missing direction for pair {pair}")
-    return n
-
-
 def reconstruct_from_directions(
     u: Mapping[Pair, np.ndarray], tol: float = DEFAULT_TOL
 ) -> Configuration:
@@ -386,12 +377,17 @@ def reconstruct_from_directions(
     parameters.  The output satisfies lift_configuration(out).u == u up to
     tolerance, which fixes all orientation choices.
     """
-    n = _infer_indices(u)
-    u = {pair: require_unit(vec, f"u[{pair}]") for pair, vec in u.items()}
-    m = len(next(iter(u.values())))
-    if n == 1:
-        return Configuration(np.zeros((1, m)))
-    U = _gather_directions(u, n, m)
+    n = math.isqrt(len(u)) + 1  # isqrt(n(n - 1)) = n - 1
+    if n < 2 or n * (n - 1) != len(u):
+        raise ValueError("direction matrix does not cover labels 1..n")
+    first = np.asarray(next(iter(u.values())))
+    m = len(first) if first.ndim == 1 else 0
+    return _reconstruct(_unit_directions(_gather_directions(u, n, m)), tol)
+
+
+def _reconstruct(U: np.ndarray, tol: float) -> Configuration:
+    """reconstruct_from_directions on a checked direction array U."""
+    n, m = U.shape[0], U.shape[2]
     if _direction_exclusions(U, tol):
         raise ValueError("direction matrix has exclusions; not a single stratum")
 
@@ -404,37 +400,18 @@ def reconstruct_from_directions(
             raise ValueError("collinear directions do not totally order the labels")
         return normalize(rank[:, None] * ref)
 
-    placed: dict[int, np.ndarray] = {1: np.zeros(m), 2: u[(2, 1)].copy()}
+    placed: dict[int, np.ndarray] = {0: np.zeros(m), 1: U[1, 0].copy()}
     while len(placed) < n:
-        progress = False
-        for k in sorted(set(range(1, n + 1)) - set(placed)):
-            found = None
-            for i in sorted(placed):
-                for j in sorted(placed):
-                    if j == i:
-                        continue
-                    to_k_i = u[(k, i)]
-                    to_k_j = u[(k, j)]
-                    if not sign_distinct(to_k_i, to_k_j, tol):
-                        continue
-                    s, t, point = ray_intersection(
-                        placed[i], to_k_i, placed[j], to_k_j
-                    )
-                    if s > tol and t > tol:
-                        found = point
-                        break
-                if found is not None:
+        todo = sorted(set(range(n)) - set(placed))
+        for k, i, j in itertools.product(todo, sorted(placed), sorted(placed)):
+            if i != j and sign_distinct(U[k, i], U[k, j], tol):
+                s, t, point = ray_intersection(placed[i], U[k, i], placed[j], U[k, j])
+                if s > tol and t > tol:
+                    placed[k] = point
                     break
-            if found is not None:
-                placed[k] = found
-                progress = True
-                break
-        if not progress:
-            raise ValueError(
-                "no eligible ray intersection; directions are numerically collinear"
-            )
-    pts = np.stack([placed[i] for i in range(1, n + 1)])
-    return normalize(pts)
+        else:
+            raise ValueError("no eligible ray intersection; directions are numerically collinear")
+    return normalize(np.stack([placed[i] for i in range(n)]))
 
 
 # -- approximating families --------------------------------------------------------
@@ -458,14 +435,8 @@ def approximating_configuration(
         if len(kids) == 1:
             offsets[v] = np.zeros((1, p.m))
             continue
-        reps = [min(t.leaves_over[c]) for c in kids]
-        sub = {
-            (a + 1, b + 1): p.U[reps[a] - 1, reps[b] - 1]
-            for a in range(len(reps))
-            for b in range(len(reps))
-            if a != b
-        }
-        offsets[v] = reconstruct_from_directions(sub, tol).points
+        reps = [min(t.leaves_over[c]) - 1 for c in kids]
+        offsets[v] = _reconstruct(p.U[np.ix_(reps, reps)], tol).points
     pos = np.zeros((t.n, p.m))
     for leaf in range(1, t.n + 1):
         path = t.root_path(leaf)

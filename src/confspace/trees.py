@@ -18,6 +18,13 @@ Three equivalent encodings are inter-convertible:
 A univalent root (a "trunk") is visible to the nested-set encoding as the
 full leaf set but invisible to the exclusion relation, so conversion from an
 exclusion relation takes an explicit trunk flag.
+
+Tree structure: beyond its parent array, a canonical tree is read through one
+pass.  Canonical numbering puts every internal vertex after its parent, so
+leaf sets (bitmasks with bit i for leaf i, or frozensets) are collected from
+the last vertex up and depths from the first down.  join, vertex_over,
+children, leaves_over, covering_pairs and the chart layer's join tables read
+the result; only children and leaves_over are cached on a tree.
 """
 
 from __future__ import annotations
@@ -90,34 +97,19 @@ class FTree:
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Children of each vertex, in coincident-edge order (min leaf label)."""
+        masks = _unions(self, _bit, 0)
         kids: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for v in range(1, self.num_vertices):
             kids[self.parent[v]].append(v)
-        over = self._leaves_over_raw(kids)
+        # the lowest set bit of a leaf set is its smallest label
         return tuple(
-            tuple(sorted(k, key=lambda w: min(over[w]))) for k in kids
+            tuple(sorted(k, key=lambda w: masks[w] & -masks[w])) for k in kids
         )
-
-    def _leaves_over_raw(self, kids) -> list[frozenset[int]]:
-        over: list[frozenset[int]] = [frozenset()] * self.num_vertices
-        order = sorted(range(self.num_vertices), key=self.depth, reverse=True)
-        for v in order:
-            if 1 <= v <= self.n:
-                over[v] = frozenset([v])
-            else:
-                s: set[int] = set()
-                for w in kids[v]:
-                    s |= over[w]
-                over[v] = frozenset(s)
-        return over
 
     @cached_property
     def leaves_over(self) -> tuple[frozenset[int], ...]:
         """Set of leaf labels lying over each vertex."""
-        kids: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for v in range(1, self.num_vertices):
-            kids[self.parent[v]].append(v)
-        return tuple(self._leaves_over_raw(kids))
+        return tuple(_unions(self, lambda i: frozenset((i,)), frozenset()))
 
     def depth(self, v: int) -> int:
         d = 0
@@ -145,25 +137,26 @@ class FTree:
 
     def vertex_over(self, labels: Iterable[int]) -> int | None:
         """The deepest vertex whose leaf set equals `labels`, if any."""
-        target = frozenset(labels)
-        best = None
-        for v in range(self.num_vertices):
-            if self.leaves_over[v] == target:
-                if best is None or self.depth(v) > self.depth(best):
-                    best = v
-        return best
+        target = set(labels)
+        if not target <= set(range(1, self.n + 1)):
+            return None
+        return _deepest(self, _mask(target).__eq__)
 
     def _canonical_parent(self) -> tuple[int, ...]:
+        # children may precede their parents here: smallest labels deepest first
         kids: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for v in range(1, self.num_vertices):
             kids[self.parent[v]].append(v)
-        over = self._leaves_over_raw(kids)
+        low = list(range(self.num_vertices))
+        for v in sorted(range(self.num_vertices), key=self.depth, reverse=True):
+            if v > self.n or v == 0:
+                low[v] = min(low[w] for w in kids[v])
         rename: dict[int, int] = {0: 0}
         next_id = self.n + 1
 
         def visit(v: int):
             nonlocal next_id
-            for w in sorted(kids[v], key=lambda u: min(over[u])):
+            for w in sorted(kids[v], key=low.__getitem__):
                 if w > self.n:
                     rename[w] = next_id
                     next_id += 1
@@ -271,19 +264,41 @@ def tree_from_nested(sets: Iterable[Iterable[int]], n: int) -> FTree:
     return _from_family(sorted(map(_mask, coll), key=int.bit_count), n)
 
 
-def _cluster_masks(tree: FTree) -> list[int]:
-    """Leaf-set bitmasks over the internal vertices n+1, n+2, ... in order.
+def _bit(i: int) -> int:
+    return 1 << i
 
-    Canonical numbering puts every internal vertex after its parent, so one
-    pass from the last vertex up collects each leaf set before it is used.
+
+def _unions(tree: FTree, leaf, empty) -> list:
+    """Per vertex, the union (`|`) of leaf(i) over the leaves i at or below it.
+
+    Leaves first, then the internal vertices from the last id up: canonical
+    numbering puts every internal vertex after its parent, so each union is
+    complete before it is passed up.
     """
     n, parent = tree.n, tree.parent
-    over = [0] * len(parent)
+    over = [empty] * len(parent)
     for i in range(1, n + 1):
-        over[parent[i]] |= 1 << i
+        over[i] = leaf(i)
+        over[parent[i]] |= over[i]
     for v in range(len(parent) - 1, n, -1):
         over[parent[v]] |= over[v]
-    return over[n + 1 :]
+    return over
+
+
+def _structure(tree: FTree) -> tuple[list[int], list[int]]:
+    """Leaf-set bitmask (bit i for leaf i) and depth of every vertex."""
+    n, parent = tree.n, tree.parent
+    depth = [0] * len(parent)
+    for v in itertools.chain(range(n + 1, len(parent)), range(1, n + 1)):
+        depth[v] = depth[parent[v]] + 1
+    return _unions(tree, _bit, 0), depth
+
+
+def _deepest(tree: FTree, test) -> int | None:
+    """The deepest vertex whose leaf-set bitmask passes `test`, if any."""
+    masks, depth = _structure(tree)
+    hits = [v for v, mask in enumerate(masks) if test(mask)]
+    return max(hits, key=depth.__getitem__, default=None)
 
 
 def nested_collection(tree: FTree) -> frozenset[frozenset[int]]:
@@ -388,15 +403,8 @@ def join(tree: FTree, labels: Iterable[int]) -> int:
     for i in labs:
         if not 1 <= i <= tree.n:
             raise ValueError(f"unknown leaf label {i}")
-    paths = [tree.root_path(i) for i in labs]
-    best = 0
-    for level in range(min(len(p) for p in paths)):
-        vs = {p[level] for p in paths}
-        if len(vs) == 1:
-            best = vs.pop()
-        else:
-            break
-    return best
+    target = _mask(labs)
+    return _deepest(tree, lambda mask: mask & target == target)
 
 
 def relabel(tree: FTree, mapping: dict[int, int]) -> FTree:
@@ -436,7 +444,7 @@ def covering_pairs(trees: Sequence[FTree]) -> list[tuple[int, int]]:
     its family of cluster bitmasks, so repeated trees all get their edges.
     Pairs come sorted.
     """
-    families = [(t.n, frozenset(_cluster_masks(t))) for t in trees]
+    families = [(t.n, frozenset(_unions(t, _bit, 0)[t.n + 1 :])) for t in trees]
     where: dict[tuple[int, frozenset[int]], list[int]] = {}
     for idx, key in enumerate(families):
         where.setdefault(key, []).append(idx)

@@ -15,6 +15,9 @@ import numpy as np
 
 import confspace as cs
 from confspace import jsonio
+from confspace.canonical import _gather_directions
+from confspace.numerics import ray_intersection, require_unit, row_norms, sign_distinct
+from confspace.simplicial import _direction_exclusions
 
 
 # -- sampling -------------------------------------------------------------------
@@ -621,3 +624,125 @@ def reference_expand(s):
         den = math.sqrt(float((sub[w][i] - sub[w][k]) @ (sub[w][i] - sub[w][k])))
         d[(i, j, k)] = num / den if den > 0.0 else math.inf
     return cs.ambient_point(x, u, d)
+
+
+# -- root-path tree structure references ---------------------------------------------------
+#
+# The library derives each tree's leaf sets, depths and joins from one pass of
+# leaf-set bitmasks; these are the root-path and depth-sorted versions it
+# replaced.
+
+
+def reference_join(t, labels):
+    """The deepest vertex common to the root paths of the named leaves."""
+    paths = [t.root_path(i) for i in sorted(set(labels))]
+    best = 0
+    for level in range(min(len(p) for p in paths)):
+        vs = {p[level] for p in paths}
+        if len(vs) != 1:
+            break
+        best = vs.pop()
+    return best
+
+
+def reference_leaves_over(t):
+    """Leaf sets by unions over children, deepest vertices first."""
+    kids = [[] for _ in range(t.num_vertices)]
+    for v in range(1, t.num_vertices):
+        kids[t.parent[v]].append(v)
+    over = [frozenset()] * t.num_vertices
+    for v in sorted(range(t.num_vertices), key=t.depth, reverse=True):
+        if 1 <= v <= t.n:
+            over[v] = frozenset([v])
+        else:
+            over[v] = frozenset().union(*(over[w] for w in kids[v]))
+    return tuple(over)
+
+
+def reference_children(t):
+    """Children sorted by their smallest leaf label."""
+    over = reference_leaves_over(t)
+    kids = [[] for _ in range(t.num_vertices)]
+    for v in range(1, t.num_vertices):
+        kids[t.parent[v]].append(v)
+    return tuple(tuple(sorted(k, key=lambda w: min(over[w]))) for k in kids)
+
+
+def reference_vertex_over(t, labels, over):
+    """The deepest vertex whose leaf set (from `over`) equals `labels`, if any."""
+    hits = [v for v, s in enumerate(over) if s == frozenset(labels)]
+    return max(hits, key=t.depth, default=None)
+
+
+def reference_join_tables(t):
+    """The pair and triple join arrays of canonical._join_tables, one join per tuple."""
+    pairs = itertools.combinations(range(1, t.n + 1), 2)
+    triples = itertools.permutations(range(1, t.n + 1), 3)
+    return (
+        np.array([reference_join(t, p) for p in pairs], dtype=np.intp),
+        np.array([reference_join(t, p) for p in triples], dtype=np.intp),
+    )
+
+
+def reference_cluster_centers(t, top, leaf_pos):
+    """Recursive child averages under `top`, deepest vertices first."""
+    centers = dict(leaf_pos)
+    order = sorted(
+        (v for v in (0, *t.internal_vertices) if top in t.root_path(v)),
+        key=t.depth,
+        reverse=True,
+    )
+    for v in order:
+        centers[v] = np.mean([centers[c] for c in t.children[v]], axis=0)
+    return centers
+
+
+# -- per-pair direction reconstruction reference ------------------------------------------
+
+
+def reference_reconstruct(u, tol=1e-9):
+    """reconstruct_from_directions checking each pair of the mapping on its own."""
+    idx = {i for pair in u for i in pair}
+    n = max(idx)
+    if idx != set(range(1, n + 1)):
+        raise ValueError("direction matrix does not cover labels 1..n")
+    for pair in itertools.permutations(range(1, n + 1), 2):
+        if pair not in u:
+            raise ValueError(f"missing direction for pair {pair}")
+    u = {pair: require_unit(vec, f"u[{pair}]") for pair, vec in u.items()}
+    m = len(next(iter(u.values())))
+    if n == 1:
+        return cs.Configuration(np.zeros((1, m)))
+    U = _gather_directions(u, n, m)
+    if _direction_exclusions(U, tol):
+        raise ValueError("direction matrix has exclusions; not a single stratum")
+    ref = U[0, 1]
+    pairs = list(itertools.permutations(range(n), 2))
+    i, j = np.array(pairs).T
+    if not sign_distinct(U[i, j], ref, tol).any():
+        rank = np.bincount(i[row_norms(U[i, j] - ref) <= tol], minlength=n)
+        if sorted(rank.tolist()) != list(range(n)):
+            raise ValueError("collinear directions do not totally order the labels")
+        return cs.normalize(rank[:, None] * ref)
+    placed = {1: np.zeros(m), 2: u[(2, 1)].copy()}
+    while len(placed) < n:
+        progress = False
+        for k in sorted(set(range(1, n + 1)) - set(placed)):
+            found = None
+            for i in sorted(placed):
+                for j in sorted(placed):
+                    if j == i or not sign_distinct(u[(k, i)], u[(k, j)], tol):
+                        continue
+                    s, t, point = ray_intersection(placed[i], u[(k, i)], placed[j], u[(k, j)])
+                    if s > tol and t > tol:
+                        found = point
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                placed[k] = found
+                progress = True
+                break
+        if not progress:
+            raise ValueError("no eligible ray intersection; directions are numerically collinear")
+    return cs.normalize(np.stack([placed[i] for i in range(1, n + 1)]))

@@ -105,7 +105,7 @@ def test_every_operation_owned_by_exactly_one_subcommand(tmp_path, capsys):
     expected = {
         cs.enumerate_trees, cs.contract, cs.nested_collection,
         cs.tree_from_nested, cs.prune, trees.covering_pairs, cs.leq, cs.codim,
-        cs.exclusion_relation, cs.tree_from_exclusions, cs.join,
+        cs.exclusion_relation, cs.tree_from_exclusions,
         cs.lift_configuration, cs.normalize,
         cs.membership_canonical, cs.stratum_tree, cs.expand_chart,
         cs.invert_chart, cs.stratum_sample, cs.permute,
@@ -323,6 +323,24 @@ def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, 
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert repr(field) in payload["message"]
+
+
+def test_chart_expand_names_the_non_finite_stratum_field(tmp_path, capsys):
+    s = cs.stratum_sample(cs.tree_from_nested([{1, 2}], 3), 2, 0)
+    bad = tmp_path / "bad.json"
+    for field, key, message in (
+        ("root", None, "root configuration must be finite"),
+        ("configs", "1,2", "configuration at vertex 4 must be finite"),
+    ):
+        data = jsonio.stratum_to_json(s)
+        rows = data[field] if key is None else data[field][key]
+        rows[1][0] = float("nan")
+        bad.write_text(json.dumps(data))
+        assert "NaN" in bad.read_text()
+        code, out, err = run(capsys, "chart", "expand", "--in", str(bad))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and payload["message"] == message
 
 
 def test_usage_error_exits_2(capsys):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import confspace as cs
+from confspace import canonical
 from helpers import (
     random_frames,
+    reference_cluster_centers,
     reference_diagonal,
     reference_expand,
     reference_lift,
@@ -105,16 +107,35 @@ def _points(t, m, seed):
     return s, zero
 
 
+def _stratum_record(s):
+    configs = tuple(s.configs[v].tobytes() for v in s.tree.internal_vertices)
+    scales = tuple(s.scales[v].hex() for v in s.tree.internal_vertices)
+    return s.tree, s.root_config.shape, s.root_config.tobytes(), configs, scales
+
+
+def _root_path_invert(t, a, monkeypatch):
+    """invert_chart with cluster centres averaged in root-path depth order."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            canonical, "_cluster_centers",
+            lambda tree, masks, top, pos: reference_cluster_centers(tree, top, pos),
+        )
+        return cs.invert_chart(t, a)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_charts_and_index_maps_match_dict_references(n):
+def test_charts_and_index_maps_match_dict_references(n, monkeypatch):
     """Every tree with n <= 4 and every fifth with n = 5, at m = 1, 2, 3,
-    interior and zero-scale; the index maps on a third of those points."""
+    interior and zero-scale, through expand_chart and invert_chart; the index
+    maps on a third of those points."""
     assoc = cs.lift_configuration(np.array([[0.0], [0.3], [1.0]]))
     for index, t in enumerate(cs.enumerate_trees(n)[:: 5 if n == 5 else 1]):
         for m in (1, 2, 3):
             for s in _points(t, m, 100 * index + m):
                 a = cs.expand_chart(s)
                 assert _record(a) == _record(reference_expand(s))
+                inverted = _stratum_record(cs.invert_chart(t, a))
+                assert inverted == _stratum_record(_root_path_invert(t, a, monkeypatch))
                 if (index + m) % 3:
                     continue
                 rng = np.random.default_rng(index)

@@ -11,6 +11,7 @@ from confspace.simplicial import _CIRCUITS
 from helpers import (
     direction_error,
     random_unit,
+    reference_reconstruct,
     sample_config,
     solve_sixth_direction,
 )
@@ -342,6 +343,47 @@ def test_reconstruction_rejects_exclusions():
     p = cluster_point_over_pair()
     with pytest.raises(ValueError, match="exclusions"):
         cs.reconstruct_from_directions(p.u)
+
+
+def _outcome(f, u):
+    """The points' bytes, or ValueError; any other exception propagates."""
+    try:
+        return f(u).points.tobytes()
+    except ValueError:
+        return ValueError
+
+
+def test_reconstruction_matches_per_pair_reference():
+    """One array check of the mapping gives the bits of the per-pair checks,
+    on lifts with n <= 8 (half of them with norms off by up to 5e-7) and on
+    mappings that both reject."""
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        for m in (1, 2, 3):
+            for rep in range(4):
+                pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+                u = {key: np.array(v) for key, v in lift(pts).u.items()}
+                if rep % 2:
+                    u = {key: v * (1 + rng.uniform(-5e-7, 5e-7)) for key, v in u.items()}
+                got = _outcome(cs.reconstruct_from_directions, u)
+                assert got == _outcome(reference_reconstruct, u)
+                assert got is not ValueError or m == 1
+    good = {key: np.array(v) for key, v in lift([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).u.items()}
+    for bad in (
+        {},
+        {key: v for key, v in good.items() if key != (2, 3)},
+        {key: good[key] for key in ((1, 3), (3, 1))},
+        {**good, (1, 2): 2.0 * good[(1, 2)]},
+        {**good, (1, 2): np.array([np.nan, 0.0])},
+        {**good, (1, 2): np.array([1.0, 0.0, 0.0])},
+        {**good, (0, 1): good[(1, 2)]},
+        cluster_point_over_pair().u,
+    ):
+        assert _outcome(cs.reconstruct_from_directions, bad) is ValueError
+        assert _outcome(reference_reconstruct, bad) is ValueError
+    # a lone diagonal key is no direction matrix (it used to give one point)
+    with pytest.raises(ValueError, match="does not cover"):
+        cs.reconstruct_from_directions({(1, 1): np.array([1.0, 0.0])})
 
 
 # -- approximating families ---------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """The bitmask tree builder against the frozenset reference it replaced."""
 
+import itertools
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import confspace as cs
-from confspace import cli, jsonio
+from confspace import canonical, cli, jsonio
 from helpers import (
+    reference_children,
     reference_covers,
     reference_enumerate_trees,
     reference_face_poset,
+    reference_join,
+    reference_join_tables,
+    reference_leaves_over,
     reference_tree_from_nested,
+    reference_vertex_over,
 )
 
 
@@ -108,3 +116,25 @@ def test_cli_poset_matches_pairwise_loop(capsys):
                 "covers": [list(pair) for pair in reference_covers(pool)],
             })
             assert out == expected
+
+
+# -- tree structure from leaf-set bitmasks ------------------------------------------
+
+
+def test_tree_structure_matches_root_path_references():
+    """join on every label subset, vertex_over, leaves_over, children and the
+    chart layer's join tables, on every tree with n <= 5 and every seventh
+    with n = 6, for each variant."""
+    for variant, first in (("full", 1), ("trunk", 1), ("planar", 2)):
+        for n in range(first, 7):
+            labels = range(1, n + 1)
+            subsets = [c for r in range(1, n + 1) for c in itertools.combinations(labels, r)]
+            for t in cs.enumerate_trees(n, variant)[:: 7 if n == 6 else 1]:
+                over = reference_leaves_over(t)
+                assert t.leaves_over == over
+                assert t.children == reference_children(t)
+                assert [cs.join(t, c) for c in subsets] == [reference_join(t, c) for c in subsets]
+                for c in (*subsets, (), (0, 1), (-1,), (n + 1,)):
+                    assert t.vertex_over(c) == reference_vertex_over(t, c, over)
+                for got, want in zip(canonical._join_tables(t), reference_join_tables(t)):
+                    assert np.array_equal(got, want)
