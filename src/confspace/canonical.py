@@ -6,7 +6,8 @@ ratios d_ijk in [0, inf].  Open configurations embed through
 lift_configuration; the compactification is characterized inside the ambient
 space by the conditions that membership_canonical verifies.  Boundary points
 are organized by trees: expand_chart / invert_chart realize the chart maps
-between tree-indexed stratum data and ambient coordinates.
+between tree-indexed stratum data and ambient coordinates; one private kernel
+evaluates the chart for a stack of scale factors (2^-k for `degenerate`) at once.
 
 Index conventions: labels are 1-based, u_ij is the unit vector from x_j
 toward x_i (direction of x_i - x_j), and d_ijk = |x_i - x_j| / |x_i - x_k|.
@@ -319,11 +320,16 @@ def _positions(x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2:
         raise ValueError("x must be an (n, m) array")
-    if not np.isfinite(pts).all():
+    return _finite(pts)
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """A frozen copy of the positions of one point or a stack, checked finite."""
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    pts = pts.copy()
-    pts.flags.writeable = False
-    return pts
+    x = x.copy()
+    x.flags.writeable = False
+    return x
 
 
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
@@ -351,34 +357,38 @@ def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarr
 
 
 def _unit_directions(U: np.ndarray) -> np.ndarray:
-    """Check and renormalize every u_ij in one array pass, then freeze U."""
-    t = _tables(len(U))
+    """Check and renormalize every u_ij of one U or a stack, then freeze U."""
+    t = _tables(U.shape[-2])
     i, j = t.pairs.T
-    nrm = row_norms(U[i, j])
-    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))
+    nrm = row_norms(U[..., i, j, :])
+    dev = np.abs(nrm - 1.0)
+    bad = np.flatnonzero(~(dev <= 1e-6))
     if bad.size:
-        a, b = t.pairs[bad[0]] + 1
-        raise ValueError(f"u[{a},{b}] is not a unit vector (norm {nrm[bad[0]]})")
-    off = np.abs(nrm - 1.0) > 1e-12
-    U[i[off], j[off]] /= nrm[off, None]
+        a, b = t.pairs[bad[0] % len(t.pairs)] + 1
+        raise ValueError(f"u[{a},{b}] is not a unit vector (norm {nrm.flat[bad[0]]})")
+    off = dev > 1e-12
+    if off.any():
+        *lead, p = np.nonzero(off)
+        U[(*lead, i[p], j[p])] /= nrm[off][:, None]
     U.flags.writeable = False
     return U
 
 
 def _ratios(D: np.ndarray) -> np.ndarray:
-    """Check that every d_ijk lies in [0, inf], then freeze D."""
-    t = _tables(len(D))
-    bad = np.flatnonzero(~(D[tuple(t.triples.T)] >= 0.0))
+    """Check that every d_ijk of one D or a stack lies in [0, inf], then freeze D."""
+    t = _tables(D.shape[-1])
+    bad = np.flatnonzero(~(D[(..., *t.triples.T)] >= 0.0))
     if bad.size:
-        i, j, k = t.triples[bad[0]] + 1
+        i, j, k = t.triples[bad[0] % len(t.triples)] + 1
         raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
     D.flags.writeable = False
     return D
 
 
-def _checked(x, U: np.ndarray, D: np.ndarray) -> AmbientPoint:
-    """ambient_point's array check, for coordinates computed here."""
-    return AmbientPoint(_positions(x), _unit_directions(U), _ratios(D))
+def _checked(x: np.ndarray, U: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ambient_point's array check of one point or a stack, for coordinates
+    computed here: x copied, all three frozen."""
+    return _finite(x), _unit_directions(U), _ratios(D)
 
 
 def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) -> AmbientPoint:
@@ -413,17 +423,18 @@ def lift_configuration(c) -> AmbientPoint:
         D = np.full((n, n, n), np.nan)
         i, j, k = _tables(n).triples.T
         D[i, j, k] = dist[i, j] / dist[i, k]
-    return _checked(pts, U, D)
+    return AmbientPoint(*_checked(pts, U, D))
 
 
 def _pair_directions(diff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """U and the norms from the differences of the pairs i < j (combinations
-    order); u_ji is the negated u_ij, so a zero component keeps its sign."""
+    """U and the norms from the differences (..., pairs, m) of the pairs i < j
+    (combinations order); u_ji is the negated u_ij, so a zero component keeps its sign."""
     i, j = _tables(n).upairs.T
     nrm = row_norms(diff)
-    U = np.zeros((n, n, diff.shape[1]))
-    U[i, j] = diff / nrm[:, None]
-    U[j, i] = -U[i, j]
+    U = np.zeros((*diff.shape[:-2], n, n, diff.shape[-1]))
+    u = diff / nrm[..., None]
+    U[..., i, j, :] = u
+    U[..., j, i, :] = -u
     return U, nrm
 
 
@@ -770,28 +781,31 @@ def _scale_bound(q: float) -> float:
     return third / (1.0 + third)
 
 
-def _expansion_positions(s: StratumPoint) -> np.ndarray:
-    """P[v, i-1], the position of leaf i in the expansion of the subtree at
-    vertex v with the scale at v set to 1 (zero for leaves not under v).
-    Offsets are summed top down, in the rounding order of a walk to the leaf."""
+def _expansion_positions(s: StratumPoint, factors: np.ndarray) -> np.ndarray:
+    """P[k, v, i-1], the position of leaf i in the expansion of the subtree at
+    vertex v with the scale at v set to 1 and the others times factors[k] (zero
+    for leaves not under v).  Offsets are summed top down, in the rounding order
+    of a walk to the leaf."""
     t = s.tree
     cfg = {0: s.root_config, **s.configs}
-    tv = {0: 1.0, **s.scales}
-    P = np.zeros((t.num_vertices, t.n, s.m))
+    scaled = {v: (tv * factors)[:, None, None] for v, tv in s.scales.items()}
+    P = np.zeros((t.num_vertices, t.n, len(factors), s.m))
     for top in (0, *t.internal_vertices):
         pos = {top: np.zeros(s.m)}
         sv = {top: 1.0}
         stack = [top]
+        leaves = P[top]
         while stack:
             w = stack.pop()
+            rows = sv[w] * cfg[w] + pos[w]
             for idx, c in enumerate(t.children[w]):
-                pos[c] = sv[w] * cfg[w][idx] + pos[w]
                 if c > t.n:
-                    sv[c] = sv[w] * tv[c]
+                    pos[c] = rows[..., idx, None, :]
+                    sv[c] = sv[w] * scaled[c]
                     stack.append(c)
                 else:
-                    P[top, c - 1] = pos[c]
-    return P
+                    leaves[c - 1] = rows[..., idx, :]
+    return P.transpose(2, 0, 1, 3)
 
 
 def _join_tables(t: trees.FTree) -> tuple[np.ndarray, np.ndarray]:
@@ -815,23 +829,26 @@ def _join_tables(t: trees.FTree) -> tuple[np.ndarray, np.ndarray]:
     return pair_join, W
 
 
-def _expand(s: StratumPoint, pair_join: np.ndarray, triple_join: np.ndarray) -> AmbientPoint:
-    """expand_chart with the join tables of s.tree already computed."""
+def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The chart images of s with every scale times each of K factors in [0, 1]
+    (so still admissible): checked, frozen stacks x, U and D with a leading K axis."""
     n = s.tree.n
     t = _tables(n)
-    P = _expansion_positions(s)
+    pair_join, triple_join = _join_tables(s.tree)
+    P = _expansion_positions(s, np.asarray(factors, dtype=float))
     i, j = t.upairs.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        U, nrm = _pair_directions(P[pair_join, i] - P[pair_join, j], n)
+        U, nrm = _pair_directions(P[:, pair_join, i] - P[:, pair_join, j], n)
     if (nrm == 0.0).any():
         raise ValueError("cannot normalize a zero vector")
     i, j, k = t.triples.T
     w = triple_join
-    num = row_norms(P[w, i] - P[w, j])
-    den = row_norms(P[w, i] - P[w, k])
-    D = np.full((n, n, n), np.nan)
-    D[i, j, k] = np.divide(num, den, out=np.full(len(w), math.inf), where=den > 0.0)
-    return _checked(P[0], U, D)
+    Pi = P[:, w, i]
+    num = row_norms(Pi - P[:, w, j])
+    den = row_norms(Pi - P[:, w, k])
+    D = np.full((len(P), n, n, n), np.nan)
+    D[:, i, j, k] = np.divide(num, den, out=np.full(num.shape, math.inf), where=den > 0.0)
+    return _checked(P[:, 0], U, D)
 
 
 def expand_chart(s: StratumPoint) -> AmbientPoint:
@@ -843,34 +860,8 @@ def expand_chart(s: StratumPoint) -> AmbientPoint:
     equals lift_configuration of the expanded positions; with some scales
     zero it is the corresponding boundary point.
     """
-    return _expand(s, *_join_tables(s.tree))
-
-
-def _trusted_stratum(tree: trees.FTree, root_config, configs, scales) -> StratumPoint:
-    """A StratumPoint over data already known to pass its validation."""
-    s = object.__new__(StratumPoint)
-    object.__setattr__(s, "tree", tree)
-    object.__setattr__(s, "root_config", root_config)
-    object.__setattr__(s, "configs", configs)
-    object.__setattr__(s, "scales", scales)
-    return s
-
-
-def _degeneration(s: StratumPoint, kmax: int) -> list[tuple[float, AmbientPoint]]:
-    """(2^-k, chart image of s with every scale times 2^-k) for k = 0..kmax.
-
-    A factor <= 1 keeps every scale of the validated s inside [0, bound) and
-    leaves the configurations alone, so the scaled copies skip validation;
-    the join tables depend on the tree only and are computed once.
-    """
-    tables = _join_tables(s.tree)
-    out = []
-    for k in range(kmax + 1):
-        factor = 2.0 ** (-k)
-        scales = {v: t * factor for v, t in s.scales.items()}
-        scaled = _trusted_stratum(s.tree, s.root_config, s.configs, scales)
-        out.append((factor, _expand(scaled, *tables)))
-    return out
+    x, U, D = _expand(s, [1.0])
+    return AmbientPoint(x[0], U[0], D[0])
 
 
 def _cluster_centers(t: trees.FTree, masks: list[int], top: int, leaf_pos: dict[int, np.ndarray]):

@@ -377,17 +377,20 @@ def _assoc_realize(args):
 
 
 def _degenerate(args):
+    # 2.0 ** -1075 rounds to 0: every row past k = 1074 would repeat the last
+    if not 0 <= args.kmax <= 1074:
+        raise ValueError(f"--kmax must lie in 0..1074, got {args.kmax}")
     s = jsonio.stratum_from_json(_read_json(args.infile))
     n, m = s.tree.n, s.m
     t = canonical._tables(n)
     header = ["k", "factor", *(f"x_{i}_{c}" for i in range(1, n + 1) for c in range(m))]
     header += [f"u_{i}_{j}_{c}" for i, j in t.pair_index for c in range(m)]
     header += [f"d_{i}_{j}_{k}" for i, j, k in t.triple_index]
-    pairs, triples = tuple(t.pairs.T), tuple(t.triples.T)
-    rows = [
-        [k, factor, *a.x.ravel().tolist(), *a.U[pairs].ravel().tolist(), *a.D[triples].tolist()]
-        for k, (factor, a) in enumerate(canonical._degeneration(s, args.kmax))
-    ]
+    factors = [2.0 ** (-k) for k in range(args.kmax + 1)]
+    x, U, D = canonical._expand(s, factors)
+    (i, j), (a, b, c) = t.pairs.T, t.triples.T
+    coords = np.hstack([x.reshape(len(x), -1), U[:, i, j].reshape(len(x), -1), D[:, a, b, c]])
+    rows = [[k, factor, *row] for k, (factor, row) in enumerate(zip(factors, coords.tolist()))]
     return jsonio.trajectory_csv(header, rows)
 
 

@@ -527,25 +527,42 @@ def test_degenerate_trajectory(tmp_path, capsys):
     assert len(lines) == 10
 
 
+_DEEP6 = cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10))
+
+
 @pytest.mark.parametrize(
-    "t, m, zero",
+    "t, m, zero, kmax",
     [
-        (cs.tree_from_nested([{1, 2}], 3), 2, False),
-        (cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4), 1, False),
-        (cs.tree_from_nested([{1, 2}, {3, 4}], 5), 3, True),
-        (cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 3, False),
-        (cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 2, True),
+        pytest.param(cs.tree_from_nested([{1, 2}], 3), 2, False, 40, id="t0-2-False"),
+        pytest.param(cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4), 1, False, 40, id="t1-1-False"),
+        pytest.param(cs.tree_from_nested([{1, 2}, {3, 4}], 5), 3, True, 40, id="t2-3-True"),
+        pytest.param(_DEEP6, 3, False, 40, id="t3-3-False"),
+        pytest.param(_DEEP6, 2, True, 40, id="t4-2-True"),
+        pytest.param(_DEEP6, 3, False, 0, id="t5-3-False-kmax0"),
+        # the factors 2^-k reach the subnormals past k = 1022
+        pytest.param(_DEEP6, 2, False, 1074, id="t6-2-False-kmax1074"),
     ],
 )
-def test_degenerate_matches_per_step_reference(tmp_path, capsys, t, m, zero):
+def test_degenerate_matches_per_step_reference(tmp_path, capsys, t, m, zero, kmax):
     s = cs.stratum_sample(t, m, seed=17)
     if zero:
         s = cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales})
     f = tmp_path / "s.json"
     f.write_text(jsonio.dumps(jsonio.stratum_to_json(s)))
-    code, out, _ = run(capsys, "degenerate", "--in", str(f), "--kmax", "40")
+    code, out, _ = run(capsys, "degenerate", "--in", str(f), "--kmax", str(kmax))
     assert code == 0
-    assert out == degenerate_csv(jsonio.stratum_from_json(jsonio.loads(f.read_text())), 40)
+    assert out == degenerate_csv(jsonio.stratum_from_json(jsonio.loads(f.read_text())), kmax)
+
+
+@pytest.mark.parametrize("kmax", ["-1", "1075"])
+def test_degenerate_rejects_kmax_out_of_range(tmp_path, capsys, kmax):
+    s = cs.stratum_sample(cs.tree_from_nested([{1, 2}], 3), 2, seed=9)
+    f = tmp_path / "s.json"
+    f.write_text(jsonio.dumps(jsonio.stratum_to_json(s)))
+    code, out, err = run(capsys, "degenerate", "--in", str(f), "--kmax", kmax)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "--kmax" in payload["message"]
 
 
 def test_trees_commands(tmp_path, capsys):

@@ -70,7 +70,8 @@ def test_views_and_arrays_are_read_only():
         assert not hasattr(view, "pop") and not hasattr(view, "update")
     with pytest.raises(ValueError):
         a.u[(1, 2)][0] = 0.0
-    for arr in (a.x, a.U, a.D, cs.permute((2, 1, 4, 3), a).D):
+    chart = cs.expand_chart(cs.stratum_sample(cs.tree_from_nested([{1, 2}], 4), 3, 5))
+    for arr in (a.x, a.U, a.D, cs.permute((2, 1, 4, 3), a).D, chart.x, chart.U, chart.D):
         assert not arr.flags.writeable
 
 

@@ -219,7 +219,7 @@ def test_nonneg_dependent_rows_matches_single_calls():
 @pytest.mark.xfail(
     strict=True,
     reason="ill-conditioned law of sines: one far point, five within ~3e-5 "
-    "(tolerance policy, ROADMAP open item 4)",
+    "(tolerance policy, ROADMAP open item 3)",
 )
 def test_near_cluster_lift_passes_canonical_membership():
     x = [
@@ -233,14 +233,31 @@ def test_near_cluster_lift_passes_canonical_membership():
     assert cs.membership_canonical(lift(x)).passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="interior chart point of a 4-level tree, smallest scale 0.00196: "
-    "8 1-ratio residuals up to 1.03e-9 at tol 1e-9 (tolerance policy, ROADMAP "
-    "open item 4)",
+@pytest.mark.parametrize(
+    "t, m, seed",
+    [
+        pytest.param(
+            cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 3, 859126745,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="interior chart point of a 4-level tree, smallest scale 0.00196: "
+                "8 1-ratio residuals up to 1.03e-9 at tol 1e-9 (tolerance policy, "
+                "ROADMAP open item 3)",
+            ),
+        ),
+        pytest.param(
+            cs.FTree(5, (-1, 9, 7, 8, 6, 9, 0, 6, 7, 8)), 2, 64446293,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="cli-pipeline seed 42: leaves up to 5 levels deep, smallest scale "
+                "3.97e-4: 2 1-direction residuals of 2.02e-9 at tol 1e-9 (tolerance "
+                "policy, ROADMAP open item 3)",
+            ),
+        ),
+    ],
 )
-def test_deep_chart_point_passes_canonical_membership():
-    t = cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10))
-    a = cs.expand_chart(cs.stratum_sample(t, 3, 859126745))
+def test_deep_chart_point_passes_canonical_membership(t, m, seed):
+    a = cs.expand_chart(cs.stratum_sample(t, m, seed))
     assert cs.membership_canonical(a).passed
