@@ -45,10 +45,6 @@ Index3 = tuple[int, int, int]
 DEFAULT_TOL = 1e-9
 
 
-def ordered_pairs(n: int):
-    return itertools.permutations(range(1, n + 1), 2)
-
-
 def ordered_triples(n: int):
     return itertools.permutations(range(1, n + 1), 3)
 

@@ -362,7 +362,7 @@ def _assoc_realize(args):
     t = jsonio.tree_from_json(_read_json(args.tree))
     params = None
     if args.params:
-        raw = _read_json(args.params)
+        raw = jsonio._object(_read_json(args.params), "params")
         params = {}
         for key, vals in raw.items():
             if key == "root":

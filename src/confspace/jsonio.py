@@ -111,60 +111,11 @@ def _int(value, field: str) -> int:
 
 def tree_from_json(data: dict) -> trees.FTree:
     data = _object(data, "tree")
-    parents = _ints(data["parents"], "parents")
-    labels = _ints(data["labels"], "labels")
-    n = _int(data["n"], "n")
-    if len(parents) != len(labels):
-        raise ValueError("parents and labels must have equal length")
-    roots = [v for v, p in enumerate(parents) if p == -1]
-    if len(roots) != 1:
-        raise ValueError("tree must have exactly one root")
-    root = roots[0]
-    leaf_of = {}
-    for v, lab in enumerate(labels):
-        if lab:
-            if not 1 <= lab <= n or lab in leaf_of.values():
-                raise ValueError(f"bad leaf label {lab}")
-            leaf_of[v] = lab
-    if len(leaf_of) != n:
-        raise ValueError("labels are not a bijection with 1..n")
-    kids: dict[int, list[int]] = {v: [] for v in range(len(parents))}
-    for v, p in enumerate(parents):
-        if p == -1:
-            continue
-        if not 0 <= p < len(parents):
-            raise ValueError(f"bad parent {p}")
-        kids[p].append(v)
-    for v in leaf_of:
-        if kids[v]:
-            raise ValueError(f"labelled vertex {v} has children")
-
-    over: dict[int, frozenset[int]] = {}
-
-    def collect(v: int, seen: set[int]) -> frozenset[int]:
-        if v in seen:
-            raise ValueError("parent array contains a cycle")
-        seen.add(v)
-        if v in leaf_of:
-            over[v] = frozenset([leaf_of[v]])
-        else:
-            acc: set[int] = set()
-            for w in kids[v]:
-                acc |= collect(w, seen)
-            over[v] = frozenset(acc)
-        return over[v]
-
-    collect(root, set())
-    if len(over) != len(parents):
-        raise ValueError("tree is not connected")
-    sets = []
-    for v in range(len(parents)):
-        if v == root or v in leaf_of:
-            continue
-        if over[v] in sets:
-            raise ValueError("tree has a bivalent internal vertex")
-        sets.append(over[v])
-    return trees.tree_from_nested(sets, n)
+    return trees._from_parents(
+        _int(_field(data, "n"), "n"),
+        _ints(_field(data, "parents"), "parents"),
+        _ints(_field(data, "labels"), "labels"),
+    )
 
 
 def setmap_to_json(sm: trees.SetMap) -> dict:
@@ -186,7 +137,7 @@ def config_to_json(c: Configuration) -> dict:
 
 def config_from_json(data: dict) -> Configuration:
     data = _object(data, "configuration")
-    pts = _floats(data["points"], "points")
+    pts = _floats(_field(data, "points"), "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if "m" in data and _int(data["m"], "m") != pts.shape[1]:
@@ -212,6 +163,12 @@ def _object(data, field: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"field {field!r} must be a JSON object")
     return data
+
+
+def _field(data: dict, field: str):
+    if field not in data:
+        raise ValueError(f"missing field {field!r}")
+    return data[field]
 
 
 def _index_key(key: str, arity: int, field: str) -> tuple[int, ...]:
@@ -248,13 +205,13 @@ def ambient_to_json(a: AmbientPoint) -> dict:
 
 def ambient_from_json(data: dict) -> AmbientPoint:
     data = _object(data, "point")
-    x = _floats(data["x"], "x")
+    x = _floats(_field(data, "x"), "x")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     d = {}
-    for key, val in _object(data["d"], "d").items():
+    for key, val in _object(_field(data, "d"), "d").items():
         d[_index_key(key, 3, "d")] = _number(val, f"d[{key}]")
-    return ambient_point(x, _u_from_json(data["u"]), d)
+    return ambient_point(x, _u_from_json(_field(data, "u")), d)
 
 
 def simplicial_to_json(p: SimplicialPoint) -> dict:
@@ -263,10 +220,10 @@ def simplicial_to_json(p: SimplicialPoint) -> dict:
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:
     data = _object(data, "point")
-    x = _floats(data["x"], "x")
+    x = _floats(_field(data, "x"), "x")
     if x.ndim == 1:
         x = x.reshape(-1, 1)
-    return simplicial_point(x, _u_from_json(data["u"]))
+    return simplicial_point(x, _u_from_json(_field(data, "u")))
 
 
 def framed_to_json(fp: FramedPoint) -> dict:
@@ -318,19 +275,19 @@ def stratum_to_json(s: StratumPoint) -> dict:
 
 def stratum_from_json(data: dict) -> StratumPoint:
     data = _object(data, "stratum")
-    t = tree_from_json(data["tree"])
+    t = tree_from_json(_field(data, "tree"))
     key_of = {_vertex_key(t, v): v for v in t.internal_vertices}
     configs = {}
     scales = {}
-    for key, rows in _object(data["configs"], "configs").items():
+    for key, rows in _object(_field(data, "configs"), "configs").items():
         if key not in key_of:
             raise ValueError(f"no internal vertex over leaves {{{key}}}")
         configs[key_of[key]] = _floats(rows, f"configs[{key}]")
-    for key, val in _object(data["scales"], "scales").items():
+    for key, val in _object(_field(data, "scales"), "scales").items():
         if key not in key_of:
             raise ValueError(f"no internal vertex over leaves {{{key}}}")
         scales[key_of[key]] = _number(val, f"scales[{key}]")
-    return StratumPoint(t, _floats(data["root"], "root"), configs, scales)
+    return StratumPoint(t, _floats(_field(data, "root"), "root"), configs, scales)
 
 
 # -- verdicts and reports ----------------------------------------------------------------

@@ -25,6 +25,12 @@ leaf sets (bitmasks with bit i for leaf i, or frozensets) are collected from
 the last vertex up and depths from the first down.  join, vertex_over,
 children, leaves_over, covering_pairs and the chart layer's join tables read
 the result; only children and leaves_over are cached on a tree.
+
+A parent array from outside the library, through FTree(n, parent) or tree
+JSON, is read by one function, _from_parents: it accepts any vertex
+numbering, checks the array, collects leaf-set bitmasks deepest vertex first
+without recursion and builds the tree through _from_family, the canonical
+builder every other tree comes from.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ class FTree:
 
     parent[v] is the id of the vertex above v; parent[0] == -1 for the root.
 
-    FTree(n, parent) is the boundary for outside input: it validates the
-    array and rejects any that is not in canonical order.  Trees built inside
+    FTree(n, parent) is the boundary for outside input: it checks the layout
+    (root 0, leaf i at vertex i), reads the array through _from_parents and
+    rejects any that is not in canonical order.  Trees built inside
     the library (enumerate_trees, tree_from_nested and everything routed
     through it) come from one builder, which turns a laminar family of
     leaf-set bitmasks straight into the canonical array and hands it to a
@@ -64,28 +71,8 @@ class FTree:
         nv = len(self.parent)
         if nv < self.n + 1 or self.parent[0] != -1:
             raise ValueError("malformed parent array")
-        for v in range(1, nv):
-            p = self.parent[v]
-            if not 0 <= p < nv or p == v:
-                raise ValueError(f"bad parent for vertex {v}")
-        kids: list[list[int]] = [[] for _ in range(nv)]
-        for v in range(1, nv):
-            kids[self.parent[v]].append(v)
-        for leaf in range(1, self.n + 1):
-            if kids[leaf]:
-                raise ValueError(f"leaf {leaf} has children")
-        for v in range(self.n + 1, nv):
-            if len(kids[v]) < 2:
-                raise ValueError(f"internal vertex {v} is bivalent")
-        # acyclicity: every vertex must reach the root in < nv steps
-        for v in range(1, nv):
-            w, steps = v, 0
-            while w != 0:
-                w = self.parent[w]
-                steps += 1
-                if steps > nv:
-                    raise ValueError("parent array contains a cycle")
-        if self._canonical_parent() != self.parent:
+        labels = [v if v <= self.n else 0 for v in range(nv)]
+        if _from_parents(self.n, self.parent, labels).parent != self.parent:
             raise ValueError("parent array is not in canonical order")
 
     # -- derived structure ------------------------------------------------
@@ -141,34 +128,6 @@ class FTree:
         if not target <= set(range(1, self.n + 1)):
             return None
         return _deepest(self, _mask(target).__eq__)
-
-    def _canonical_parent(self) -> tuple[int, ...]:
-        # children may precede their parents here: smallest labels deepest first
-        kids: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for v in range(1, self.num_vertices):
-            kids[self.parent[v]].append(v)
-        low = list(range(self.num_vertices))
-        for v in sorted(range(self.num_vertices), key=self.depth, reverse=True):
-            if v > self.n or v == 0:
-                low[v] = min(low[w] for w in kids[v])
-        rename: dict[int, int] = {0: 0}
-        next_id = self.n + 1
-
-        def visit(v: int):
-            nonlocal next_id
-            for w in sorted(kids[v], key=low.__getitem__):
-                if w > self.n:
-                    rename[w] = next_id
-                    next_id += 1
-                    visit(w)
-                else:
-                    rename[w] = w
-
-        visit(0)
-        new_parent = [-1] * self.num_vertices
-        for v in range(1, self.num_vertices):
-            new_parent[rename[v]] = rename[self.parent[v]]
-        return tuple(new_parent)
 
     def __repr__(self):
         sets = sorted(
@@ -247,6 +206,61 @@ def _from_family(masks: Sequence[int], n: int) -> FTree:
             parent[low.bit_length() - 1] = v
             own ^= low
     return _trusted(n, tuple(parent))
+
+
+def _from_parents(n: int, parent: Sequence[int], labels: Sequence[int]) -> FTree:
+    """The tree of a parent array in any vertex numbering.
+
+    parent[v] is the vertex above v, -1 for the one root; labels[v] is v's
+    leaf label, or 0 for an unlabelled vertex.  This is the one reader of
+    parent arrays from outside the library: it checks the array, collects
+    leaf-set bitmasks deepest vertex first and hands them to the canonical
+    builder.
+    """
+    if n < 1:
+        raise ValueError("a tree needs at least one leaf")
+    nv = len(parent)
+    if len(labels) != nv:
+        raise ValueError("parents and labels must have equal length")
+    roots = [v for v, p in enumerate(parent) if p == -1]
+    if len(roots) != 1:
+        raise ValueError(f"tree must have exactly one root, not vertices {roots}")
+    kids: list[list[int]] = [[] for _ in range(nv)]
+    for v, p in enumerate(parent):
+        if p != -1:
+            if not 0 <= p < nv:
+                raise ValueError(f"bad parent {p} for vertex {v}")
+            kids[p].append(v)
+    over = [0] * nv
+    seen = 0
+    for v, lab in enumerate(labels):
+        if lab:
+            if not 1 <= lab <= n or seen >> lab & 1:
+                raise ValueError(f"bad leaf label {lab} at vertex {v}")
+            if kids[v]:
+                raise ValueError(f"labelled vertex {v} has children")
+            over[v] = 1 << lab
+            seen |= over[v]
+    if seen.bit_count() != n:
+        raise ValueError(f"labels are not a bijection with 1..{n}")
+    order = [roots[0]]  # breadth first from the root: the list grows as it is read
+    for v in order:
+        order += kids[v]
+    if len(order) < nv:
+        v = min(set(range(nv)) - set(order))
+        raise ValueError(f"vertex {v} does not reach the root: parent array has a cycle")
+    masks = []
+    for v in reversed(order[1:]):
+        if not labels[v]:
+            if len(kids[v]) < 2:
+                raise ValueError(
+                    f"internal vertex {v} is bivalent"
+                    if kids[v]
+                    else f"unlabelled vertex {v} has no children"
+                )
+            masks.append(over[v])
+        over[parent[v]] |= over[v]
+    return _from_family(sorted(masks, key=int.bit_count), n)
 
 
 def _mask(labels: Iterable[int]) -> int:

@@ -283,10 +283,15 @@ def _loader_inputs():
     rng = np.random.default_rng(4)
     a = cs.lift_configuration(sample_config(rng, 3, 2))
     frames = [v / np.linalg.norm(v) for v in rng.normal(size=(3, 2))]
+    t = cs.tree_from_nested([{1, 2}], 3)
     return {
         "cfg": {"m": 2, "points": a.x.tolist()},
         "fa": jsonio.framed_to_json(cs.framed_point(a, frames)),
         "fs": jsonio.framed_to_json(cs.framed_point(cs.to_simplicial(a), frames)),
+        "tree": jsonio.tree_to_json(t),
+        "ambient": jsonio.ambient_to_json(a),
+        "direction": jsonio.simplicial_to_json(cs.to_simplicial(a)),
+        "stratum": jsonio.stratum_to_json(cs.stratum_sample(t, 2, 0)),
     }
 
 
@@ -323,6 +328,31 @@ def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, 
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert repr(field) in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "loader, source, field",
+    [
+        ("tree_from_json", "tree", "n"),
+        ("tree_from_json", "tree", "parents"),
+        ("tree_from_json", "tree", "labels"),
+        ("config_from_json", "cfg", "points"),
+        ("ambient_from_json", "ambient", "x"),
+        ("ambient_from_json", "ambient", "u"),
+        ("ambient_from_json", "ambient", "d"),
+        ("simplicial_from_json", "direction", "x"),
+        ("simplicial_from_json", "direction", "u"),
+        ("stratum_from_json", "stratum", "tree"),
+        ("stratum_from_json", "stratum", "root"),
+        ("stratum_from_json", "stratum", "configs"),
+        ("stratum_from_json", "stratum", "scales"),
+    ],
+)
+def test_loaders_name_a_missing_field(loader, source, field):
+    data = _loader_inputs()[source]
+    del data[field]
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        getattr(jsonio, loader)(data)
 
 
 def test_chart_expand_names_the_non_finite_stratum_field(tmp_path, capsys):
@@ -595,6 +625,46 @@ def test_assoc_realize_command(tmp_path, capsys):
     assert code == 0
     pt = jsonio.ambient_from_json(json.loads(out))
     assert abs(pt.d[(1, 2, 3)] - 0.5) < 1e-15
+
+
+def test_assoc_realize_params_array_reports_json(tmp_path, capsys):
+    f = tmp_path / "t.json"
+    f.write_text(jsonio.dumps(jsonio.tree_to_json(cs.corolla(4))))
+    params = tmp_path / "p.json"
+    params.write_text("[1, 2]\n")
+    code, out, err = run(
+        capsys, "assoc", "realize", "--tree", str(f), "--params", str(params),
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "'params'" in payload["message"]
+
+
+def _caterpillar_parent(n):
+    """The canonical array of tree_from_nested([range(1, k + 1) for k in range(2, n)], n).
+
+    Vertex n + j lies over leaves 1..n - j; leaf n hangs from the root.
+    """
+    parent = [-1, *(2 * n - i for i in range(1, n)), 0, 0]
+    parent[1] = 2 * n - 2
+    parent += range(n + 1, 2 * n - 2)
+    return tuple(parent)
+
+
+def test_deep_tree_is_read_without_recursion(tmp_path, capsys):
+    assert _caterpillar_parent(7) == cs.tree_from_nested(
+        [range(1, k + 1) for k in range(2, 7)], 7
+    ).parent
+    n = 1500
+    t = cs.FTree(n, _caterpillar_parent(n))
+    assert jsonio.tree_from_json(jsonio.tree_to_json(t)) == t
+    f = tmp_path / "deep.json"
+    f.write_text(jsonio.dumps(jsonio.tree_to_json(t)))
+    sm = tmp_path / "map.json"
+    sm.write_text(jsonio.dumps({"m": 3, "n": n, "map": [1, 2, n]}))
+    code, out, _ = run(capsys, "trees", "prune", "--in", str(f), "--map", str(sm))
+    assert code == 0
+    assert jsonio.tree_from_json(json.loads(out)) == cs.tree_from_nested([{1, 2}], 3)
 
 
 def test_every_subcommand_runs(tmp_path, capsys):

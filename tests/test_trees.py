@@ -304,6 +304,46 @@ def test_tree_json_rejects_bivalent():
         jsonio.tree_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "n, parents, labels, message",
+    [
+        pytest.param(2, [-1, 0, -1], None, "exactly one root", id="two-roots"),
+        pytest.param(2, [1, 0, 0], None, "exactly one root", id="no-root"),
+        pytest.param(2, [-1, 0, 3], None, "bad parent 3 for vertex 2", id="parent-out-of-range"),
+        pytest.param(2, [-1, 0, -2], None, "bad parent -2 for vertex 2", id="negative-parent"),
+        pytest.param(2, [-1, 0, 0, 3], None, "vertex 3 does not reach", id="own-parent"),
+        pytest.param(2, [-1, 0, 0, 4, 3], None, "vertex 3 does not reach", id="detached-cycle"),
+        pytest.param(2, [-1, 0, 1], None, "labelled vertex 1 has children",
+                     id="labelled-vertex-with-children"),
+        pytest.param(2, [-1, 0, 0, 0], None, "unlabelled vertex 3 has no children",
+                     id="childless-unlabelled-vertex"),
+        pytest.param(2, [-1, 4, 4, 0, 3], None, "vertex 3 is bivalent", id="bivalent"),
+        pytest.param(2, [-1, 0, 0], [0, 1, 1], "bad leaf label 1 at vertex 2",
+                     id="repeated-label"),
+        pytest.param(3, [-1, 0, 0], [0, 1, 2], "not a bijection", id="missing-label"),
+        pytest.param(2, [-1, 0, 0], [0, 1, 2, 0], "equal length", id="length-mismatch"),
+    ],
+)
+def test_malformed_parent_arrays_rejected(n, parents, labels, message):
+    # labels None: the canonical layout, so FTree reads the same array
+    if labels is None:
+        labels = [v if v <= n else 0 for v in range(len(parents))]
+        with pytest.raises(ValueError):
+            cs.FTree(n, tuple(parents))
+    with pytest.raises(ValueError, match=message):
+        jsonio.tree_from_json({"n": n, "parents": parents, "labels": labels})
+
+
+def test_renumbered_tree_rejected_by_ftree_and_read_from_json():
+    t = g1([{1, 2}, {1, 2, 3}], 4)
+    assert t.parent == (-1, 6, 6, 5, 0, 0, 5)
+    swapped = (-1, 5, 5, 6, 0, 6, 0)  # internal vertices 5 and 6 traded
+    with pytest.raises(ValueError, match="canonical order"):
+        cs.FTree(4, swapped)
+    data = {"n": 4, "parents": list(swapped), "labels": [0, 1, 2, 3, 4, 0, 0]}
+    assert jsonio.tree_from_json(data) == t
+
+
 def test_dot_outputs():
     t = g1([{1, 2}], 3)
     dot = cs.tree_to_dot(t)
