@@ -23,6 +23,15 @@ code reads the arrays, so relabelling a point is one index gather.  The
 attributes u and d are read-only mappings over the same arrays, keyed by
 label tuples in itertools.permutations order, for callers that think in
 coordinates: u[(i, j)] is a frozen row, d[(i, j, k)] a Python float.
+
+Stratum data is a dense record too: one frozen (E, m) array C with a row per
+non-root edge (the root's rows first, then each internal vertex's children)
+and a (V,) array S of scales; root_config is a view of C, and configs and
+scales are read-only mappings over C and S keyed by internal vertex.  Every
+table that depends only on a tree's shape (the row layout, sibling pairs,
+joins, expansion paths, and invert_chart's frames and centre groups) is
+built once into the tree's chart plan, held in a bounded cache: a chart
+round trip reads its tree's plan nine times in a row, so a small cache hits.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -210,7 +220,7 @@ def normalize(c) -> Configuration:
 
 
 def config_scale(x: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(x, axis=1).max()))
+    return max(1.0, float(_norms(x).max()))
 
 
 # -- manifolds ---------------------------------------------------------------
@@ -247,8 +257,10 @@ ManifoldDescriptor = Euclidean | Sphere
 
 
 class _Coordinates(Mapping):
-    """Read-only mapping view of U or D under 1-based label tuples, in
-    itertools.permutations order; any other key raises KeyError."""
+    """Read-only mapping view of a dense array: U or D under 1-based label
+    tuples in itertools.permutations order, or a stratum's rows and scales
+    under internal vertices.  The index maps each key to what it reads (an
+    index tuple, a row slice or a position); any other key raises KeyError."""
 
     __slots__ = ("_array", "_index")
 
@@ -265,6 +277,13 @@ class _Coordinates(Mapping):
 
     def __len__(self) -> int:
         return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        # a chart plan's index is a read-only proxy, which does not pickle
+        return _Coordinates, (self._array, dict(self._index))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,12 +377,13 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
     i, j = t.pairs.T
     nrm = row_norms(U[..., i, j, :])
     dev = np.abs(nrm - 1.0)
-    bad = np.flatnonzero(~(dev <= 1e-6))
-    if bad.size:
+    unit = dev <= 1e-6
+    if not unit.all():
+        bad = np.flatnonzero(~unit)
         a, b = t.pairs[bad[0] % len(t.pairs)] + 1
         raise ValueError(f"u[{a},{b}] is not a unit vector (norm {nrm.flat[bad[0]]})")
-    off = dev > 1e-12
-    if off.any():
+    if dev.max(initial=0.0) > 1e-12:
+        off = dev > 1e-12
         *lead, p = np.nonzero(off)
         U[(*lead, i[p], j[p])] /= nrm[off][:, None]
     U.flags.writeable = False
@@ -373,9 +393,9 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
 def _ratios(D: np.ndarray) -> np.ndarray:
     """Check that every d_ijk of one D or a stack lies in [0, inf], then freeze D."""
     t = _tables(D.shape[-1])
-    bad = np.flatnonzero(~(D[(..., *t.triples.T)] >= 0.0))
-    if bad.size:
-        i, j, k = t.triples[bad[0] % len(t.triples)] + 1
+    inside = D[(..., *t.triples.T)] >= 0.0
+    if not inside.all():
+        i, j, k = t.triples[np.flatnonzero(~inside)[0] % len(t.triples)] + 1
         raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
     D.flags.writeable = False
     return D
@@ -410,10 +430,12 @@ def lift_configuration(c) -> AmbientPoint:
     i, j = _tables(n).upairs.T
     # huge coordinates overflow to inf and NaN here; _checked rejects them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        U, nrm = _pair_directions(pts[i] - pts[j], n)
+        diff = pts[i] - pts[j]
+        nrm = row_norms(diff)
         zero = np.flatnonzero(nrm == 0.0)
         if zero.size:
             raise ValueError(f"points {i[zero[0]] + 1} and {j[zero[0]] + 1} coincide")
+        U = _pair_directions(diff, nrm, n)
         dist = np.zeros((n, n))
         dist[i, j] = dist[j, i] = nrm
         D = np.full((n, n, n), np.nan)
@@ -422,16 +444,16 @@ def lift_configuration(c) -> AmbientPoint:
     return AmbientPoint(*_checked(pts, U, D))
 
 
-def _pair_directions(diff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """U and the norms from the differences (..., pairs, m) of the pairs i < j
-    (combinations order); u_ji is the negated u_ij, so a zero component keeps its sign."""
+def _pair_directions(diff: np.ndarray, nrm: np.ndarray, n: int) -> np.ndarray:
+    """U from the differences (..., pairs, m) of the pairs i < j (combinations
+    order) and their norms; u_ji is the negated u_ij, so a zero component
+    keeps its sign."""
     i, j = _tables(n).upairs.T
-    nrm = row_norms(diff)
     U = np.zeros((*diff.shape[:-2], n, n, diff.shape[-1]))
     u = diff / nrm[..., None]
     U[..., i, j, :] = u
     U[..., j, i, :] = -u
-    return U, nrm
+    return U
 
 
 def _relabel(p: _Record, values: Sequence[int]):
@@ -686,6 +708,193 @@ def _is_trunk(x: np.ndarray, tol: float) -> bool:
 # -- stratum data and charts ---------------------------------------------------
 
 
+class _ChartPlan(NamedTuple):
+    """The tables of one tree shape that the chart layer reads, all read-only.
+
+    Rows: the stratum data of a tree is one (E, m) array with a row per
+    non-root edge, in blocks: the root's children, then the children of each
+    internal vertex in numbering order, each block in children order.
+    States: a pair (top, v) of a block vertex top (the root or an internal
+    vertex) and a vertex v of the subtree at top, numbered top by top.  State
+    (top, v) holds the position of v in the expansion of the subtree at top,
+    or the cluster centre of v in the frame of top.
+    """
+
+    starts: np.ndarray  # (B,) first row of each block
+    counts: np.ndarray  # (B,) rows of each block
+    inner: np.ndarray  # (B - 1,) first row of each internal block, counted from the first
+    config_index: Mapping[int, slice]  # internal vertex -> its rows
+    scale_index: Mapping[int, int]  # internal vertex -> its entry of a (V,) array
+    siblings: np.ndarray  # (2, S) rows i < j of one block, block by block
+    pair_join: np.ndarray  # join of every leaf pair i < j (combinations order)
+    triple_join: np.ndarray  # join of every ordered leaf triple (permutations order)
+    states: int  # number of states
+    path_rows: np.ndarray  # (states, H + 1) the zero row E, then the rows from top down; E pads
+    path_scales: np.ndarray  # (states, H + 1) the vertex whose scale multiplies in before each
+    #   row: V (scale 1) before the first two and as padding
+    leaf_states: np.ndarray  # (n,) states (root, i)
+    legs: np.ndarray  # (2, P + 2T) states whose differences _expand measures: (join, i) and
+    #   (join, j) of each leaf pair i < j, then of each triple (i, j, k), then (join, i) and
+    #   (join, k) of each triple
+    frames: np.ndarray  # (5, L) state (v, j), i0, j, k0 (0-based), j == k0: leaves j != i0 under v
+    centres: tuple[tuple[np.ndarray, np.ndarray], ...]  # per height and child count k, lowest
+    #   first: the states (g,) of block vertices and their children's states (g, k)
+    root_states: np.ndarray  # (k0,) states (root, c) of the root's children
+    spans: np.ndarray  # (2, 2(E - k0)) states whose differences invert_chart measures: (v, c)
+    #   and (v, v) of each internal row, then (p, c) and (p, v), p the parent of v
+    parent_block: np.ndarray  # (B - 1,) internal block of each parent; -1 for the root
+
+
+def _packed(*tables: tuple[list, int]) -> list[np.ndarray]:
+    """Integer tables as read-only views of one array, converted in one call:
+    a list of ints as a vector (width 0), or as an (L, width) array."""
+    flat: list[int] = []
+    spans = []
+    for values, width in tables:
+        start = len(flat)
+        flat.extend(values)
+        spans.append((start, len(flat), width))
+    arr = np.array(flat, dtype=np.intp)
+    arr.flags.writeable = False
+    return [arr[a:b].reshape(-1, width) if width else arr[a:b] for a, b, width in spans]
+
+
+@functools.lru_cache(maxsize=16)
+def _chart_plan(t: trees.FTree) -> _ChartPlan:
+    """The chart plan of a tree shape.  The cache is small: a chart round
+    trip reads its tree's plan nine times in a row and then moves on, and a
+    plan takes about 12 KB at n = 6 and 67 KB at n = 12."""
+    n, kids, nv = t.n, t.children, t.num_vertices
+    blocks = (0, *t.internal_vertices)
+    internal = blocks[1:]
+    counts = [len(kids[v]) for v in blocks]
+    starts = list(itertools.accumulate(counts[:-1], initial=0))
+    row = [0] * nv
+    height = [0] * nv
+    for b in reversed(range(len(blocks))):
+        v = blocks[b]
+        height[v] = 1 + max(height[c] for c in kids[v])
+        for r, c in enumerate(kids[v], starts[b]):
+            row[c] = r
+    zero, width = starts[-1] + counts[-1], height[0] + 1
+    row_pad = [(zero,) * k for k in range(width + 1)]
+    scale_pad = [(nv,) * k for k in range(width + 1)]
+
+    # states top by top, breadth first, each with its path from top; each
+    # block vertex's centre grouped by height and child count; J[i-1][j-1]
+    # ends as the deepest block over leaves i and j.  Tables of several
+    # columns are built flat, row by row.
+    sid: list[list[int]] = []
+    path_rows: list[int] = []
+    path_scales: list[int] = []
+    frames: list[int] = []
+    groups: dict[tuple[int, int], list[int]] = {}
+    own: list[int] = []
+    up: dict[int, list[int]] = {}
+    J = [[0] * n for _ in range(n)]
+    count = 0
+    for b, top in enumerate(blocks):
+        ids = [-1] * nv
+        sid.append(ids)
+        ids[top] = count
+        count += 1
+        path_rows += row_pad[width]
+        path_scales += scale_pad[width]
+        paths = {top: ((zero,), (nv,))}
+        if b:
+            i0, k0 = min(t.leaves_over[top]), min(t.leaves_over[kids[top][1]])
+        under = []
+        frontier = [top]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                rows, scales = paths[w]
+                scales += (nv if w == top else w,)
+                pad = width - len(scales)
+                for c in kids[w]:
+                    ids[c] = count
+                    rows_c = (*rows, row[c])
+                    path_rows += rows_c
+                    path_rows += row_pad[pad]
+                    path_scales += scales
+                    path_scales += scale_pad[pad]
+                    if c > n:
+                        nxt.append(c)
+                        paths[c] = rows_c, scales
+                    else:
+                        under.append(c - 1)
+                        if b and c != i0:
+                            frames += (count, i0 - 1, c - 1, k0 - 1, c == k0)
+                    count += 1
+                members = [ids[c] for c in kids[w]]
+                if w:  # no output reads the root's own centre
+                    groups.setdefault((height[w], len(members)), []).extend((ids[w], *members))
+                pairs = [x for c in members for x in (c, ids[w])]
+                if w == top and b:
+                    own += pairs
+                elif w != top and t.parent[w] == top:  # rows of w in its parent's frame
+                    up[w] = pairs
+            frontier = nxt
+        for i in under:
+            Ji = J[i]
+            for j in under:
+                Ji[j] = b
+
+    (starts_t, counts_t, inner, siblings, leaf_states, root_states, spans, parent_block,
+     frames_t, rows_t, scales_t, *centres) = _packed(
+        (starts, 0),
+        (counts, 0),
+        ([x - starts[1] for x in starts[1:]], 0),
+        ([r for q in range(len(blocks)) for x, y in itertools.combinations(range(counts[q]), 2)
+          for r in (starts[q] + x, starts[q] + y)], 2),
+        (sid[0][1 : n + 1], 0),
+        ([sid[0][c] for c in kids[0]], 0),
+        (own + [x for v in internal for x in up[v]], 2),
+        ([t.parent[v] - n - 1 if t.parent[v] else -1 for v in internal], 0),
+        (frames, 5),
+        (path_rows, width),
+        (path_scales, width),
+        *((members, k + 1) for (_, k), members in sorted(groups.items())),
+    )
+
+    # the join of leaves is the deepest block over all of them; of three
+    # leaves, the shallowest of their pairwise joins
+    tab = _tables(n)
+    J = np.array(J)
+    x, y, z = tab.triples.T
+    pb = J[tuple(tab.upairs.T)]
+    tb = np.minimum(np.minimum(J[x, y], J[x, z]), J[y, z])
+    S = np.array(sid)[:, 1 : n + 1]
+    pi, pj = S[pb, tab.upairs.T]
+    ti, tj, tk = S[tb, tab.triples.T]
+    ids = np.array(blocks)
+    joins = ids[pb], ids[tb], np.stack([np.concatenate([pi, ti, ti]), np.concatenate([pj, tj, tk])])
+    for arr in joins:
+        arr.flags.writeable = False
+    return _ChartPlan(
+        starts=starts_t,
+        counts=counts_t,
+        inner=inner,
+        config_index=MappingProxyType(
+            {v: slice(starts[q], starts[q] + counts[q]) for q, v in enumerate(internal, 1)}
+        ),
+        scale_index=MappingProxyType({v: v for v in internal}),
+        siblings=siblings.T,
+        pair_join=joins[0],
+        triple_join=joins[1],
+        states=count,
+        path_rows=rows_t,
+        path_scales=scales_t,
+        leaf_states=leaf_states,
+        legs=joins[2],
+        frames=frames_t.T,
+        centres=tuple((g[:, 0], g[:, 1:]) for g in centres),
+        root_states=root_states,
+        spans=spans.T,
+        parent_block=parent_block,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class StratumPoint:
     """Chart-domain data: per-vertex configurations plus scale parameters.
@@ -694,66 +903,171 @@ class StratumPoint:
     coincident-edge order); configs[v] holds the normalized configuration
     (centroid 0, max norm 1) assigned to internal vertex v, one row per edge
     of E(v); scales[v] in [0, r) is the expansion parameter of v.
+
+    Storage: a dense record.  C is one frozen (E, m) array with a row per
+    non-root edge, the root's rows first and then each internal vertex's
+    children in children order; S is a frozen (V,) array with S[v] the scale
+    of internal vertex v and 0 elsewhere.  root_config is a view of C's first
+    rows; configs and scales are read-only mappings over C and S keyed by
+    internal vertex.  The row layout, like every other tree-shape table the
+    chart layer reads, comes from the tree's chart plan in a bounded cache.
     """
 
     tree: trees.FTree
     root_config: np.ndarray
-    configs: dict[int, np.ndarray]
-    scales: dict[int, float]
+    configs: Mapping[int, np.ndarray]
+    scales: Mapping[int, float]
+    C: np.ndarray = field(init=False, repr=False)
+    S: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = self.tree
-        root = np.asarray(self.root_config, dtype=float)
-        if root.shape[0] != len(t.children[0]):
-            raise ValueError("root configuration size does not match root valence")
-        m = root.shape[1] if root.ndim == 2 else 0
-        if root.ndim != 2 or m < 1:
-            raise ValueError("root configuration must be an (#v0, m) array")
-        if not np.isfinite(root).all():
-            raise ValueError("root configuration must be finite")
-        q = _min_pairwise(root)
-        if q == 0.0:
-            raise ValueError("root configuration has coincident points")
-        configs = {}
-        for v in t.internal_vertices:
-            if v not in self.configs:
-                raise ValueError(f"missing configuration for vertex {v}")
-            cfg = np.asarray(self.configs[v], dtype=float)
-            if cfg.shape != (len(t.children[v]), m):
-                raise ValueError(f"configuration at vertex {v} has wrong shape")
-            if not np.isfinite(cfg).all():
-                raise ValueError(f"configuration at vertex {v} must be finite")
-            if float(np.linalg.norm(cfg.mean(axis=0))) > 1e-8:
-                raise ValueError(f"configuration at vertex {v} is not centered")
-            if abs(float(np.linalg.norm(cfg, axis=1).max()) - 1.0) > 1e-8:
-                raise ValueError(f"configuration at vertex {v} is not max-norm 1")
-            gap = _min_pairwise(cfg)
-            if gap == 0.0:
-                raise ValueError(f"configuration at vertex {v} has coincident points")
-            q = min(q, gap)
-            cfg = cfg.copy()
-            cfg.flags.writeable = False
-            configs[v] = cfg
-        bound = _scale_bound(q)
-        scales = {}
-        for v in t.internal_vertices:
-            if v not in self.scales:
-                raise ValueError(f"missing scale for vertex {v}")
-            tv = float(self.scales[v])
-            if not 0.0 <= tv < bound + 1e-12:
-                raise ValueError(
-                    f"scale {tv} at vertex {v} outside [0, {bound})"
-                )
-            scales[v] = tv
-        root = root.copy()
-        root.flags.writeable = False
-        object.__setattr__(self, "root_config", root)
-        object.__setattr__(self, "configs", configs)
-        object.__setattr__(self, "scales", scales)
+        plan = _chart_plan(self.tree)
+        C, q = _config_rows(plan, self.tree, self.root_config, self.configs)
+        S = _scale_array(plan, self.tree, self.scales, _scale_bound(q))
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "root_config", C[: plan.counts[0]])
+        object.__setattr__(self, "configs", _Coordinates(C, plan.config_index))
+        object.__setattr__(self, "scales", _Coordinates(S, plan.scale_index))
 
     @property
     def m(self) -> int:
-        return self.root_config.shape[1]
+        return self.C.shape[1]
+
+
+def _require_mapping(data, name: str, what: str):
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} must map internal vertices to {what}")
+
+
+_ROOT_SHAPE = "root configuration must be an (#v0, m) array"
+
+
+def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> tuple[np.ndarray, float]:
+    """The frozen rows C of the root and vertex configurations, checked in one
+    array pass, and the smallest gap between two sibling rows.  Raises the
+    message of the first bad vertex, the root first."""
+    k0 = plan.counts[0]
+    try:
+        root = np.asarray(root, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(_ROOT_SHAPE) from None
+    if root.ndim and root.shape[0] != k0:
+        raise ValueError("root configuration size does not match root valence")
+    m = root.shape[1] if root.ndim == 2 else 0
+    if root.ndim != 2 or m < 1:
+        raise ValueError(_ROOT_SHAPE)
+    _require_mapping(configs, "configs", "configurations")
+    err = None
+    view = isinstance(configs, _Coordinates) and configs._index is plan.config_index
+    if view and configs._array.shape[1] == m:
+        C = configs._array
+        if not C.flags.writeable and root.tobytes() == C[:k0].tobytes():
+            # the rows of a record already checked (only a record's rows are
+            # frozen), as in StratumPoint(t, s.root_config, s.configs, ...)
+            i, j = plan.siblings
+            return C, float(np.fmin.reduce(row_norms(C[i] - C[j]), initial=math.inf))
+        body = [C[k0:]]
+        blocks = len(plan.starts)
+    else:
+        body = []
+        for v, k in zip(t.internal_vertices, plan.counts[1:]):
+            if v not in configs:
+                err = f"missing configuration for vertex {v}"
+                break
+            try:
+                cfg = np.asarray(configs[v], dtype=float)
+            except (TypeError, ValueError):
+                err = f"configuration at vertex {v} is not a numeric array"
+                break
+            if cfg.shape != (k, m):
+                err = f"configuration at vertex {v} has wrong shape"
+                break
+            body.append(cfg)
+        blocks = 1 + len(body)
+    C = np.concatenate([root, *body])
+    q = _check_rows(plan, t, C, blocks)
+    if err:
+        raise ValueError(err)
+    if len(configs) != len(plan.config_index):
+        key = next(key for key in configs if key not in plan.config_index)
+        raise ValueError(f"configs key {key!r} is not an internal vertex")
+    C.flags.writeable = False
+    return C, q
+
+
+_ROW_FAULTS = ("must be finite", "is not centered", "is not max-norm 1", "has coincident points")
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1) without its argument handling: the same
+    sum of squares, which can round apart from row_norms."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
+def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, blocks: int) -> float:
+    """Check the first `blocks` blocks of C: every row finite, each internal
+    block centred with max norm 1, and no two sibling rows equal.  Returns the
+    smallest sibling gap."""
+    finite = np.isfinite(C).all()
+    i, j = plan.siblings
+    if blocks < len(plan.starts):
+        keep = j < plan.starts[blocks]
+        i, j = i[keep], j[keep]
+    inner = C[plan.counts[0] :]
+    first = plan.inner[: blocks - 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = row_norms(C[i] - C[j])
+        off = row_norms(np.add.reduceat(inner, first) / plan.counts[1:blocks, None]) > 1e-8
+        wide = np.abs(np.maximum.reduceat(_norms(inner), first) - 1.0) > 1e-8
+    q = float(np.fmin.reduce(gaps, initial=math.inf))
+    if finite and q > 0.0 and not (off | wide).any():
+        return q
+    faults = np.zeros((blocks, 4), dtype=bool)
+    faults[:, 0] = ~np.logical_and.reduceat(np.isfinite(C).all(axis=1), plan.starts[:blocks])
+    faults[1:, 1], faults[1:, 2] = off, wide
+    faults[np.searchsorted(plan.starts, i[gaps == 0.0], "right") - 1, 3] = True
+    b = int(np.flatnonzero(faults.any(axis=1))[0])
+    fault = _ROW_FAULTS[int(np.argmax(faults[b]))]
+    if b == 0:
+        raise ValueError(f"root configuration {fault}")
+    raise ValueError(f"configuration at vertex {t.n + b} {fault}")
+
+
+def _scale_array(plan: _ChartPlan, t: trees.FTree, scales, bound: float) -> np.ndarray:
+    """The frozen (V,) scale array, every scale checked against the bound in
+    vertex order."""
+    n = t.n
+    err = None
+    if isinstance(scales, _Coordinates) and scales._index is plan.scale_index:
+        S = scales._array
+        vals = S[n + 1 :]
+    else:
+        _require_mapping(scales, "scales", "numbers")
+        vals = []
+        for v in t.internal_vertices:
+            if v not in scales:
+                err = f"missing scale for vertex {v}"
+                break
+            try:
+                vals.append(float(scales[v]))
+            except (TypeError, ValueError):
+                err = f"scale at vertex {v} is not a number"
+                break
+        S = np.zeros(t.num_vertices)
+        S[n + 1 : n + 1 + len(vals)] = vals
+        vals = S[n + 1 : n + 1 + len(vals)]
+    inside = (vals >= 0.0) & (vals < bound + 1e-12)
+    if not inside.all():
+        p = np.flatnonzero(~inside)[0]
+        raise ValueError(f"scale {float(vals[p])} at vertex {n + 1 + p} outside [0, {bound})")
+    if err:
+        raise ValueError(err)
+    if len(scales) != len(plan.scale_index):
+        key = next(key for key in scales if key not in plan.scale_index)
+        raise ValueError(f"scales key {key!r} is not an internal vertex")
+    S.flags.writeable = False
+    return S
 
 
 def _min_pairwise(rows: np.ndarray) -> float:
@@ -766,7 +1080,9 @@ def _min_pairwise(rows: np.ndarray) -> float:
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
     """Largest admissible scale parameter for the given stratum data."""
     rows = (root_config, *(configs[v] for v in tree.internal_vertices))
-    return _scale_bound(min(_min_pairwise(np.asarray(r, dtype=float)) for r in rows))
+    rows = np.concatenate([np.asarray(r, dtype=float) for r in rows])
+    i, j = _chart_plan(tree).siblings
+    return _scale_bound(float(np.fmin.reduce(row_norms(rows[i] - rows[j]), initial=math.inf)))
 
 
 def _scale_bound(q: float) -> float:
@@ -777,74 +1093,40 @@ def _scale_bound(q: float) -> float:
     return third / (1.0 + third)
 
 
-def _expansion_positions(s: StratumPoint, factors: np.ndarray) -> np.ndarray:
-    """P[k, v, i-1], the position of leaf i in the expansion of the subtree at
-    vertex v with the scale at v set to 1 and the others times factors[k] (zero
-    for leaves not under v).  Offsets are summed top down, in the rounding order
-    of a walk to the leaf."""
-    t = s.tree
-    cfg = {0: s.root_config, **s.configs}
-    scaled = {v: (tv * factors)[:, None, None] for v, tv in s.scales.items()}
-    P = np.zeros((t.num_vertices, t.n, len(factors), s.m))
-    for top in (0, *t.internal_vertices):
-        pos = {top: np.zeros(s.m)}
-        sv = {top: 1.0}
-        stack = [top]
-        leaves = P[top]
-        while stack:
-            w = stack.pop()
-            rows = sv[w] * cfg[w] + pos[w]
-            for idx, c in enumerate(t.children[w]):
-                if c > t.n:
-                    pos[c] = rows[..., idx, None, :]
-                    sv[c] = sv[w] * scaled[c]
-                    stack.append(c)
-                else:
-                    leaves[c - 1] = rows[..., idx, :]
-    return P.transpose(2, 0, 1, 3)
-
-
-def _join_tables(t: trees.FTree) -> tuple[np.ndarray, np.ndarray]:
-    """The join of every leaf pair i < j (combinations order) and of every
-    ordered leaf triple (permutations order), as vertex index arrays."""
-    tab = _tables(t.n)
-    masks, depth = trees._structure(t)
-    ids = np.arange(t.n + 1, t.num_vertices)
-    bits = np.array(masks[t.n + 1 :], dtype=object)[:, None] >> np.arange(1, t.n + 1)
-    inside = (bits & 1).astype(bool)  # [v - n - 1, i - 1]: leaf i lies over vertex v
-    # a pair's join is the deepest internal vertex over both leaves, which is
-    # the last in canonical numbering, else the root
-    i, j = tab.upairs.T
-    pair_join = (ids[:, None] * (inside[:, i] & inside[:, j])).max(axis=0, initial=0)
-    J = np.zeros((t.n, t.n), dtype=np.intp)
-    J[i, j] = J[j, i] = pair_join
-    # the join of three leaves is the shallowest of the pairwise joins
-    i, j, k = tab.triples.T
-    cand = np.stack([J[i, j], J[i, k], J[j, k]], axis=1)
-    W = cand[np.arange(len(cand)), np.argmin(np.array(depth)[cand], axis=1)]
-    return pair_join, W
+def _expansion_positions(plan: _ChartPlan, s: StratumPoint, factors: np.ndarray) -> np.ndarray:
+    """pos[k, state (top, v)], the position of v in the expansion of the
+    subtree at top with the scale at top set to 1 and the others times
+    factors[k].  Every state sums its path from top at once: the scale
+    products and the offsets accumulate top down, in the rounding order of a
+    walk to the leaf; a zero row and unit scales pad the shorter paths and
+    leave their sums unchanged."""
+    scaled = np.ones((len(factors), len(s.S) + 1))
+    scaled[:, :-1] = factors[:, None] * s.S
+    rows = np.zeros((len(s.C) + 1, s.m))
+    rows[:-1] = s.C
+    terms = np.cumprod(scaled[:, plan.path_scales], axis=-1)[..., None] * rows[plan.path_rows]
+    return np.cumsum(terms, axis=-2)[..., -1, :]
 
 
 def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The chart images of s with every scale times each of K factors in [0, 1]
     (so still admissible): checked, frozen stacks x, U and D with a leading K axis."""
     n = s.tree.n
-    t = _tables(n)
-    pair_join, triple_join = _join_tables(s.tree)
-    P = _expansion_positions(s, np.asarray(factors, dtype=float))
-    i, j = t.upairs.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        U, nrm = _pair_directions(P[:, pair_join, i] - P[:, pair_join, j], n)
-    if (nrm == 0.0).any():
+    plan = _chart_plan(s.tree)
+    pos = _expansion_positions(plan, s, np.asarray(factors, dtype=float))
+    a, b = plan.legs
+    diff = pos[:, a] - pos[:, b]
+    nrm = row_norms(diff)
+    P, T = len(plan.pair_join), len(plan.triple_join)
+    if (nrm[:, :P] == 0.0).any():
         raise ValueError("cannot normalize a zero vector")
-    i, j, k = t.triples.T
-    w = triple_join
-    Pi = P[:, w, i]
-    num = row_norms(Pi - P[:, w, j])
-    den = row_norms(Pi - P[:, w, k])
-    D = np.full((len(P), n, n, n), np.nan)
-    D[:, i, j, k] = np.divide(num, den, out=np.full(num.shape, math.inf), where=den > 0.0)
-    return _checked(P[:, 0], U, D)
+    U = _pair_directions(diff[:, :P], nrm[:, :P], n)
+    num, den = nrm[:, P : P + T], nrm[:, P + T :]
+    D = np.full((len(pos), n, n, n), np.nan)
+    D[(slice(None), *_tables(n).triples.T)] = np.divide(
+        num, den, out=np.full(num.shape, math.inf), where=den > 0.0
+    )
+    return _checked(pos[:, plan.leaf_states], U, D)
 
 
 def expand_chart(s: StratumPoint) -> AmbientPoint:
@@ -860,18 +1142,6 @@ def expand_chart(s: StratumPoint) -> AmbientPoint:
     return AmbientPoint(x[0], U[0], D[0])
 
 
-def _cluster_centers(t: trees.FTree, masks: list[int], top: int, leaf_pos: dict[int, np.ndarray]):
-    """Recursive child averages for every vertex under `top`: top and the
-    internal vertices whose leaf set lies in top's, children before parents,
-    which canonical numbering puts last."""
-    centers = dict(leaf_pos)
-    below = masks[top]
-    for v in (*range(t.num_vertices - 1, t.n, -1), 0):
-        if v == top or (v and masks[v] & below == masks[v]):
-            centers[v] = np.mean([centers[c] for c in t.children[v]], axis=0)
-    return centers
-
-
 def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> StratumPoint:
     """Recover stratum data from a point in the closed chart region of T.
 
@@ -880,7 +1150,9 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     ratios anchored at the two smallest representative leaves, then
     recentred and rescaled; the scale of a vertex is the ratio of its
     cluster extent to its parent's, measured in the parent's frame (the
-    root's extent counts as 1).
+    root's extent counts as 1).  Every frame is one slice of a stack of
+    states; cluster centres fill it one height at a time, grouped by child
+    count, so each mean adds the same children in the same order.
     """
     if T.n != a.n:
         raise ValueError("tree and point have different index counts")
@@ -888,47 +1160,35 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     if not trees.leq(T, observed):
         raise ValueError("point lies outside the chart region of the tree")
 
-    masks = trees._structure(T)[0]
-    leaf_pos = {i: np.asarray(a.x[i - 1], dtype=float) for i in range(1, T.n + 1)}
-    frames: dict[int, dict[int, np.ndarray]] = {0: _cluster_centers(T, masks, 0, leaf_pos)}
-    for v in T.internal_vertices:
-        labs = sorted(T.leaves_over[v])
-        i0 = min(T.leaves_over[T.children[v][0]])
-        k0 = min(T.leaves_over[T.children[v][1]])
-        z = {i0: np.zeros(a.m)}
-        for j in labs:
-            if j == i0:
-                continue
-            length = 1.0 if j == k0 else a.D[i0 - 1, j - 1, k0 - 1]
-            if math.isinf(length):
-                raise ValueError("point lies outside the chart region of the tree")
-            z[j] = length * a.U[j - 1, i0 - 1]
-        frames[v] = _cluster_centers(T, masks, v, z)
+    plan = _chart_plan(T)
+    Z = np.zeros((plan.states, a.m))
+    Z[plan.leaf_states] = a.x
+    state, i0, j, k0, unit = plan.frames
+    length = np.where(unit, 1.0, a.D[i0, j, k0])
+    if np.isinf(length).any():
+        raise ValueError("point lies outside the chart region of the tree")
+    Z[state] = length[:, None] * a.U[j, i0]
+    for dst, src in plan.centres:
+        Z[dst] = np.add.reduce(Z[src], axis=1) / src.shape[1]
 
-    root_config = np.stack([frames[0][c] for c in T.children[0]])
-    configs: dict[int, np.ndarray] = {}
-    scales: dict[int, float] = {}
-    for v in T.internal_vertices:
-        frame = frames[v]
-        rows = np.stack([frame[c] for c in T.children[v]]) - frame[v]
-        extent = float(np.linalg.norm(rows, axis=1).max())
-        if extent == 0.0:
-            raise ValueError(f"cluster at vertex {v} is degenerate")
-        configs[v] = rows / extent
-        parent = T.parent[v]
-        pframe = frames[parent]
-        d_v = max(
-            float(np.linalg.norm(pframe[c] - pframe[v])) for c in T.children[v]
-        )
-        if parent == 0:
-            scales[v] = d_v
-        else:
-            d_p = max(
-                float(np.linalg.norm(pframe[c] - pframe[parent]))
-                for c in T.children[parent]
-            )
-            scales[v] = d_v / d_p
-    return StratumPoint(T, root_config, configs, scales)
+    child, top = plan.spans
+    diff = Z[child] - Z[top]
+    half = len(diff) // 2
+    rows = diff[:half]
+    extent = np.maximum.reduceat(_norms(rows), plan.inner)
+    if not extent.all():
+        v = T.n + 1 + np.flatnonzero(extent == 0.0)[0]
+        raise ValueError(f"cluster at vertex {v} is degenerate")
+    # a vertex's extent in its parent's frame over the parent's own, both
+    # rounded like the norm of one row
+    norms = row_norms(diff)
+    d_v = np.maximum.reduceat(norms[half:], plan.inner)
+    d_p = np.append(np.maximum.reduceat(norms[:half], plan.inner), 1.0)[plan.parent_block]
+    C = np.concatenate([Z[plan.root_states], rows / np.repeat(extent, plan.counts[1:])[:, None]])
+    S = np.zeros(T.num_vertices)
+    S[T.n + 1 :] = d_v / d_p
+    configs, scales = _Coordinates(C, plan.config_index), _Coordinates(S, plan.scale_index)
+    return StratumPoint(T, C[: plan.counts[0]], configs, scales)
 
 
 def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
@@ -942,7 +1202,7 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
         for _ in range(10_000):
             pts = rng.uniform(-1.0, 1.0, size=(k, m))
             pts = pts - pts.mean(axis=0)
-            top = float(np.linalg.norm(pts, axis=1).max())
+            top = float(_norms(pts).max())
             if top == 0.0:
                 continue
             pts = pts / top

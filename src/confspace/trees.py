@@ -23,8 +23,9 @@ Tree structure: beyond its parent array, a canonical tree is read through one
 pass.  Canonical numbering puts every internal vertex after its parent, so
 leaf sets (bitmasks with bit i for leaf i, or frozensets) are collected from
 the last vertex up and depths from the first down.  join, vertex_over,
-children, leaves_over, covering_pairs and the chart layer's join tables read
-the result; only children and leaves_over are cached on a tree.
+children, leaves_over and covering_pairs read the result; only children and
+leaves_over are cached on a tree, and the chart layer builds its per-tree
+plan (joins included) from those two.
 
 A parent array from outside the library, through FTree(n, parent) or tree
 JSON, is read by one function, _from_parents: it accepts any vertex

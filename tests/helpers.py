@@ -675,7 +675,7 @@ def reference_vertex_over(t, labels, over):
 
 
 def reference_join_tables(t):
-    """The pair and triple join arrays of canonical._join_tables, one join per tuple."""
+    """The pair and triple join arrays of a tree's chart plan, one join per tuple."""
     pairs = itertools.combinations(range(1, t.n + 1), 2)
     triples = itertools.permutations(range(1, t.n + 1), 3)
     return (
@@ -684,17 +684,45 @@ def reference_join_tables(t):
     )
 
 
-def reference_cluster_centers(t, top, leaf_pos):
-    """Recursive child averages under `top`, deepest vertices first."""
-    centers = dict(leaf_pos)
-    order = sorted(
-        (v for v in (0, *t.internal_vertices) if top in t.root_path(v)),
-        key=t.depth,
-        reverse=True,
-    )
-    for v in order:
-        centers[v] = np.mean([centers[c] for c in t.children[v]], axis=0)
-    return centers
+def reference_invert(t, a):
+    """invert_chart as a walk over per-vertex dicts, one frame per vertex, with
+    cluster centres averaged in root-path depth order, deepest vertices first."""
+
+    def centres(top, leaf_pos):
+        out = dict(leaf_pos)
+        order = sorted(
+            (v for v in (0, *t.internal_vertices) if top in t.root_path(v)),
+            key=t.depth,
+            reverse=True,
+        )
+        for v in order:
+            out[v] = np.mean([out[c] for c in t.children[v]], axis=0)
+        return out
+
+    frames = {0: centres(0, {i: a.x[i - 1] for i in _labels(t.n)})}
+    for v in t.internal_vertices:
+        i0 = min(t.leaves_over[t.children[v][0]])
+        k0 = min(t.leaves_over[t.children[v][1]])
+        z = {i0: np.zeros(a.m)}
+        for j in sorted(t.leaves_over[v] - {i0}):
+            length = 1.0 if j == k0 else a.D[i0 - 1, j - 1, k0 - 1]
+            z[j] = length * a.U[j - 1, i0 - 1]
+        frames[v] = centres(v, z)
+    root = np.stack([frames[0][c] for c in t.children[0]])
+    configs, scales = {}, {}
+    for v in t.internal_vertices:
+        frame = frames[v]
+        rows = np.stack([frame[c] for c in t.children[v]]) - frame[v]
+        configs[v] = rows / float(np.linalg.norm(rows, axis=1).max())
+        parent = t.parent[v]
+        pframe = frames[parent]
+        d_v = max(float(np.linalg.norm(pframe[c] - pframe[v])) for c in t.children[v])
+        if parent == 0:
+            scales[v] = d_v
+        else:
+            d_p = max(float(np.linalg.norm(pframe[c] - pframe[parent])) for c in t.children[parent])
+            scales[v] = d_v / d_p
+    return cs.StratumPoint(t, root, configs, scales)
 
 
 # -- per-pair direction reconstruction reference ------------------------------------------

@@ -1,6 +1,8 @@
 """Canonical coordinates: lifting, membership, classification, charts."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -384,6 +386,105 @@ def test_stratum_point_validation():
         cs.StratumPoint(t, np.array([[0.0]]), {3: np.array([[-1.0], [1.0]])}, {3: 0.5})
     with pytest.raises(ValueError, match="missing"):
         cs.StratumPoint(t, np.array([[0.0]]), {}, {})
+
+    # vertex 5 is {1, 2, 3} over (6, 3), vertex 6 is {1, 2} over (1, 2); the
+    # root carries (5, 4); the scale bound of this data is 0.25
+    t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
+    root = np.array([[0.0], [1.0]])
+    pair = np.array([[-1.0], [1.0]])
+    good = {5: pair, 6: pair}
+    cases = [
+        ([[0.0]], good, {5: 0.1, 6: 0.1}, "root configuration size does not match root valence"),
+        ([0.0, 1.0], good, {5: 0.1, 6: 0.1}, r"root configuration must be an \(#v0, m\) array"),
+        (np.zeros((2, 0)), good, {5: 0.1, 6: 0.1}, r"root configuration must be an \(#v0, m\) array"),
+        ([[0.0], [math.inf]], good, {5: 0.1, 6: 0.1}, "root configuration must be finite"),
+        ([[0.5], [0.5]], good, {5: 0.1, 6: 0.1}, "root configuration has coincident points"),
+        (root, {5: pair}, {5: 0.1, 6: 0.1}, "missing configuration for vertex 6"),
+        (root, {5: [[-1.0, 0.0], [1.0, 0.0]], 6: pair}, {5: 0.1, 6: 0.1},
+         "configuration at vertex 5 has wrong shape"),
+        (root, {5: pair, 6: [[-1.0], [0.0], [1.0]]}, {5: 0.1, 6: 0.1},
+         "configuration at vertex 6 has wrong shape"),
+        (root, {5: pair, 6: [[-1.0], [math.nan]]}, {5: 0.1, 6: 0.1},
+         "configuration at vertex 6 must be finite"),
+        (root, {5: [[0.0], [1.0]], 6: pair}, {5: 0.1, 6: 0.1}, "configuration at vertex 5 is not centered"),
+        (root, {5: pair, 6: [[-0.5], [0.5]]}, {5: 0.1, 6: 0.1}, "configuration at vertex 6 is not max-norm 1"),
+        (root, good, {5: 0.1}, "missing scale for vertex 6"),
+        (root, good, {5: 0.3, 6: 0.1}, r"scale 0.3 at vertex 5 outside \[0, 0.25\)"),
+        (root, good, {5: 0.1, 6: -0.1}, r"scale -0.1 at vertex 6 outside \[0, 0.25\)"),
+        # the first bad vertex decides, and every configuration before any scale
+        (root, {5: [[0.0], [1.0]]}, {5: 0.1, 6: 0.1}, "configuration at vertex 5 is not centered"),
+        (root, {6: pair}, {5: 0.1, 6: 0.1}, "missing configuration for vertex 5"),
+        ([[0.5], [0.5]], {}, {}, "root configuration has coincident points"),
+        (root, {5: pair, 6: [[-0.5], [0.5]]}, {}, "configuration at vertex 6 is not max-norm 1"),
+        (root, good, {6: 0.1, 5: 0.5}, r"scale 0.5 at vertex 5 outside \[0, 0.25\)"),
+        (root, good, {6: 0.5}, "missing scale for vertex 5"),
+    ]
+    for root_config, configs, scales, message in cases:
+        with pytest.raises(ValueError, match=message):
+            cs.StratumPoint(t, np.asarray(root_config, dtype=float), configs, scales)
+    three = cs.tree_from_nested([{1, 2, 3}], 4)
+    with pytest.raises(ValueError, match="configuration at vertex 5 has coincident points"):
+        cs.StratumPoint(three, root, {5: [[-1.0], [0.5], [0.5]]}, {5: 0.1})
+
+    # malformed fields are rejected with the field and the vertex named
+    for root_config, configs, scales, message in [
+        (None, good, {5: 0.1, 6: 0.1}, r"root configuration must be an \(#v0, m\) array"),
+        ([[0.0], [1.0, 2.0]], good, {5: 0.1, 6: 0.1}, r"root configuration must be an \(#v0, m\) array"),
+        (root, {5: pair, 6: [[-1.0], [1.0, 2.0]]}, {5: 0.1, 6: 0.1},
+         "configuration at vertex 6 is not a numeric array"),
+        (root, {5: [["a"], ["b"]], 6: pair}, {5: 0.1, 6: 0.1}, "configuration at vertex 5 is not a numeric array"),
+        (root, good, {5: 0.1, 6: None}, "scale at vertex 6 is not a number"),
+        (root, good, {5: np.array([0.1, 0.2]), 6: 0.1}, "scale at vertex 5 is not a number"),
+        (root, good, {5: 0.1, 6: "oops"}, "scale at vertex 6 is not a number"),
+        (root, {**good, 99: pair}, {5: 0.1, 6: 0.1}, "configs key 99 is not an internal vertex"),
+        (root, {0: root, **good}, {5: 0.1, 6: 0.1}, "configs key 0 is not an internal vertex"),
+        (root, good, {5: 0.1, 6: 0.1, 99: 0.1}, "scales key 99 is not an internal vertex"),
+        (root, [pair, pair], {5: 0.1, 6: 0.1}, "configs must map internal vertices to configurations"),
+        (root, good, None, "scales must map internal vertices to numbers"),
+        # a bad scale still comes after every configuration, a stray key after its field
+        (root, {5: [[0.0], [1.0]], 6: pair}, {5: None, 6: 0.1}, "configuration at vertex 5 is not centered"),
+        (root, {**good, 99: pair}, {5: 0.5, 6: 0.1}, "configs key 99 is not an internal vertex"),
+        (root, good, {5: 0.5, 6: None, 99: 0.1}, r"scale 0.5 at vertex 5 outside \[0, 0.25\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cs.StratumPoint(t, root_config, configs, scales)
+    # the views of a valid record are checked against a new root and scales
+    s = cs.StratumPoint(t, root, good, {5: 0.1, 6: 0.1})
+    assert cs.StratumPoint(t, s.root_config, s.configs, s.scales).C is s.C
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert np.array_equal(copied.C, s.C) and copied.scales == s.scales
+        assert cs.expand_chart(copied).D.tobytes() == cs.expand_chart(s).D.tobytes()
+    with pytest.raises(ValueError, match="root configuration has coincident points"):
+        cs.StratumPoint(t, [[0.5], [0.5]], s.configs, s.scales)
+    with pytest.raises(ValueError, match=r"scale 0.2 at vertex 6 outside \[0, 0.1428"):
+        cs.StratumPoint(t, [[0.0], [0.5]], s.configs, {**s.scales, 6: 0.2})
+
+
+def test_chart_plan_cache_is_bounded_and_read_only():
+    """Charts on every tree with n <= 5 leave no more plans cached than the
+    cache's fixed size, and no array of a plan or of stratum data is writable."""
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):  # the plan and its centre groups
+            for item in obj:
+                yield from arrays(item)
+
+    plan_of = cs.canonical._chart_plan
+    seen = 0
+    for n in range(1, 6):
+        for t in cs.enumerate_trees(n):
+            s = cs.invert_chart(t, cs.expand_chart(cs.stratum_sample(t, 2, n)))
+            plan = plan_of(t)
+            assert len(plan.pair_join) == n * (n - 1) // 2
+            assert len(plan.triple_join) == n * (n - 1) * (n - 2)
+            for arr in (*arrays(plan), s.C, s.S, s.root_config, *s.configs.values()):
+                assert not arr.flags.writeable
+            seen += 1
+    info = plan_of.cache_info()
+    assert info.maxsize is not None and seen > info.maxsize
+    assert info.currsize <= info.maxsize
 
 
 def test_stratum_sample_deterministic_and_valid():

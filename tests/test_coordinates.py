@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import confspace as cs
-from confspace import canonical
 from helpers import (
     random_frames,
-    reference_cluster_centers,
     reference_diagonal,
     reference_expand,
+    reference_invert,
     reference_lift,
     reference_lift_dicts,
     reference_pullback,
@@ -114,18 +113,8 @@ def _stratum_record(s):
     return s.tree, s.root_config.shape, s.root_config.tobytes(), configs, scales
 
 
-def _root_path_invert(t, a, monkeypatch):
-    """invert_chart with cluster centres averaged in root-path depth order."""
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            canonical, "_cluster_centers",
-            lambda tree, masks, top, pos: reference_cluster_centers(tree, top, pos),
-        )
-        return cs.invert_chart(t, a)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_charts_and_index_maps_match_dict_references(n, monkeypatch):
+def test_charts_and_index_maps_match_dict_references(n):
     """Every tree with n <= 4 and every fifth with n = 5, at m = 1, 2, 3,
     interior and zero-scale, through expand_chart and invert_chart; the index
     maps on a third of those points."""
@@ -136,7 +125,7 @@ def test_charts_and_index_maps_match_dict_references(n, monkeypatch):
                 a = cs.expand_chart(s)
                 assert _record(a) == _record(reference_expand(s))
                 inverted = _stratum_record(cs.invert_chart(t, a))
-                assert inverted == _stratum_record(_root_path_invert(t, a, monkeypatch))
+                assert inverted == _stratum_record(reference_invert(t, a))
                 if (index + m) % 3:
                     continue
                 rng = np.random.default_rng(index)

@@ -136,5 +136,6 @@ def test_tree_structure_matches_root_path_references():
                 assert [cs.join(t, c) for c in subsets] == [reference_join(t, c) for c in subsets]
                 for c in (*subsets, (), (0, 1), (-1,), (n + 1,)):
                     assert t.vertex_over(c) == reference_vertex_over(t, c, over)
-                for got, want in zip(canonical._join_tables(t), reference_join_tables(t)):
+                plan = canonical._chart_plan(t)
+                for got, want in zip((plan.pair_join, plan.triple_join), reference_join_tables(t)):
                     assert np.array_equal(got, want)
