@@ -220,7 +220,7 @@ def normalize(c) -> Configuration:
 
 
 def config_scale(x: np.ndarray) -> float:
-    return max(1.0, float(_norms(x).max()))
+    return max(1.0, float(np.linalg.norm(x, axis=1).max()))
 
 
 # -- manifolds ---------------------------------------------------------------
@@ -377,13 +377,12 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
     i, j = t.pairs.T
     nrm = row_norms(U[..., i, j, :])
     dev = np.abs(nrm - 1.0)
-    unit = dev <= 1e-6
-    if not unit.all():
-        bad = np.flatnonzero(~unit)
+    bad = np.flatnonzero(~(dev <= 1e-6))
+    if bad.size:
         a, b = t.pairs[bad[0] % len(t.pairs)] + 1
         raise ValueError(f"u[{a},{b}] is not a unit vector (norm {nrm.flat[bad[0]]})")
-    if dev.max(initial=0.0) > 1e-12:
-        off = dev > 1e-12
+    off = dev > 1e-12
+    if off.any():
         *lead, p = np.nonzero(off)
         U[(*lead, i[p], j[p])] /= nrm[off][:, None]
     U.flags.writeable = False
@@ -393,9 +392,9 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
 def _ratios(D: np.ndarray) -> np.ndarray:
     """Check that every d_ijk of one D or a stack lies in [0, inf], then freeze D."""
     t = _tables(D.shape[-1])
-    inside = D[(..., *t.triples.T)] >= 0.0
-    if not inside.all():
-        i, j, k = t.triples[np.flatnonzero(~inside)[0] % len(t.triples)] + 1
+    bad = np.flatnonzero(~(D[(..., *t.triples.T)] >= 0.0))
+    if bad.size:
+        i, j, k = t.triples[bad[0] % len(t.triples)] + 1
         raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
     D.flags.writeable = False
     return D
@@ -745,18 +744,13 @@ class _ChartPlan(NamedTuple):
     parent_block: np.ndarray  # (B - 1,) internal block of each parent; -1 for the root
 
 
-def _packed(*tables: tuple[list, int]) -> list[np.ndarray]:
-    """Integer tables as read-only views of one array, converted in one call:
-    a list of ints as a vector (width 0), or as an (L, width) array."""
-    flat: list[int] = []
-    spans = []
-    for values, width in tables:
-        start = len(flat)
-        flat.extend(values)
-        spans.append((start, len(flat), width))
-    arr = np.array(flat, dtype=np.intp)
+def _int_table(values, width: int = 0) -> np.ndarray:
+    """A read-only integer table: a vector, or (L, width) rows of a flat list."""
+    arr = np.array(values, dtype=np.intp)
+    if width:
+        arr = arr.reshape(-1, width)
     arr.flags.writeable = False
-    return [arr[a:b].reshape(-1, width) if width else arr[a:b] for a, b, width in spans]
+    return arr
 
 
 @functools.lru_cache(maxsize=16)
@@ -840,23 +834,6 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
             for j in under:
                 Ji[j] = b
 
-    (starts_t, counts_t, inner, siblings, leaf_states, root_states, spans, parent_block,
-     frames_t, rows_t, scales_t, *centres) = _packed(
-        (starts, 0),
-        (counts, 0),
-        ([x - starts[1] for x in starts[1:]], 0),
-        ([r for q in range(len(blocks)) for x, y in itertools.combinations(range(counts[q]), 2)
-          for r in (starts[q] + x, starts[q] + y)], 2),
-        (sid[0][1 : n + 1], 0),
-        ([sid[0][c] for c in kids[0]], 0),
-        (own + [x for v in internal for x in up[v]], 2),
-        ([t.parent[v] - n - 1 if t.parent[v] else -1 for v in internal], 0),
-        (frames, 5),
-        (path_rows, width),
-        (path_scales, width),
-        *((members, k + 1) for (_, k), members in sorted(groups.items())),
-    )
-
     # the join of leaves is the deepest block over all of them; of three
     # leaves, the shallowest of their pairwise joins
     tab = _tables(n)
@@ -868,30 +845,34 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
     pi, pj = S[pb, tab.upairs.T]
     ti, tj, tk = S[tb, tab.triples.T]
     ids = np.array(blocks)
-    joins = ids[pb], ids[tb], np.stack([np.concatenate([pi, ti, ti]), np.concatenate([pj, tj, tk])])
-    for arr in joins:
-        arr.flags.writeable = False
     return _ChartPlan(
-        starts=starts_t,
-        counts=counts_t,
-        inner=inner,
+        starts=_int_table(starts),
+        counts=_int_table(counts),
+        inner=_int_table([x - starts[1] for x in starts[1:]]),
         config_index=MappingProxyType(
             {v: slice(starts[q], starts[q] + counts[q]) for q, v in enumerate(internal, 1)}
         ),
         scale_index=MappingProxyType({v: v for v in internal}),
-        siblings=siblings.T,
-        pair_join=joins[0],
-        triple_join=joins[1],
+        siblings=_int_table(
+            [r for q in range(len(blocks)) for x, y in itertools.combinations(range(counts[q]), 2)
+             for r in (starts[q] + x, starts[q] + y)],
+            2,
+        ).T,
+        pair_join=_int_table(ids[pb]),
+        triple_join=_int_table(ids[tb]),
         states=count,
-        path_rows=rows_t,
-        path_scales=scales_t,
-        leaf_states=leaf_states,
-        legs=joins[2],
-        frames=frames_t.T,
-        centres=tuple((g[:, 0], g[:, 1:]) for g in centres),
-        root_states=root_states,
-        spans=spans.T,
-        parent_block=parent_block,
+        path_rows=_int_table(path_rows, width),
+        path_scales=_int_table(path_scales, width),
+        leaf_states=_int_table(sid[0][1 : n + 1]),
+        legs=_int_table([np.concatenate([pi, ti, ti]), np.concatenate([pj, tj, tk])]),
+        frames=_int_table(frames, 5).T,
+        centres=tuple(
+            (g[:, 0], g[:, 1:])
+            for g in (_int_table(members, k + 1) for (_, k), members in sorted(groups.items()))
+        ),
+        root_states=_int_table([sid[0][c] for c in kids[0]]),
+        spans=_int_table(own + [x for v in internal for x in up[v]], 2).T,
+        parent_block=_int_table([t.parent[v] - n - 1 if t.parent[v] else -1 for v in internal]),
     )
 
 
@@ -959,34 +940,22 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> tuple[np.nd
         raise ValueError(_ROOT_SHAPE)
     _require_mapping(configs, "configs", "configurations")
     err = None
-    view = isinstance(configs, _Coordinates) and configs._index is plan.config_index
-    if view and configs._array.shape[1] == m:
-        C = configs._array
-        if not C.flags.writeable and root.tobytes() == C[:k0].tobytes():
-            # the rows of a record already checked (only a record's rows are
-            # frozen), as in StratumPoint(t, s.root_config, s.configs, ...)
-            i, j = plan.siblings
-            return C, float(np.fmin.reduce(row_norms(C[i] - C[j]), initial=math.inf))
-        body = [C[k0:]]
-        blocks = len(plan.starts)
-    else:
-        body = []
-        for v, k in zip(t.internal_vertices, plan.counts[1:]):
-            if v not in configs:
-                err = f"missing configuration for vertex {v}"
-                break
-            try:
-                cfg = np.asarray(configs[v], dtype=float)
-            except (TypeError, ValueError):
-                err = f"configuration at vertex {v} is not a numeric array"
-                break
-            if cfg.shape != (k, m):
-                err = f"configuration at vertex {v} has wrong shape"
-                break
-            body.append(cfg)
-        blocks = 1 + len(body)
+    body = []
+    for v, k in zip(t.internal_vertices, plan.counts[1:]):
+        if v not in configs:
+            err = f"missing configuration for vertex {v}"
+            break
+        try:
+            cfg = np.asarray(configs[v], dtype=float)
+        except (TypeError, ValueError):
+            err = f"configuration at vertex {v} is not a numeric array"
+            break
+        if cfg.shape != (k, m):
+            err = f"configuration at vertex {v} has wrong shape"
+            break
+        body.append(cfg)
     C = np.concatenate([root, *body])
-    q = _check_rows(plan, t, C, blocks)
+    q = _check_rows(plan, t, C, 1 + len(body))
     if err:
         raise ValueError(err)
     if len(configs) != len(plan.config_index):
@@ -1005,6 +974,12 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
+def _min_gap(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> float:
+    """Smallest distance between rows i[p] and j[p] (inf for no pairs); NaN
+    distances are skipped."""
+    return float(np.fmin.reduce(row_norms(rows[i] - rows[j]), initial=math.inf))
+
+
 def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, blocks: int) -> float:
     """Check the first `blocks` blocks of C: every row finite, each internal
     block centred with max norm 1, and no two sibling rows equal.  Returns the
@@ -1017,16 +992,17 @@ def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, blocks: int) ->
     inner = C[plan.counts[0] :]
     first = plan.inner[: blocks - 1]
     with np.errstate(invalid="ignore", over="ignore"):
-        gaps = row_norms(C[i] - C[j])
+        q = _min_gap(C, i, j)
         off = row_norms(np.add.reduceat(inner, first) / plan.counts[1:blocks, None]) > 1e-8
         wide = np.abs(np.maximum.reduceat(_norms(inner), first) - 1.0) > 1e-8
-    q = float(np.fmin.reduce(gaps, initial=math.inf))
     if finite and q > 0.0 and not (off | wide).any():
         return q
     faults = np.zeros((blocks, 4), dtype=bool)
     faults[:, 0] = ~np.logical_and.reduceat(np.isfinite(C).all(axis=1), plan.starts[:blocks])
     faults[1:, 1], faults[1:, 2] = off, wide
-    faults[np.searchsorted(plan.starts, i[gaps == 0.0], "right") - 1, 3] = True
+    with np.errstate(invalid="ignore", over="ignore"):
+        coincident = i[row_norms(C[i] - C[j]) == 0.0]
+    faults[np.searchsorted(plan.starts, coincident, "right") - 1, 3] = True
     b = int(np.flatnonzero(faults.any(axis=1))[0])
     fault = _ROW_FAULTS[int(np.argmax(faults[b]))]
     if b == 0:
@@ -1038,25 +1014,21 @@ def _scale_array(plan: _ChartPlan, t: trees.FTree, scales, bound: float) -> np.n
     """The frozen (V,) scale array, every scale checked against the bound in
     vertex order."""
     n = t.n
+    _require_mapping(scales, "scales", "numbers")
     err = None
-    if isinstance(scales, _Coordinates) and scales._index is plan.scale_index:
-        S = scales._array
-        vals = S[n + 1 :]
-    else:
-        _require_mapping(scales, "scales", "numbers")
-        vals = []
-        for v in t.internal_vertices:
-            if v not in scales:
-                err = f"missing scale for vertex {v}"
-                break
-            try:
-                vals.append(float(scales[v]))
-            except (TypeError, ValueError):
-                err = f"scale at vertex {v} is not a number"
-                break
-        S = np.zeros(t.num_vertices)
-        S[n + 1 : n + 1 + len(vals)] = vals
-        vals = S[n + 1 : n + 1 + len(vals)]
+    vals = []
+    for v in t.internal_vertices:
+        if v not in scales:
+            err = f"missing scale for vertex {v}"
+            break
+        try:
+            vals.append(float(scales[v]))
+        except (TypeError, ValueError):
+            err = f"scale at vertex {v} is not a number"
+            break
+    S = np.zeros(t.num_vertices)
+    S[n + 1 : n + 1 + len(vals)] = vals
+    vals = S[n + 1 : n + 1 + len(vals)]
     inside = (vals >= 0.0) & (vals < bound + 1e-12)
     if not inside.all():
         p = np.flatnonzero(~inside)[0]
@@ -1070,19 +1042,16 @@ def _scale_array(plan: _ChartPlan, t: trees.FTree, scales, bound: float) -> np.n
     return S
 
 
-def _min_pairwise(rows: np.ndarray) -> float:
-    """Smallest distance between two rows (inf for fewer than two); NaN
-    distances are skipped."""
-    i, j = _tables(len(rows)).upairs.T
-    return float(np.fmin.reduce(row_norms(rows[i] - rows[j]), initial=math.inf))
-
-
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
     """Largest admissible scale parameter for the given stratum data."""
-    rows = (root_config, *(configs[v] for v in tree.internal_vertices))
-    rows = np.concatenate([np.asarray(r, dtype=float) for r in rows])
-    i, j = _chart_plan(tree).siblings
-    return _scale_bound(float(np.fmin.reduce(row_norms(rows[i] - rows[j]), initial=math.inf)))
+    plan = _chart_plan(tree)
+    blocks = (0, *tree.internal_vertices)
+    rows = [np.asarray(root_config if v == 0 else configs[v], dtype=float) for v in blocks]
+    for v, r, k in zip(blocks, rows, plan.counts):
+        if r.ndim != 2 or r.shape != (k, rows[0].shape[1]):
+            where = "root configuration" if v == 0 else f"configuration at vertex {v}"
+            raise ValueError(f"{where} has wrong shape")
+    return _scale_bound(_min_gap(np.concatenate(rows), *plan.siblings))
 
 
 def _scale_bound(q: float) -> float:
@@ -1202,11 +1171,11 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
         for _ in range(10_000):
             pts = rng.uniform(-1.0, 1.0, size=(k, m))
             pts = pts - pts.mean(axis=0)
-            top = float(_norms(pts).max())
+            top = float(np.linalg.norm(pts, axis=1).max())
             if top == 0.0:
                 continue
             pts = pts / top
-            if k == 1 or _min_pairwise(pts) >= margin:
+            if k == 1 or _min_gap(pts, *_tables(k).upairs.T) >= margin:
                 return pts
         raise RuntimeError("sampling failed to reach the separation margin")
 

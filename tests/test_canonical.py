@@ -450,7 +450,7 @@ def test_stratum_point_validation():
             cs.StratumPoint(t, root_config, configs, scales)
     # the views of a valid record are checked against a new root and scales
     s = cs.StratumPoint(t, root, good, {5: 0.1, 6: 0.1})
-    assert cs.StratumPoint(t, s.root_config, s.configs, s.scales).C is s.C
+    assert cs.StratumPoint(t, s.root_config, s.configs, s.scales).C.tobytes() == s.C.tobytes()
     for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert np.array_equal(copied.C, s.C) and copied.scales == s.scales
         assert cs.expand_chart(copied).D.tobytes() == cs.expand_chart(s).D.tobytes()
@@ -458,6 +458,22 @@ def test_stratum_point_validation():
         cs.StratumPoint(t, [[0.5], [0.5]], s.configs, s.scales)
     with pytest.raises(ValueError, match=r"scale 0.2 at vertex 6 outside \[0, 0.1428"):
         cs.StratumPoint(t, [[0.0], [0.5]], s.configs, {**s.scales, 6: 0.2})
+
+
+def test_scale_bound_checks_block_shapes():
+    # vertex 5 is {1, 2, 3} over (6, 3), vertex 6 is {1, 2} over (1, 2)
+    t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
+    root = [[0.0], [1.0]]
+    pair = [[-1.0], [1.0]]
+    assert cs.scale_bound(t, root, {5: pair, 6: pair}) == 0.25
+    for root_config, configs, message in [
+        (root, {5: [[-1.0], [0.0], [1.0]], 6: pair}, "configuration at vertex 5 has wrong shape"),
+        (root, {5: pair, 6: [[-1.0, 0.0], [1.0, 0.0]]}, "configuration at vertex 6 has wrong shape"),
+        ([0.0, 1.0], {5: pair, 6: pair}, "root configuration has wrong shape"),
+        ([[0.0], [0.5], [1.0]], {5: pair, 6: pair}, "root configuration has wrong shape"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cs.scale_bound(t, root_config, configs)
 
 
 def test_chart_plan_cache_is_bounded_and_read_only():
