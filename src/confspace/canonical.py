@@ -31,7 +31,11 @@ scales are read-only mappings over C and S keyed by internal vertex.  Every
 table that depends only on a tree's shape (the row layout, sibling pairs,
 joins, expansion paths, and invert_chart's frames and centre groups) is
 built once into the tree's chart plan, held in a bounded cache: a chart
-round trip reads its tree's plan nine times in a row, so a small cache hits.
+round trip reads its tree's plan seven times in a row, so a small cache hits.
+A record built from mappings and one that invert_chart or stratum_sample
+builds from the C and S arrays it has just computed pass the same check
+(_set_record): the rows in one array pass, then the scales against the
+bound of the rows' smallest sibling gap.
 """
 
 from __future__ import annotations
@@ -220,7 +224,7 @@ def normalize(c) -> Configuration:
 
 
 def config_scale(x: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(x, axis=1).max()))
+    return max(1.0, float(_norms(x).max()))
 
 
 # -- manifolds ---------------------------------------------------------------
@@ -756,8 +760,9 @@ def _int_table(values, width: int = 0) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _chart_plan(t: trees.FTree) -> _ChartPlan:
     """The chart plan of a tree shape.  The cache is small: a chart round
-    trip reads its tree's plan nine times in a row and then moves on, and a
-    plan takes about 12 KB at n = 6 and 67 KB at n = 12."""
+    trip (a sample, three expansions, two inversions and one record built
+    from mappings) reads its tree's plan seven times in a row and then moves
+    on, and a plan takes about 12 KB at n = 6 and 67 KB at n = 12."""
     n, kids, nv = t.n, t.children, t.num_vertices
     blocks = (0, *t.internal_vertices)
     internal = blocks[1:]
@@ -903,34 +908,70 @@ class StratumPoint:
 
     def __post_init__(self):
         plan = _chart_plan(self.tree)
-        C, q = _config_rows(plan, self.tree, self.root_config, self.configs)
-        S = _scale_array(plan, self.tree, self.scales, _scale_bound(q))
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "root_config", C[: plan.counts[0]])
-        object.__setattr__(self, "configs", _Coordinates(C, plan.config_index))
-        object.__setattr__(self, "scales", _Coordinates(S, plan.scale_index))
+        C = _config_rows(plan, self.tree, self.root_config, self.configs)
+        S, err = _scale_values(plan, self.tree, self.scales)
+        _set_record(self, plan, C, lambda bound: S)
+        if err:
+            raise ValueError(err)
 
     @property
     def m(self) -> int:
         return self.C.shape[1]
 
 
-def _require_mapping(data, name: str, what: str):
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{name} must map internal vertices to {what}")
+def _stratum(t: trees.FTree, plan: _ChartPlan, C: np.ndarray, scales) -> StratumPoint:
+    """A StratumPoint over rows C that this module has just computed, in the
+    plan's layout, and the (V,) scale array scales(bound) for the bound C
+    allows: checked like every record, without the mapping loops."""
+    s = object.__new__(StratumPoint)
+    object.__setattr__(s, "tree", t)
+    _set_record(s, plan, C, scales)
+    return s
+
+
+def _set_record(s: StratumPoint, plan: _ChartPlan, C: np.ndarray, scales) -> None:
+    """The one check path of a StratumPoint: the rows C in one array pass,
+    then the scales scales(bound) against the bound of C's smallest sibling
+    gap, in vertex order.  Freezes both arrays and sets s's fields."""
+    t = s.tree
+    bound = _scale_bound(_check_rows(plan, t, C, len(plan.starts)))
+    S = scales(bound)
+    vals = S[t.n + 1 :]
+    inside = (vals >= 0.0) & (vals < bound + 1e-12)
+    if not inside.all():
+        p = np.flatnonzero(~inside)[0]
+        raise ValueError(f"scale {float(vals[p])} at vertex {t.n + 1 + p} outside [0, {bound})")
+    C.flags.writeable = False
+    S.flags.writeable = False
+    object.__setattr__(s, "C", C)
+    object.__setattr__(s, "S", S)
+    object.__setattr__(s, "root_config", C[: plan.counts[0]])
+    object.__setattr__(s, "configs", _Coordinates(C, plan.config_index))
+    object.__setattr__(s, "scales", _Coordinates(S, plan.scale_index))
 
 
 _ROOT_SHAPE = "root configuration must be an (#v0, m) array"
 
 
-def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> tuple[np.ndarray, float]:
-    """The frozen rows C of the root and vertex configurations, checked in one
-    array pass, and the smallest gap between two sibling rows.  Raises the
-    message of the first bad vertex, the root first."""
+def _float_array(value) -> np.ndarray:
+    """np.asarray(value, dtype=float), except that numbers written as
+    strings are not numbers (TypeError)."""
+    raw = np.asarray(value)
+    if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+        isinstance(x, (str, bytes)) for x in raw.flat
+    ):
+        raise TypeError("numbers written as strings")
+    return np.asarray(value, dtype=float)
+
+
+def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> np.ndarray:
+    """The rows C of the root and vertex configurations, in the plan's
+    layout.  A missing, malformed or stray configuration raises after the
+    blocks before it are checked, so the first bad vertex decides, the root
+    first."""
     k0 = plan.counts[0]
     try:
-        root = np.asarray(root, dtype=float)
+        root = _float_array(root)
     except (TypeError, ValueError):
         raise ValueError(_ROOT_SHAPE) from None
     if root.ndim and root.shape[0] != k0:
@@ -938,7 +979,8 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> tuple[np.nd
     m = root.shape[1] if root.ndim == 2 else 0
     if root.ndim != 2 or m < 1:
         raise ValueError(_ROOT_SHAPE)
-    _require_mapping(configs, "configs", "configurations")
+    if not isinstance(configs, Mapping):
+        raise ValueError("configs must map internal vertices to configurations")
     err = None
     body = []
     for v, k in zip(t.internal_vertices, plan.counts[1:]):
@@ -946,7 +988,7 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> tuple[np.nd
             err = f"missing configuration for vertex {v}"
             break
         try:
-            cfg = np.asarray(configs[v], dtype=float)
+            cfg = _float_array(configs[v])
         except (TypeError, ValueError):
             err = f"configuration at vertex {v} is not a numeric array"
             break
@@ -955,14 +997,13 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> tuple[np.nd
             break
         body.append(cfg)
     C = np.concatenate([root, *body])
-    q = _check_rows(plan, t, C, 1 + len(body))
-    if err:
-        raise ValueError(err)
-    if len(configs) != len(plan.config_index):
+    if not err and len(configs) != len(plan.config_index):
         key = next(key for key in configs if key not in plan.config_index)
-        raise ValueError(f"configs key {key!r} is not an internal vertex")
-    C.flags.writeable = False
-    return C, q
+        err = f"configs key {key!r} is not an internal vertex"
+    if err:
+        _check_rows(plan, t, C, 1 + len(body))
+        raise ValueError(err)
+    return C
 
 
 _ROW_FAULTS = ("must be finite", "is not centered", "is not max-norm 1", "has coincident points")
@@ -1010,36 +1051,33 @@ def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, blocks: int) ->
     raise ValueError(f"configuration at vertex {t.n + b} {fault}")
 
 
-def _scale_array(plan: _ChartPlan, t: trees.FTree, scales, bound: float) -> np.ndarray:
-    """The frozen (V,) scale array, every scale checked against the bound in
-    vertex order."""
-    n = t.n
-    _require_mapping(scales, "scales", "numbers")
-    err = None
+def _scale_values(plan: _ChartPlan, t: trees.FTree, scales) -> tuple[np.ndarray, str | None]:
+    """The (V,) scale array of a scales mapping, and the message of its first
+    fault: not a mapping, a missing scale or one that is not a number (a
+    number written as a string is not one), or a stray key.  Scales after a
+    fault stay 0, so a range check of the array covers the ones before it."""
+    S = np.zeros(t.num_vertices)
+    if not isinstance(scales, Mapping):
+        return S, "scales must map internal vertices to numbers"
     vals = []
+    err = None
     for v in t.internal_vertices:
         if v not in scales:
             err = f"missing scale for vertex {v}"
             break
+        value = scales[v]
         try:
-            vals.append(float(scales[v]))
+            if isinstance(value, (str, bytes)):
+                raise TypeError("a number written as a string")
+            vals.append(float(value))
         except (TypeError, ValueError):
             err = f"scale at vertex {v} is not a number"
             break
-    S = np.zeros(t.num_vertices)
-    S[n + 1 : n + 1 + len(vals)] = vals
-    vals = S[n + 1 : n + 1 + len(vals)]
-    inside = (vals >= 0.0) & (vals < bound + 1e-12)
-    if not inside.all():
-        p = np.flatnonzero(~inside)[0]
-        raise ValueError(f"scale {float(vals[p])} at vertex {n + 1 + p} outside [0, {bound})")
-    if err:
-        raise ValueError(err)
-    if len(scales) != len(plan.scale_index):
+    S[t.n + 1 : t.n + 1 + len(vals)] = vals
+    if not err and len(scales) != len(plan.scale_index):
         key = next(key for key in scales if key not in plan.scale_index)
-        raise ValueError(f"scales key {key!r} is not an internal vertex")
-    S.flags.writeable = False
-    return S
+        err = f"scales key {key!r} is not an internal vertex"
+    return S, err
 
 
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
@@ -1156,8 +1194,7 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     C = np.concatenate([Z[plan.root_states], rows / np.repeat(extent, plan.counts[1:])[:, None]])
     S = np.zeros(T.num_vertices)
     S[T.n + 1 :] = d_v / d_p
-    configs, scales = _Coordinates(C, plan.config_index), _Coordinates(S, plan.scale_index)
-    return StratumPoint(T, C[: plan.counts[0]], configs, scales)
+    return _stratum(T, plan, C, lambda bound: S)
 
 
 def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
@@ -1181,10 +1218,14 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
 
     k0 = len(T.children[0])
     root = rng.normal(size=(1, m)) if k0 == 1 else draw(k0)
-    configs = {v: draw(len(T.children[v])) for v in T.internal_vertices}
-    bound = scale_bound(T, root, configs)
-    scales = {v: float(rng.uniform(0.0, bound)) for v in T.internal_vertices}
-    return StratumPoint(T, root, configs, scales)
+    C = np.concatenate([root, *(draw(len(T.children[v])) for v in T.internal_vertices)])
+
+    def scales(bound: float) -> np.ndarray:
+        S = np.zeros(T.num_vertices)
+        S[T.n + 1 :] = [float(rng.uniform(0.0, bound)) for _ in T.internal_vertices]
+        return S
+
+    return _stratum(T, _chart_plan(T), C, scales)
 
 
 # -- comparison helpers --------------------------------------------------------

@@ -32,6 +32,18 @@ JSON, is read by one function, _from_parents: it accepts any vertex
 numbering, checks the array, collects leaf-set bitmasks deepest vertex first
 without recursion and builds the tree through _from_family, the canonical
 builder every other tree comes from.
+
+Nested sets and exclusion relations reach that builder through one check,
+_laminar_tree: it builds the tree of a family of leaf-set bitmasks and
+compares the built tree's leaf sets with the family, which agree exactly
+when the family is laminar; only a family that is not laminar pays for a
+search, for its first pair that is not nested in label order.
+tree_from_nested checks each set and hands over its bitmask.
+tree_from_exclusions reads the relation in one pass: each triple is checked
+(labels, mirror, conflict) and ORed into near[i, k], the bitmask of the j
+with ((i, j), k) in the relation.  With every mirror present, transitivity
+is one subset test per triple, near[x, y] within near[x, z], and the
+clusters are the sets near[i, k] plus i.
 """
 
 from __future__ import annotations
@@ -146,24 +158,6 @@ def corolla(n: int) -> FTree:
 # -- nested-set encoding ---------------------------------------------------
 
 
-def _check_nested(sets: Iterable[frozenset[int]], n: int) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for raw in sets:
-        a = frozenset(raw)
-        if len(a) < 2:
-            raise ValueError(f"member set {sorted(a)} has fewer than two labels")
-        if not a <= frozenset(range(1, n + 1)):
-            raise ValueError(f"member set {sorted(a)} not within 1..{n}")
-        out.add(a)
-    for a, b in itertools.combinations(out, 2):
-        inter = a & b
-        if inter and inter != a and inter != b:
-            raise ValueError(
-                f"sets {sorted(a)} and {sorted(b)} are not nested"
-            )
-    return out
-
-
 def _trusted(n: int, parent: tuple[int, ...]) -> FTree:
     """An FTree over a parent array already known to be canonical."""
     tree = object.__new__(FTree)
@@ -179,7 +173,9 @@ def _from_family(masks: Sequence[int], n: int) -> FTree:
     set containing it (the root if none does) and each leaf below the first
     set containing it.  Internal vertices are numbered depth first, visiting
     children by lowest leaf label: that is the order of the sets' root paths
-    written as lowest-label sequences, which is the canonical order.
+    written as lowest-label sequences, which is the canonical order.  A
+    family that is not laminar still gives a tree, whose leaf sets differ
+    from the family: _laminar_tree tells the two cases apart that way.
     """
     k = len(masks)
     up = [k] * k  # index k stands for the root
@@ -273,10 +269,46 @@ def _mask(labels: Iterable[int]) -> int:
 
 def tree_from_nested(sets: Iterable[Iterable[int]], n: int) -> FTree:
     """Build the tree whose internal vertices carry the given nested leaf sets."""
-    coll = _check_nested(map(frozenset, sets), n)
+    labels = frozenset(range(1, n + 1))
+    masks = []
+    for raw in sets:
+        a = frozenset(raw)
+        if len(a) < 2:
+            raise ValueError(f"member set {sorted(a)} has fewer than two labels")
+        if not a <= labels:
+            raise ValueError(f"member set {sorted(a)} not within 1..{n}")
+        masks.append(_mask(a))
+    return _laminar_tree(masks, n)
+
+
+def _laminar_tree(masks: Iterable[int], n: int) -> FTree:
+    """The tree of a family of leaf-set bitmasks over 1..n, checked laminar.
+
+    The canonical builder runs on the family first.  The leaf sets of any
+    tree are laminar, and the builder reproduces every laminar family, so
+    the built tree's leaf sets equal the family exactly when the family is
+    laminar.  Otherwise the error names the first pair that is not nested,
+    with the sets ordered by their sorted labels.
+    """
     if n < 1:
         raise ValueError("a tree needs at least one leaf")
-    return _from_family(sorted(map(_mask, coll), key=int.bit_count), n)
+    family = set(masks)
+    tree = _from_family(sorted(family, key=int.bit_count), n)
+    if _clusters(tree) == family:
+        return tree
+    ordered = sorted((_labels(m), m) for m in family)
+    la, lb = next(
+        (la, lb)
+        for pos, (la, a) in enumerate(ordered)
+        for lb, b in ordered[pos + 1 :]
+        if a & b not in (0, a, b)
+    )
+    raise ValueError(f"sets {la} and {lb} are not nested")
+
+
+def _labels(mask: int) -> list[int]:
+    """The sorted labels of a leaf-set bitmask."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 def _bit(i: int) -> int:
@@ -298,6 +330,11 @@ def _unions(tree: FTree, leaf, empty) -> list:
     for v in range(len(parent) - 1, n, -1):
         over[parent[v]] |= over[v]
     return over
+
+
+def _clusters(tree: FTree) -> set[int]:
+    """The leaf-set bitmasks of the internal vertices: the nested collection."""
+    return set(_unions(tree, _bit, 0)[tree.n + 1 :])
 
 
 def _structure(tree: FTree) -> tuple[list[int], list[int]]:
@@ -324,27 +361,6 @@ def nested_collection(tree: FTree) -> frozenset[frozenset[int]]:
 # -- exclusion-relation encoding --------------------------------------------
 
 
-def _check_exclusions(triples: Iterable[Triple], n: int) -> frozenset[Triple]:
-    rel = frozenset(triples)
-    labels = frozenset(range(1, n + 1))
-    for (i, j), k in rel:
-        if len({i, j, k}) != 3 or not {i, j, k} <= labels:
-            raise ValueError(f"bad exclusion triple (({i},{j}),{k})")
-        if ((j, i), k) not in rel:
-            raise ValueError(f"exclusion (({i},{j}),{k}) lacks its mirror")
-        if ((i, k), j) in rel:
-            raise ValueError(
-                f"exclusions (({i},{j}),{k}) and (({i},{k}),{j}) conflict"
-            )
-    for (x, y), z in rel:
-        for (w, x2), y2 in rel:
-            if x2 == x and y2 == y and ((w, x), z) not in rel:
-                raise ValueError(
-                    f"exclusion relation not transitive at (({w},{x}),{z})"
-                )
-    return rel
-
-
 def exclusion_relation(tree: FTree) -> frozenset[Triple]:
     """All triples ((i,j),k) with i,j over an internal vertex not above k."""
     out: set[Triple] = set()
@@ -362,20 +378,36 @@ def tree_from_exclusions(
     """Rebuild a tree from its exclusion relation.
 
     The relation cannot distinguish a univalent root, so `trunk` says whether
-    the full leaf set should be added as a cluster.
+    the full leaf set should be added as a cluster.  Raises if the relation
+    breaks an exclusion axiom or its clusters are not nested.
     """
-    rel = _check_exclusions(triples, n)
-    sets: set[frozenset[int]] = set()
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            a = {j for j in range(1, n + 1) if ((i, j), k) in rel}
-            if a:
-                sets.add(frozenset(a | {i}))
+    rel = frozenset(triples)
+    bit = {i: 1 << i for i in range(1, n + 1)}
+    # near[i, k]: bitmask of the j with ((i, j), k) in the relation.  Once
+    # every mirror is present it is also the bitmask of the w with ((w, i), k).
+    near: dict[tuple[int, int], int] = {}
+    for (i, j), k in rel:
+        if i == j or i == k or j == k or i not in bit or j not in bit or k not in bit:
+            raise ValueError(f"bad exclusion triple (({i},{j}),{k})")
+        if ((j, i), k) not in rel:
+            raise ValueError(f"exclusion (({i},{j}),{k}) lacks its mirror")
+        if ((i, k), j) in rel:
+            raise ValueError(
+                f"exclusions (({i},{j}),{k}) and (({i},{k}),{j}) conflict"
+            )
+        near[i, k] = near.get((i, k), 0) | bit[j]
+    # transitivity: ((x, y), z) and ((w, x), y) force ((w, x), z)
+    for (x, y), z in rel:
+        if near.get((x, y), 0) & ~near.get((x, z), 0):
+            w = next(
+                w for (w, x2), y2 in rel
+                if x2 == x and y2 == y and ((w, x), z) not in rel
+            )
+            raise ValueError(f"exclusion relation not transitive at (({w},{x}),{z})")
+    clusters = [mask | bit[i] for (i, _), mask in near.items()]
     if trunk and n >= 2:
-        sets.add(frozenset(range(1, n + 1)))
-    return tree_from_nested(sets, n)
+        clusters.append((1 << (n + 1)) - 2)
+    return _laminar_tree(clusters, n)
 
 
 # -- poset structure ---------------------------------------------------------
@@ -402,7 +434,7 @@ def leq(tree: FTree, other: FTree) -> bool:
     """True iff `other` is a contraction of `tree` (other is less degenerate)."""
     if tree.n != other.n:
         raise ValueError("trees have different leaf counts")
-    return nested_collection(other) <= nested_collection(tree)
+    return _clusters(other) <= _clusters(tree)
 
 
 def codim(tree: FTree) -> int:
@@ -459,7 +491,7 @@ def covering_pairs(trees: Sequence[FTree]) -> list[tuple[int, int]]:
     its family of cluster bitmasks, so repeated trees all get their edges.
     Pairs come sorted.
     """
-    families = [(t.n, frozenset(_unions(t, _bit, 0)[t.n + 1 :])) for t in trees]
+    families = [(t.n, frozenset(_clusters(t))) for t in trees]
     where: dict[tuple[int, frozenset[int]], list[int]] = {}
     for idx, key in enumerate(families):
         where.setdefault(key, []).append(idx)

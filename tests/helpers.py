@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from hypothesis import strategies as st
 
 import confspace as cs
 from confspace import jsonio
@@ -147,6 +148,25 @@ def brute_nested_collections(n: int):
 # -- reference tree builder and enumeration ------------------------------------------
 
 
+@st.composite
+def set_families(draw, max_n=7):
+    """(n, a list of distinct leaf sets of size >= 2 over 1..n), n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    if n < 2:
+        return n, []
+    raw = draw(st.lists(st.sets(st.integers(1, n), min_size=2, max_size=n), max_size=10))
+    return n, list(dict.fromkeys(map(frozenset, raw)))
+
+
+def laminar_part(family):
+    """The sets of a family nested in or disjoint from every earlier kept set."""
+    kept = []
+    for a in family:
+        if all(not a & b or a <= b or b <= a for b in kept):
+            kept.append(a)
+    return kept
+
+
 def reference_tree_from_nested(sets, n):
     """Canonical tree of a nested family via frozensets and the public FTree.
 
@@ -193,6 +213,67 @@ def reference_tree_from_nested(sets, n):
 
     visit(None, 0)
     return cs.FTree(n, tuple(parent))
+
+
+def reference_check_nested(sets, n):
+    """The pairwise nested-set check over frozensets: a crossing pair is named
+    in set iteration order."""
+    out = set()
+    for raw in sets:
+        a = frozenset(raw)
+        if len(a) < 2:
+            raise ValueError(f"member set {sorted(a)} has fewer than two labels")
+        if not a <= frozenset(range(1, n + 1)):
+            raise ValueError(f"member set {sorted(a)} not within 1..{n}")
+        out.add(a)
+    for a, b in itertools.combinations(out, 2):
+        inter = a & b
+        if inter and inter != a and inter != b:
+            raise ValueError(
+                f"sets {sorted(a)} and {sorted(b)} are not nested"
+            )
+    return out
+
+
+def _reference_check_exclusions(triples, n):
+    rel = frozenset(triples)
+    labels = frozenset(range(1, n + 1))
+    for (i, j), k in rel:
+        if len({i, j, k}) != 3 or not {i, j, k} <= labels:
+            raise ValueError(f"bad exclusion triple (({i},{j}),{k})")
+        if ((j, i), k) not in rel:
+            raise ValueError(f"exclusion (({i},{j}),{k}) lacks its mirror")
+        if ((i, k), j) in rel:
+            raise ValueError(
+                f"exclusions (({i},{j}),{k}) and (({i},{k}),{j}) conflict"
+            )
+    for (x, y), z in rel:
+        for (w, x2), y2 in rel:
+            if x2 == x and y2 == y and ((w, x), z) not in rel:
+                raise ValueError(
+                    f"exclusion relation not transitive at (({w},{x}),{z})"
+                )
+    return rel
+
+
+def reference_tree_from_exclusions(triples, n, trunk=False):
+    """tree_from_exclusions with a pairwise transitivity check over the
+    relation, per-pair cluster sets and the pairwise nested-set check."""
+    rel = _reference_check_exclusions(triples, n)
+    sets = set()
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            if k == i:
+                continue
+            a = {j for j in range(1, n + 1) if ((i, j), k) in rel}
+            if a:
+                sets.add(frozenset(a | {i}))
+    if trunk and n >= 2:
+        sets.add(frozenset(range(1, n + 1)))
+    coll = reference_check_nested(sets, n)
+    if n < 1:
+        raise ValueError("a tree needs at least one leaf")
+    return reference_tree_from_nested(coll, n)
 
 
 def reference_nested_backtrack(candidates):

@@ -436,6 +436,16 @@ def test_stratum_point_validation():
         (root, good, {5: 0.1, 6: None}, "scale at vertex 6 is not a number"),
         (root, good, {5: np.array([0.1, 0.2]), 6: 0.1}, "scale at vertex 5 is not a number"),
         (root, good, {5: 0.1, 6: "oops"}, "scale at vertex 6 is not a number"),
+        # numbers written as strings are not numbers, even where float() reads them
+        ([["0"], ["1"]], {5: [["-1"], ["1"]], 6: pair}, {5: "0.1", 6: 0.1},
+         r"root configuration must be an \(#v0, m\) array"),
+        (root, {5: [["-1"], ["1"]], 6: pair}, {5: "0.1", 6: 0.1},
+         "configuration at vertex 5 is not a numeric array"),
+        (root, {5: pair, 6: np.array([[-1.0], ["1"]], dtype=object)}, {5: 0.1, 6: 0.1},
+         "configuration at vertex 6 is not a numeric array"),
+        (root, good, {5: "0.1", 6: 0.1}, "scale at vertex 5 is not a number"),
+        (root, good, {5: 0.1, 6: b"0.1"}, "scale at vertex 6 is not a number"),
+        (root, good, {5: 0.1, 6: np.str_("0.1")}, "scale at vertex 6 is not a number"),
         (root, {**good, 99: pair}, {5: 0.1, 6: 0.1}, "configs key 99 is not an internal vertex"),
         (root, {0: root, **good}, {5: 0.1, 6: 0.1}, "configs key 0 is not an internal vertex"),
         (root, good, {5: 0.1, 6: 0.1, 99: 0.1}, "scales key 99 is not an internal vertex"),

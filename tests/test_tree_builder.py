@@ -1,13 +1,17 @@
 """The bitmask tree builder against the frozenset reference it replaced."""
 
 import itertools
+import re
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, settings
 
 import confspace as cs
 from confspace import canonical, cli, jsonio
 from helpers import (
+    laminar_part,
+    reference_check_nested,
     reference_children,
     reference_covers,
     reference_enumerate_trees,
@@ -15,8 +19,10 @@ from helpers import (
     reference_join,
     reference_join_tables,
     reference_leaves_over,
+    reference_tree_from_exclusions,
     reference_tree_from_nested,
     reference_vertex_over,
+    set_families,
 )
 
 
@@ -46,30 +52,76 @@ def test_enumerated_trees_pass_the_public_check():
                 assert cs.FTree(t.n, t.parent) == t
 
 
-@st.composite
-def laminar_families(draw):
-    n = draw(st.integers(1, 7))
-    if n < 2:
-        return n, []
-    raw = draw(
-        st.lists(st.sets(st.integers(1, n), min_size=2, max_size=n), max_size=10)
-    )
-    family = []
-    for a in map(frozenset, raw):
-        if a not in family and all(not a & b or a <= b or b <= a for b in family):
-            family.append(a)
-    return n, family
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(laminar_families())
+@given(set_families())
 def test_tree_from_nested_matches_reference(case):
-    n, family = case
+    """Every drawn family, cut to its laminar part, builds the reference
+    tree; a family that is not laminar raises, naming its first pair that
+    is not nested in label order, as the pairwise check would."""
+    n, raw = case
+    family = laminar_part(raw)
     got = cs.tree_from_nested(family, n)
     want = reference_tree_from_nested(family, n)
     assert got.parent == want.parent
     assert got == cs.FTree(n, got.parent)
     assert cs.nested_collection(got) == frozenset(family)
+    crossing = [
+        (a, b)
+        for a, b in itertools.combinations(sorted(sorted(a) for a in set(raw)), 2)
+        if set(a) & set(b) and not (set(a) <= set(b) or set(b) <= set(a))
+    ]
+    if crossing:
+        a, b = crossing[0]
+        with pytest.raises(ValueError, match=re.escape(f"sets {a} and {b} are not nested")):
+            cs.tree_from_nested(raw, n)
+        with pytest.raises(ValueError, match=r"sets \[.*\] and \[.*\] are not nested"):
+            reference_check_nested(raw, n)
+
+
+def _outcome(build, rel, n, trunk):
+    """The tree's parent array, or the error message; a pair of sets that
+    are not nested is blanked, since the pairwise check named one in set
+    iteration order."""
+    try:
+        return build(rel, n, trunk).parent
+    except ValueError as err:
+        return re.sub(r"^sets \[[\d, ]*\] and \[[\d, ]*\]", "sets [...] and [...]", str(err))
+
+
+def test_tree_from_exclusions_matches_reference():
+    """The one-pass reader against the pairwise checks it replaced: the same
+    tree, or the same error message, on every relation of a tree with n <= 5 under
+    both trunk flags, and on seeded perturbations of each: one triple dropped
+    or added, a mirrored pair dropped or added."""
+    rng = np.random.default_rng(14)
+    for n in range(1, 6):
+        triples = list(itertools.permutations(range(1, n + 1), 3))
+        for t in cs.enumerate_trees(n):
+            rel = sorted(cs.exclusion_relation(t))
+            cases = [rel]
+            if rel:
+                drop = int(rng.integers(len(rel)))
+                (i, j), k = rel[drop]
+                cases += [rel[:drop] + rel[drop + 1 :], [x for x in rel if x not in (((i, j), k), ((j, i), k))]]
+            if triples:
+                i, j, k = triples[int(rng.integers(len(triples)))]
+                cases += [rel + [((i, j), k)], rel + [((i, j), k), ((j, i), k)]]
+            for case in cases:
+                for trunk in (False, True):
+                    got = _outcome(cs.tree_from_exclusions, case, n, trunk)
+                    assert got == _outcome(reference_tree_from_exclusions, case, n, trunk), (case, trunk)
+            assert cs.tree_from_exclusions(rel, n, t.has_trunk) == t
+
+
+def test_tree_from_nested_reads_a_deep_caterpillar():
+    """The caterpillar {1, 2} < {1, 2, 3} < ... at n = 2000: the laminarity
+    check is one build and one comparison, not a test of every pair."""
+    n = 2000
+    t = cs.tree_from_nested([range(1, k + 1) for k in range(2, n + 1)], n)
+    assert cs.codim(t) == n - 1 and t.depth(1) == n
+    n = 300
+    with pytest.raises(ValueError, match=re.escape(f"{n - 2}, {n - 1}] and [{n - 1}, {n}] are not nested")):
+        cs.tree_from_nested([range(1, k + 1) for k in range(2, n)] + [(n - 1, n)], n)
 
 
 # -- the face poset and the covering relation ---------------------------------------------
