@@ -44,7 +44,6 @@ from .canonical import (
     scale_bound,
     stratum_sample,
     stratum_tree,
-    xr_mul,
 )
 from .simplicial import (
     Circuit3,

@@ -4,7 +4,9 @@ A point of the ambient space is a triple of coordinate families: positions
 x_i in R^m, pairwise unit directions u_ij, and pairwise-relative distance
 ratios d_ijk in [0, inf].  Open configurations embed through
 lift_configuration; the compactification is characterized inside the ambient
-space by the conditions that membership_canonical verifies.  Boundary points
+space by the conditions that membership_canonical verifies; on a submanifold
+of R^m the manifold descriptor (Euclidean, Sphere) adds its own clauses as
+check blocks, and its dimension must match the point's.  Boundary points
 are organized by trees: expand_chart / invert_chart realize the chart maps
 between tree-indexed stratum data and ambient coordinates; one private kernel
 evaluates the chart for a stack of scale factors (2^-k for `degenerate`) at once.
@@ -59,33 +61,17 @@ Index3 = tuple[int, int, int]
 DEFAULT_TOL = 1e-9
 
 
-def ordered_triples(n: int):
-    return itertools.permutations(range(1, n + 1), 3)
-
-
 # -- extended ratio arithmetic ----------------------------------------------
 
 
-def xr_mul(a: float, b: float) -> float:
-    """Product on [0, inf] with the boundary convention 0 * inf = 1."""
-    if (a == 0.0 and math.isinf(b)) or (math.isinf(a) and b == 0.0):
-        return 1.0
-    return a * b
-
-
-def extended_product_residual(values: Sequence[float]) -> float:
-    """How far a product of extended ratios is from 1.
+def _extended_residuals(values: np.ndarray) -> np.ndarray:
+    """How far the product of each row of a (T, k) array of extended ratios is from 1.
 
     For all-finite nonzero entries this is |prod - 1|.  Degenerate entries
     are limits of telescoping products that are identically 1, so the only
     checkable constraint is that a zero entry is accompanied by an infinite
     one and vice versa.
     """
-    return float(_extended_residuals(np.asarray(values, dtype=float).reshape(1, -1))[0])
-
-
-def _extended_residuals(values: np.ndarray) -> np.ndarray:
-    """extended_product_residual of every row of a (T, k) array."""
     zeros = (values == 0.0).any(axis=1)
     infs = np.isinf(values).any(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -228,13 +214,22 @@ def config_scale(x: np.ndarray) -> float:
 
 
 # -- manifolds ---------------------------------------------------------------
+# A descriptor is a submanifold of R^m that gives membership its own check
+# blocks: blocks(...) for a point whose pairs closer than `near` coincide,
+# frame_blocks(x, frames) for the (n, m) frames of a framed point.
 
 
 @dataclass(frozen=True)
 class Euclidean:
-    """Flat R^m."""
+    """Flat R^m: it adds no check."""
 
     m: int
+
+    def blocks(self, prefix: str, x, U, dist, near) -> list[_Block]:
+        return []
+
+    def frame_blocks(self, x, frames) -> list[_Block]:
+        return []
 
 
 @dataclass(frozen=True)
@@ -247,11 +242,20 @@ class Sphere:
     def m(self) -> int:
         return self.dim + 1
 
-    def on_manifold_residual(self, x: np.ndarray) -> float:
-        return abs(float(np.linalg.norm(x)) - 1.0)
+    def blocks(self, prefix: str, x, U, dist, near) -> list[_Block]:
+        """on-manifold |x_i| - 1 for every point, and tangency <u_ij, x_i> for
+        every coincident pair (residuals are absolute values)."""
+        t = _tables(len(x))
+        close = t.pairs[dist[t.pairs[:, 0], t.pairs[:, 1]] <= near]
+        i, j = close.T
+        return [
+            (f"{prefix}-on-manifold", np.arange(len(x))[:, None], np.abs(row_norms(x) - 1.0), None),
+            (f"{prefix}-tangency", close, np.abs(row_dots(U[i, j], x[i])), None),
+        ]
 
-    def tangency_residual(self, u: np.ndarray, x: np.ndarray) -> float:
-        return abs(float(np.dot(u, x)))
+    def frame_blocks(self, x, frames) -> list[_Block]:
+        """frame-tangency <f_i, x_i> for every frame (absolute values)."""
+        return [("frame-tangency", np.arange(len(x))[:, None], np.abs(row_dots(frames, x)), None)]
 
 
 ManifoldDescriptor = Euclidean | Sphere
@@ -593,25 +597,14 @@ def _shared_blocks(
     return direction, antisymmetry, dependence
 
 
-def _sphere_blocks(
-    prefix: str, manifold: Sphere, x: np.ndarray, U: np.ndarray, dist: np.ndarray, near: float
-) -> list[_Block]:
-    """On-manifold clause for every point, tangency for every coincident pair."""
-    t = _tables(x.shape[0])
-    on = np.array([manifold.on_manifold_residual(row) for row in x])
-    close = t.pairs[dist[t.pairs[:, 0], t.pairs[:, 1]] <= near]
-    tangent = np.array([manifold.tangency_residual(U[i, j], x[i]) for i, j in close])
-    return [
-        (f"{prefix}-on-manifold", np.arange(len(x))[:, None], on, None),
-        (f"{prefix}-tangency", close, tangent, None),
-    ]
-
-
 def _check_manifold(manifold: ManifoldDescriptor | None, m: int) -> ManifoldDescriptor:
+    """The descriptor a check of a point in R^m uses: flat R^m by default."""
     if manifold is None:
         return Euclidean(m)
-    if isinstance(manifold, Sphere) and manifold.m != m:
-        raise ValueError("sphere dimension does not match the point")
+    if manifold.m != m:
+        raise ValueError(
+            f"manifold embedding dimension {manifold.m} does not match the point dimension {m}"
+        )
     return manifold
 
 
@@ -624,8 +617,8 @@ def membership_canonical(
     differ (condition 1), the law-of-sines determination of d and its
     vanishing on two-point clusters (condition 2), antisymmetry and
     non-negative dependence of direction triangles (condition 3), the
-    extended-ratio product identities (condition 4), and for a sphere the
-    on-manifold and tangency clauses (condition 5).
+    extended-ratio product identities (condition 4), and the manifold's own
+    clauses (condition 5: on-manifold and tangency for a sphere, none for R^m).
 
     Violations are reported in that order: 1-direction, then 1-ratio and
     1-ratio-vanishing interleaved by triple, 2-law-of-sines and
@@ -636,7 +629,11 @@ def membership_canonical(
     array kernel over the point's U and D, read through index tables cached
     per n.
     """
-    manifold = _check_manifold(manifold, a.m)
+    return _verdict(_canonical_blocks(a, _check_manifold(manifold, a.m), tol), tol)
+
+
+def _canonical_blocks(a: AmbientPoint, manifold: ManifoldDescriptor, tol: float) -> list[_Block]:
+    """membership_canonical's check blocks, in its report order."""
     t = _tables(a.n)
     U, D = a.U, a.D
     i, j, k = t.triples.T
@@ -674,16 +671,14 @@ def membership_canonical(
         factors = [D[tuple(table[:, s] for s in slot)] for slot in slots]
         return _extended_residuals(np.stack(factors, axis=1))
 
-    blocks = [
+    return [
         direction, ratio, sines, antisymmetry, dependence,
         ("4-reciprocal", t.reciprocal, products(t.reciprocal, (0, 1, 2), (0, 2, 1)), None),
         ("4-cyclic", t.cyclic, products(t.cyclic, (0, 1, 2), (1, 2, 0), (2, 0, 1)), None),
         ("4-cocycle", perms4, products(perms4, (0, 1, 2), (0, 2, 3), (0, 3, 1)), None),
+        # condition 5: submanifold clauses
+        *manifold.blocks("5", a.x, U, dist, near),
     ]
-    # condition 5: submanifold clauses
-    if isinstance(manifold, Sphere):
-        blocks += _sphere_blocks("5", manifold, a.x, U, dist, near)
-    return _verdict(blocks, tol)
 
 
 # -- stratum classification ---------------------------------------------------
@@ -961,7 +956,15 @@ def _float_array(value) -> np.ndarray:
         isinstance(x, (str, bytes)) for x in raw.flat
     ):
         raise TypeError("numbers written as strings")
-    return np.asarray(value, dtype=float)
+    return np.asarray(raw, dtype=float)
+
+
+def _float(value) -> float:
+    """float(value), except that a number written as a string is not a
+    number (TypeError): _float_array's rule for one number."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError("a number written as a string")
+    return float(value)
 
 
 def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> np.ndarray:
@@ -1065,11 +1068,8 @@ def _scale_values(plan: _ChartPlan, t: trees.FTree, scales) -> tuple[np.ndarray,
         if v not in scales:
             err = f"missing scale for vertex {v}"
             break
-        value = scales[v]
         try:
-            if isinstance(value, (str, bytes)):
-                raise TypeError("a number written as a string")
-            vals.append(float(value))
+            vals.append(_float(scales[v]))
         except (TypeError, ValueError):
             err = f"scale at vertex {v} is not a number"
             break

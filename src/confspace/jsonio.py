@@ -18,6 +18,8 @@ from .canonical import (
     Configuration,
     StratumPoint,
     Verdict,
+    _float,
+    _float_array,
     _tables,
     ambient_point,
 )
@@ -180,14 +182,15 @@ def _index_key(key: str, arity: int, field: str) -> tuple[int, ...]:
 
 def _floats(value, field: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        return _float_array(value)
     except (TypeError, ValueError):
         raise ValueError(f"field {field!r} is not numeric") from None
 
 
 def _number(value, field: str) -> float:
+    """A number field; of the strings, only the format's "inf" and "-inf"."""
     try:
-        return float(value)
+        return _float(_revive(value))
     except (TypeError, ValueError):
         raise ValueError(f"field {field!r} is not a number") from None
 

@@ -29,17 +29,18 @@ from .canonical import (
     Euclidean,
     ManifoldDescriptor,
     SimplicialPoint,
-    Sphere,
     Verdict,
-    Violation,
+    _canonical_blocks,
+    _check_manifold,
     _relabel,
     _tables,
     _trusted,
+    _verdict,
     ambient_point,  # unused here; perfbench/selftest.py checks this binding site
     membership_canonical,
 )
 from .numerics import require_unit
-from .simplicial import membership_simplicial
+from .simplicial import _simplicial_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,20 +84,12 @@ def framed_point(point, frames) -> FramedPoint:
 def membership_framed(
     fp: FramedPoint, manifold: ManifoldDescriptor | None = None, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    """Membership of the underlying point plus tangency of the frames."""
-    if fp.is_ambient:
-        base = membership_canonical(fp.point, manifold, tol)
-    else:
-        base = membership_simplicial(fp.point, manifold, tol)
-    violations = list(base.violations)
-    worst = base.max_residual
-    if isinstance(manifold, Sphere):
-        for i in range(1, fp.n + 1):
-            res = manifold.tangency_residual(fp.frames[i], fp.point.x[i - 1])
-            worst = max(worst, res)
-            if res > tol:
-                violations.append(Violation("frame-tangency", (i,), res))
-    return Verdict(tuple(violations), worst)
+    """Membership of the underlying point plus the manifold's frame clauses
+    (frame-tangency for a sphere), reported after the point's."""
+    manifold = _check_manifold(manifold, fp.m)
+    blocks = (_canonical_blocks if fp.is_ambient else _simplicial_blocks)(fp.point, manifold, tol)
+    frames = np.reshape([fp.frames[i] for i in range(1, fp.n + 1)], (fp.n, fp.m))
+    return _verdict([*blocks, *manifold.frame_blocks(fp.point.x, frames)], tol)
 
 
 # -- coordinate projections -----------------------------------------------------

@@ -41,8 +41,8 @@ from .canonical import (
     Configuration,
     ManifoldDescriptor,
     SimplicialPoint,
-    Sphere,
     Verdict,
+    _Block,
     _check_manifold,
     _distances,
     _gather_directions,
@@ -50,7 +50,6 @@ from .canonical import (
     _positions,
     _quads,
     _shared_blocks,
-    _sphere_blocks,
     _tables,
     _trusted,
     _unit_directions,
@@ -287,7 +286,7 @@ def membership_simplicial(
     Checks macroscopic consistency of directions with distinct positions,
     antisymmetry, non-negative dependence on all triangles, the consistency
     identity on every four-index subset at all coordinate-basis probe pairs,
-    and the sphere clauses when applicable.
+    and the manifold's own clauses (on-manifold and tangency for a sphere).
 
     Violations are reported in that order: S1-direction, S2-antisymmetry,
     S2-dependence, S3-four-consistency, S4-on-manifold, S4-tangency.  Within
@@ -297,17 +296,21 @@ def membership_simplicial(
     over the point's U, read through index tables cached per n; the first
     three are the same kernels as in membership_canonical.
     """
-    manifold = _check_manifold(manifold, p.m)
+    return _verdict(_simplicial_blocks(p, _check_manifold(manifold, p.m), tol), tol)
+
+
+def _simplicial_blocks(
+    p: SimplicialPoint, manifold: ManifoldDescriptor, tol: float
+) -> list[_Block]:
+    """membership_simplicial's check blocks, in its report order."""
     U = p.U
     dist = _distances(p.x)
     near = tol * config_scale(p.x)
-    blocks = [
+    return [
         *_shared_blocks(("S1", "S2"), p.x, U, dist, near, tol),
         _four_consistency_block(U, tol),
+        *manifold.blocks("S4", p.x, U, dist, near),
     ]
-    if isinstance(manifold, Sphere):
-        blocks += _sphere_blocks("S4", manifold, p.x, U, dist, near)
-    return _verdict(blocks, tol)
 
 
 def _four_consistency_block(U: np.ndarray, tol: float):

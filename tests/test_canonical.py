@@ -1,6 +1,7 @@
 """Canonical coordinates: lifting, membership, classification, charts."""
 
 import copy
+import itertools
 import math
 import pickle
 
@@ -114,22 +115,18 @@ def test_law_of_sines_against_distance_ratio():
 # -- extended ratios --------------------------------------------------------------------
 
 
-def test_extended_ratio_convention():
-    assert cs.xr_mul(0.0, math.inf) == 1.0
-    assert cs.xr_mul(math.inf, 0.0) == 1.0
-    assert cs.xr_mul(2.0, math.inf) == math.inf
-    assert cs.xr_mul(0.5, 2.0) == 1.0
-
-
 def test_extended_product_patterns():
-    from confspace.canonical import extended_product_residual
+    from confspace.canonical import _extended_residuals
 
-    assert extended_product_residual([0.5, 2.0]) == 0.0
-    assert extended_product_residual([0.0, math.inf, 1.0]) == 0.0
-    assert extended_product_residual([0.0, math.inf, math.inf]) == 0.0
-    assert extended_product_residual([0.0, 1.0, 1.0]) == math.inf
-    assert extended_product_residual([math.inf, math.inf]) == math.inf
-    assert abs(extended_product_residual([2.0, 1.0, 1.0]) - 1.0) < 1e-15
+    def residual(values):
+        return float(_extended_residuals(np.array([values]))[0])
+
+    assert residual([0.5, 2.0]) == 0.0
+    assert residual([0.0, math.inf, 1.0]) == 0.0
+    assert residual([0.0, math.inf, math.inf]) == 0.0
+    assert residual([0.0, 1.0, 1.0]) == math.inf
+    assert residual([math.inf, math.inf]) == math.inf
+    assert abs(residual([2.0, 1.0, 1.0]) - 1.0) < 1e-15
 
 
 def test_ratio_cocycles_on_lifts():
@@ -138,10 +135,8 @@ def test_ratio_cocycles_on_lifts():
         n = int(rng.integers(3, 8))
         m = int(rng.integers(1, 5))
         a = lift(sample_config(rng, n, m, min_sep=0.15))
-        for i, j, k in cs.canonical.ordered_triples(n):
+        for i, j, k in itertools.permutations(range(1, n + 1), 3):
             assert abs(a.d[(i, j, k)] * a.d[(i, k, j)] - 1.0) <= 1e-12
-        import itertools
-
         for i, j, k, l in itertools.permutations(range(1, n + 1), 4):
             prod = a.d[(i, j, k)] * a.d[(i, k, l)] * a.d[(i, l, j)]
             assert abs(prod - 1.0) <= 1e-10
@@ -171,18 +166,43 @@ def test_membership_flags_negated_direction():
     assert any(v.condition.startswith(("1-", "3-")) for v in verdict.violations)
 
 
+# Both variants check the sphere clauses: (entry point, its point, condition prefix).
+SPHERE_CHECKS = (
+    (cs.membership_canonical, lambda a: a, "5"),
+    (cs.membership_simplicial, cs.to_simplicial, "S4"),
+)
+
+
+def _expected(*rows):
+    """The verdict of (condition, indices, residual) rows whose largest
+    residual is the largest of the whole check."""
+    return cs.Verdict(tuple(cs.Violation(*row) for row in rows), max(row[2] for row in rows))
+
+
 def test_membership_sphere_tangency():
     north = np.array([0.0, 0.0, 1.0])
     x = np.stack([north, north])
-    u = {(1, 2): north.copy(), (2, 1): -north}
-    a = cs.ambient_point(x, u, {})
-    verdict = cs.membership_canonical(a, cs.Sphere(2))
-    assert not verdict.passed
-    assert any(v.condition == "5-tangency" for v in verdict.violations)
-    # a tangent direction at the same double point is accepted
+    a = cs.ambient_point(x, {(1, 2): north.copy(), (2, 1): -north}, {})
     tangent = np.array([1.0, 0.0, 0.0])
     ok = cs.ambient_point(x, {(1, 2): tangent, (2, 1): -tangent}, {})
-    assert cs.membership_canonical(ok, cs.Sphere(2)).passed
+    # an oblique direction at a double point off the sphere: each residual is
+    # one np.linalg.norm or np.dot of a row, to the last bit
+    p = np.array([0.3, 0.4, 0.9])
+    v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    oblique = cs.ambient_point(np.stack([p, p]), {(1, 2): v, (2, 1): -v}, {})
+    on = abs(float(np.linalg.norm(p)) - 1.0)
+    for check, point, prefix in SPHERE_CHECKS:
+        assert check(point(a), cs.Sphere(2)) == _expected(
+            (f"{prefix}-tangency", (1, 2), 1.0), (f"{prefix}-tangency", (2, 1), 1.0)
+        )
+        # a tangent direction at the same double point is accepted
+        assert check(point(ok), cs.Sphere(2)) == cs.Verdict((), 0.0)
+        assert check(point(oblique), cs.Sphere(2)) == _expected(
+            (f"{prefix}-on-manifold", (1,), on),
+            (f"{prefix}-on-manifold", (2,), on),
+            (f"{prefix}-tangency", (1, 2), abs(float(np.dot(oblique.u[(1, 2)], p)))),
+            (f"{prefix}-tangency", (2, 1), abs(float(np.dot(oblique.u[(2, 1)], p)))),
+        )
 
 
 def test_membership_rejects_perturbed_ratio():
@@ -213,8 +233,31 @@ def test_boundary_membership_all_trees_low_and_high_dim():
 
 def test_membership_sphere_off_manifold():
     a = lift([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    verdict = cs.membership_canonical(a, cs.Sphere(2))
-    assert any(v.condition == "5-on-manifold" for v in verdict.violations)
+    x = np.array([[1.1, 0.0, 0.0], [0.0, 0.9, 0.0], [0.6, 0.0, 0.8]])
+    on = [abs(float(np.linalg.norm(row)) - 1.0) for row in x]
+    assert on[2] <= 1e-9
+    for check, point, prefix in SPHERE_CHECKS:
+        assert check(point(a), cs.Sphere(2)) == _expected(
+            (f"{prefix}-on-manifold", (1,), 1.0), (f"{prefix}-on-manifold", (2,), 1.0)
+        )
+        assert check(point(lift(x)), cs.Sphere(2)) == _expected(
+            (f"{prefix}-on-manifold", (1,), on[0]), (f"{prefix}-on-manifold", (2,), on[1])
+        )
+
+
+@pytest.mark.parametrize("manifold", [cs.Euclidean(3), cs.Sphere(2)], ids=["euclidean", "sphere"])
+def test_membership_rejects_a_manifold_of_another_dimension(manifold):
+    a = lift([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    p = cs.to_simplicial(a)
+    frames = [np.array([1.0, 0.0])] * 3
+    for check, point in (
+        (cs.membership_canonical, a),
+        (cs.membership_simplicial, p),
+        (cs.membership_framed, cs.framed_point(a, frames)),
+        (cs.membership_framed, cs.framed_point(p, frames)),
+    ):
+        with pytest.raises(ValueError, match="embedding dimension 3 does not match the point dimension 2"):
+            check(point, manifold)
 
 
 # -- classification ---------------------------------------------------------------------------

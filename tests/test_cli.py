@@ -166,6 +166,40 @@ def test_membership_exit_codes(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "group, to_json, prefix",
+    [
+        ("point", jsonio.ambient_to_json, "5"),
+        ("simplicial", lambda a: jsonio.simplicial_to_json(cs.to_simplicial(a)), "S4"),
+    ],
+    ids=["point", "simplicial"],
+)
+def test_membership_on_the_sphere(tmp_path, capsys, group, to_json, prefix):
+    on = tmp_path / "on.json"
+    on.write_text(jsonio.dumps(to_json(cs.lift_configuration(np.eye(3)))))
+    code, out, _ = run(capsys, group, "membership", "--manifold", "sphere", "--in", str(on))
+    verdict = json.loads(out)
+    assert code == 0 and verdict["pass"] is True and verdict["violations"] == []
+    # points off the sphere: one violation per point farther than tol, the
+    # residual |norm - 1| of its row, to the last bit
+    x = np.array([[1.1, 0.0, 0.0], [0.0, 0.9, 0.0], [0.6, 0.0, 0.8]])
+    res = [abs(float(np.linalg.norm(row)) - 1.0) for row in x]
+    off = tmp_path / "off.json"
+    off.write_text(jsonio.dumps(to_json(cs.lift_configuration(x))))
+    code, out, _ = run(capsys, group, "membership", "--manifold", "sphere", "--in", str(off))
+    assert code == 1
+    assert json.loads(out) == {
+        "pass": False,
+        "max_residual": res[0],
+        "violations": [
+            {"condition": f"{prefix}-on-manifold", "indices": [i], "residual": res[i - 1]}
+            for i in (1, 2)
+        ],
+    }
+    code, out, _ = run(capsys, group, "membership", "--manifold", "euclidean", "--in", str(off))
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_domain_error_reports_json_on_stderr(tmp_path, capsys):
     cfg = tmp_path / "dup.json"
     cfg.write_text(jsonio.dumps({"m": 1, "points": [[0.0], [0.0]]}))
@@ -308,11 +342,15 @@ def _loader_inputs():
         (["point", "alpha"], "cfg", ("m", "x"), "m"),
         (["maps", "diagonal", "--index", "1"], "fa", ("frames", 5), "frames"),
         (["simplicial", "project", "--map", "1,2"], "fs", ("frames", 5), "frames"),
+        # numbers written as strings are not numbers ("inf" is revived first)
+        (["chart", "expand"], "stratum", ("scales", {"1,2": "0.1"}), "scales[1,2]"),
+        (["point", "membership"], "ambient", ("x", [["0.1", 0.0], [1.0, 0.0], [0.0, 1.0]]), "x"),
     ],
     ids=[
         "alpha-array", "membership-array", "classify-array", "expand-array",
         "simplicial-membership-array", "maps-project-array", "config-m-list",
         "config-m-string", "diagonal-frames-int", "simplicial-project-frames-int",
+        "scale-string", "x-string",
     ],
 )
 def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, field):

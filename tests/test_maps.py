@@ -356,9 +356,14 @@ def test_membership_framed_sphere_tangency():
     south = -north
     x = np.stack([north, south])
     u = {(1, 2): north.copy(), (2, 1): -north}
-    p = cs.simplicial_point(x, u)
-    good = cs.framed_point(p, [east, east])
-    assert cs.membership_framed(good, cs.Sphere(2)).passed
-    bad = cs.framed_point(p, [north, east])
-    verdict = cs.membership_framed(bad, cs.Sphere(2))
-    assert any(v.condition == "frame-tangency" for v in verdict.violations)
+    for p in (cs.simplicial_point(x, u), cs.ambient_point(x, u, {})):
+        good = cs.framed_point(p, [east, east])
+        assert cs.membership_framed(good, cs.Sphere(2)) == cs.Verdict((), 0.0)
+        bad = cs.framed_point(p, [north, east])
+        verdict = cs.membership_framed(bad, cs.Sphere(2))
+        assert verdict == cs.Verdict((cs.Violation("frame-tangency", (1,), 1.0),), 1.0)
+        # an oblique frame: the residual is one np.dot, to the last bit
+        oblique = cs.framed_point(p, [east, np.array([0.6, 0.0, 0.8])])
+        res = abs(float(np.dot(oblique.frames[2], south)))
+        verdict = cs.membership_framed(oblique, cs.Sphere(2))
+        assert verdict == cs.Verdict((cs.Violation("frame-tangency", (2,), res),), res)
