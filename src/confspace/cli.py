@@ -4,54 +4,26 @@ One subcommand per construction; file based JSON/DOT/CSV input and output.
 Exit codes: 0 on success, 1 on a domain error (a machine-readable error
 object goes to stderr) or a failing membership verdict, 2 on usage errors.
 All outputs are deterministic given the inputs and the seed.
-The argument parser is built once per process and reused by every `main`
-call; each parse returns a fresh namespace.
+
+`COMMANDS` is the one registry of subcommands: each row names the handler,
+the public operations it owns and the options it reads, and the parser is
+built from those rows alone, so a flag a subcommand does not read is a usage
+error. The argument parser is built once per process and reused by every
+`main` call; each parse returns a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import associahedron, canonical, jsonio, maps, simplicial, trees
-
-# Each public operation is owned by exactly one subcommand, whose handler calls
-# it (directly or as part of its pipeline); the coverage test traces one call
-# per subcommand and checks every listed operation against this table.
-COMMAND_OPS = {
-    "trees enumerate": (trees.enumerate_trees,),
-    "trees contract": (trees.contract, trees.nested_collection, trees.tree_from_nested),
-    "trees prune": (trees.prune,),
-    "trees poset": (trees.covering_pairs, trees.codim),
-    "point alpha": (canonical.lift_configuration, canonical.normalize),
-    "point classify": (canonical.stratum_tree, trees.exclusion_relation, trees.tree_from_exclusions),
-    "point membership": (canonical.membership_canonical,),
-    "point project": (simplicial.to_simplicial,),
-    "point permute": (canonical.permute,),
-    "chart expand": (canonical.expand_chart,),
-    "chart invert": (canonical.invert_chart, trees.leq),
-    "chart sample": (canonical.stratum_sample,),
-    "simplicial project": (maps.pullback,),
-    "simplicial membership": (simplicial.membership_simplicial,),
-    "simplicial reconstruct": (simplicial.reconstruct_from_directions,),
-    "simplicial approx": (simplicial.approximating_configuration, simplicial.stratum_tree_of_directions),
-    "simplicial residuals": (simplicial.four_consistency_residual,),
-    "maps project": (maps.project_indices,),
-    "maps diagonal": (maps.diagonal_map,),
-    "maps cosimplicial": (maps.cosimplicial_map,),
-    "assoc faces": (associahedron.face_poset,),
-    "assoc fvector": (associahedron.f_vector,),
-    "assoc realize": (associahedron.realize_face,),
-    "degenerate": (),
-}
-
-PUBLIC_OPERATIONS = frozenset(
-    op for ops in COMMAND_OPS.values() for op in ops
-)
 
 
 def _read_json(path: str):
@@ -75,95 +47,6 @@ def _manifold(kind: str, m: int):
     if kind == "sphere":
         return canonical.Sphere(m - 1)
     return canonical.Euclidean(m)
-
-
-def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json"):
-    p.add_argument("--in", dest="infile", help="input JSON file")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "dot", "csv"], default=fmt_default)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--variant")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="confspace", description=__doc__)
-    groups = top.add_subparsers(dest="group", required=True)
-
-    g = groups.add_parser("trees").add_subparsers(dest="verb", required=True)
-    _add_common(g.add_parser("enumerate"))
-    p = g.add_parser("contract")
-    _add_common(p)
-    p.add_argument("--edges", required=True, help='leaf sets, e.g. "1,2|1,2,3"')
-    p = g.add_parser("prune")
-    _add_common(p)
-    p.add_argument("--map", required=True, help="SetMap JSON file or inline values")
-    _add_common(g.add_parser("poset"))
-
-    g = groups.add_parser("point").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("alpha")
-    _add_common(p)
-    p.add_argument("--normalize", action="store_true")
-    _add_common(g.add_parser("classify"))
-    p = g.add_parser("membership")
-    _add_common(p)
-    p.add_argument("--manifold", choices=["euclidean", "sphere"], default="euclidean")
-    _add_common(g.add_parser("project"))
-    p = g.add_parser("permute")
-    _add_common(p)
-    p.add_argument("--map", required=True)
-
-    g = groups.add_parser("chart").add_subparsers(dest="verb", required=True)
-    _add_common(g.add_parser("expand"))
-    p = g.add_parser("invert")
-    _add_common(p)
-    p.add_argument("--tree", required=True, help="tree JSON file")
-    p = g.add_parser("sample")
-    _add_common(p)
-    p.add_argument("--tree", required=True, help="tree JSON file")
-
-    g = groups.add_parser("simplicial").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("project")
-    _add_common(p)
-    p.add_argument("--map", required=True)
-    p = g.add_parser("membership")
-    _add_common(p)
-    p.add_argument("--manifold", choices=["euclidean", "sphere"], default="euclidean")
-    _add_common(g.add_parser("reconstruct"))
-    p = g.add_parser("approx")
-    _add_common(p)
-    p.add_argument("--eps", type=float, required=True)
-    _add_common(g.add_parser("residuals"), fmt_default="csv")
-
-    g = groups.add_parser("maps").add_subparsers(dest="verb", required=True)
-    p = g.add_parser("project")
-    _add_common(p)
-    p.add_argument("--map", required=True)
-    p = g.add_parser("diagonal")
-    _add_common(p)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--assoc", help="interval parameter JSON file")
-    p = g.add_parser("cosimplicial")
-    _add_common(p)
-    p.add_argument("--map", required=True, help='monotone values, e.g. "0,1,1"')
-
-    g = groups.add_parser("assoc").add_subparsers(dest="verb", required=True)
-    _add_common(g.add_parser("faces"))
-    _add_common(g.add_parser("fvector"), fmt_default="csv")
-    p = g.add_parser("realize")
-    _add_common(p)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--params", help="JSON file of per-vertex parameters")
-
-    p = groups.add_parser("degenerate")
-    _add_common(p, fmt_default="csv")
-    p.add_argument("--kmax", type=int, default=40)
-    return top
-
 
 # -- handlers -------------------------------------------------------------------
 
@@ -235,11 +118,9 @@ def _point_membership(args):
     if variant == "canonical":
         a = jsonio.ambient_from_json(data)
         verdict = canonical.membership_canonical(a, _manifold(args.manifold, a.m), args.tol)
-    elif variant == "simplicial":
+    else:
         p = jsonio.simplicial_from_json(data)
         verdict = simplicial.membership_simplicial(p, _manifold(args.manifold, p.m), args.tol)
-    else:
-        raise ValueError(f"unknown membership variant {variant!r}")
     return jsonio.dumps(jsonio.verdict_to_json(verdict)), (0 if verdict.passed else 1)
 
 
@@ -277,12 +158,6 @@ def _simplicial_project(args):
     return jsonio.dumps(jsonio.framed_to_json(out))
 
 
-def _simplicial_membership(args):
-    p = jsonio.simplicial_from_json(_read_json(args.infile))
-    verdict = simplicial.membership_simplicial(p, _manifold(args.manifold, p.m), args.tol)
-    return jsonio.dumps(jsonio.verdict_to_json(verdict)), (0 if verdict.passed else 1)
-
-
 def _simplicial_reconstruct(args):
     p = jsonio.simplicial_from_json(_read_json(args.infile))
     c = simplicial.reconstruct_from_directions(p.u, args.tol)
@@ -297,8 +172,6 @@ def _simplicial_approx(args):
 
 def _simplicial_residuals(args):
     p = jsonio.simplicial_from_json(_read_json(args.infile))
-    import itertools
-
     rows = []
     basis = np.eye(p.m)
     for quad in itertools.combinations(range(1, p.n + 1), 4):
@@ -365,6 +238,7 @@ def _assoc_realize(args):
         raw = jsonio._object(_read_json(args.params), "params")
         params = {}
         for key, vals in raw.items():
+            vals = jsonio._floats(vals, f"params[{key}]")
             if key == "root":
                 params[0] = vals
             else:
@@ -394,42 +268,143 @@ def _degenerate(args):
     return jsonio.trajectory_csv(header, rows)
 
 
-_HANDLERS = {
-    "trees enumerate": _trees_enumerate,
-    "trees contract": _trees_contract,
-    "trees prune": _trees_prune,
-    "trees poset": _trees_poset,
-    "point alpha": _point_alpha,
-    "point classify": _point_classify,
-    "point membership": _point_membership,
-    "point project": _point_project,
-    "point permute": _point_permute,
-    "chart expand": _chart_expand,
-    "chart invert": _chart_invert,
-    "chart sample": _chart_sample,
-    "simplicial project": _simplicial_project,
-    "simplicial membership": _simplicial_membership,
-    "simplicial reconstruct": _simplicial_reconstruct,
-    "simplicial approx": _simplicial_approx,
-    "simplicial residuals": _simplicial_residuals,
-    "maps project": _maps_project,
-    "maps diagonal": _maps_diagonal,
-    "maps cosimplicial": _maps_cosimplicial,
-    "assoc faces": _assoc_faces,
-    "assoc fvector": _assoc_fvector,
-    "assoc realize": _assoc_realize,
-    "degenerate": _degenerate,
+# -- the registry ---------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    handler: Callable  # args -> text, or (text, exit code)
+    ops: tuple  # the public operations it owns: a call of it runs each one
+    options: tuple  # (flag, add_argument keywords) of every option it reads
+    fixed: dict = {}  # namespace values set without an option
+
+
+def _opt(flag: str, **kwargs):
+    return flag, kwargs
+
+
+def _format(*choices: str):
+    """--format over the formats a subcommand writes, its default first."""
+    return _opt("--format", choices=choices, default=choices[0])
+
+
+_IN = _opt("--in", dest="infile", required=True, help="input JSON file")
+_TOL = _opt("--tol", type=float, default=1e-9)
+_N = _opt("--n", type=int)
+_M = _opt("--m", type=int)
+_MAP = _opt("--map", required=True, help="SetMap JSON file or inline values")
+_TREE = _opt("--tree", required=True, help="tree JSON file")
+_MANIFOLD = _opt("--manifold", choices=["euclidean", "sphere"], default="euclidean")
+_JSON_DOT = _format("json", "dot")
+_CSV_JSON = _format("csv", "json")
+
+COMMANDS = {
+    "trees enumerate": Command(
+        _trees_enumerate, (trees.enumerate_trees,), (_N, _opt("--variant"), _JSON_DOT)
+    ),
+    "trees contract": Command(
+        _trees_contract,
+        (trees.contract, trees.nested_collection, trees.tree_from_nested),
+        (_IN, _opt("--edges", required=True, help='leaf sets, e.g. "1,2|1,2,3"'), _JSON_DOT),
+    ),
+    "trees prune": Command(_trees_prune, (trees.prune,), (_IN, _MAP, _JSON_DOT)),
+    "trees poset": Command(
+        _trees_poset, (trees.covering_pairs, trees.codim), (_N, _opt("--variant"), _JSON_DOT)
+    ),
+    "point alpha": Command(
+        _point_alpha,
+        (canonical.lift_configuration, canonical.normalize),
+        (_IN, _opt("--normalize", action="store_true")),
+    ),
+    "point classify": Command(
+        _point_classify,
+        (canonical.stratum_tree, trees.exclusion_relation, trees.tree_from_exclusions),
+        (_IN, _TOL),
+    ),
+    "point membership": Command(
+        _point_membership,
+        (canonical.membership_canonical,),
+        (_IN, _opt("--variant", choices=["canonical", "simplicial"]), _MANIFOLD, _TOL),
+    ),
+    "point project": Command(_point_project, (simplicial.to_simplicial,), (_IN,)),
+    "point permute": Command(_point_permute, (canonical.permute,), (_IN, _MAP)),
+    "chart expand": Command(_chart_expand, (canonical.expand_chart,), (_IN,)),
+    "chart invert": Command(_chart_invert, (canonical.invert_chart, trees.leq), (_TREE, _IN, _TOL)),
+    "chart sample": Command(
+        _chart_sample, (canonical.stratum_sample,), (_TREE, _M, _opt("--seed", type=int, default=0))
+    ),
+    "simplicial project": Command(_simplicial_project, (maps.pullback,), (_IN, _MAP)),
+    "simplicial membership": Command(
+        _point_membership,
+        (simplicial.membership_simplicial,),
+        (_IN, _MANIFOLD, _TOL),
+        {"variant": "simplicial"},
+    ),
+    "simplicial reconstruct": Command(
+        _simplicial_reconstruct, (simplicial.reconstruct_from_directions,), (_IN, _TOL)
+    ),
+    "simplicial approx": Command(
+        _simplicial_approx,
+        (simplicial.approximating_configuration, simplicial.stratum_tree_of_directions),
+        (_IN, _opt("--eps", type=float, required=True), _TOL),
+    ),
+    "simplicial residuals": Command(
+        _simplicial_residuals, (simplicial.four_consistency_residual,), (_IN, _CSV_JSON)
+    ),
+    "maps project": Command(_maps_project, (maps.project_indices,), (_IN, _MAP)),
+    "maps diagonal": Command(
+        _maps_diagonal,
+        (maps.diagonal_map,),
+        (
+            _IN,
+            _opt("--index", type=int, required=True),
+            _opt("--k", type=int, default=1),
+            _opt("--assoc", help="interval parameter JSON file"),
+            _TOL,
+        ),
+    ),
+    "maps cosimplicial": Command(
+        _maps_cosimplicial,
+        (maps.cosimplicial_map,),
+        (_IN, _opt("--map", required=True, help='monotone values, e.g. "0,1,1"'), _M, _TOL),
+    ),
+    "assoc faces": Command(_assoc_faces, (associahedron.face_poset,), (_N, _JSON_DOT)),
+    "assoc fvector": Command(_assoc_fvector, (associahedron.f_vector,), (_N, _CSV_JSON)),
+    "assoc realize": Command(
+        _assoc_realize,
+        (associahedron.realize_face,),
+        (_TREE, _opt("--params", help="JSON file of per-vertex parameters")),
+    ),
+    "degenerate": Command(_degenerate, (), (_IN, _opt("--kmax", type=int, default=40))),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="confspace", description=__doc__)
+    groups = top.add_subparsers(dest="group", required=True)
+    verbs = {}
+    for name, cmd in COMMANDS.items():
+        group, _, verb = name.partition(" ")
+        if not verb:
+            p = groups.add_parser(group)
+        else:
+            if group not in verbs:
+                verbs[group] = groups.add_parser(group).add_subparsers(dest="verb", required=True)
+            p = verbs[group].add_parser(verb)
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--out", help="output file (default stdout)")
+        p.set_defaults(handler=cmd.handler, **cmd.fixed)
+    return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    key = args.group if args.group == "degenerate" else f"{args.group} {args.verb}"
-    if args.tol <= 0:
+    if getattr(args, "tol", 1.0) <= 0:  # only a subcommand that reads --tol has one
         print('{"error": "usage", "message": "tolerance must be positive"}', file=sys.stderr)
         return 2
     try:
-        result = _HANDLERS[key](args)
+        result = args.handler(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         err = jsonio.dumps({"error": type(exc).__name__, "message": str(exc)})
         print(err, file=sys.stderr, end="")

@@ -1,5 +1,6 @@
 """Command line front end: coverage, determinism, exit codes, pipelines."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -115,18 +116,115 @@ def test_every_operation_owned_by_exactly_one_subcommand(tmp_path, capsys):
         cs.pullback, cs.project_indices, cs.diagonal_map, cs.cosimplicial_map,
         cs.face_poset, cs.f_vector, cs.realize_face,
     }
-    owned = [op for ops in cli.COMMAND_OPS.values() for op in ops]
+    owned = [op for cmd in cli.COMMANDS.values() for op in cmd.ops]
     assert len(owned) == len(set(owned)), "an operation appears twice"
     assert set(owned) == expected
-    assert set(cli.COMMAND_OPS) == set(cli._HANDLERS)
     calls = _one_call_per_subcommand(tmp_path)
-    assert set(calls) == set(cli.COMMAND_OPS)
+    assert set(calls) == set(cli.COMMANDS)
     for key, argv in calls.items():
         code, seen = _called_code(argv)
         capsys.readouterr()
         assert code == 0, key
-        missed = [op.__name__ for op in cli.COMMAND_OPS[key] if op.__code__ not in seen]
+        missed = [op.__name__ for op in cli.COMMANDS[key].ops if op.__code__ not in seen]
         assert not missed, f"{key} does not call {missed}"
+
+
+# -- option surface ---------------------------------------------------------------------
+
+# every option each subcommand accepts; a handler reads each one
+_OPTIONS = {
+    "trees enumerate": {"--n", "--variant", "--format", "--out"},
+    "trees contract": {"--in", "--edges", "--format", "--out"},
+    "trees prune": {"--in", "--map", "--format", "--out"},
+    "trees poset": {"--n", "--variant", "--format", "--out"},
+    "point alpha": {"--in", "--normalize", "--out"},
+    "point classify": {"--in", "--tol", "--out"},
+    "point membership": {"--in", "--variant", "--manifold", "--tol", "--out"},
+    "point project": {"--in", "--out"},
+    "point permute": {"--in", "--map", "--out"},
+    "chart expand": {"--in", "--out"},
+    "chart invert": {"--tree", "--in", "--tol", "--out"},
+    "chart sample": {"--tree", "--m", "--seed", "--out"},
+    "simplicial project": {"--in", "--map", "--out"},
+    "simplicial membership": {"--in", "--manifold", "--tol", "--out"},
+    "simplicial reconstruct": {"--in", "--tol", "--out"},
+    "simplicial approx": {"--in", "--eps", "--tol", "--out"},
+    "simplicial residuals": {"--in", "--format", "--out"},
+    "maps project": {"--in", "--map", "--out"},
+    "maps diagonal": {"--in", "--index", "--k", "--assoc", "--tol", "--out"},
+    "maps cosimplicial": {"--in", "--map", "--m", "--tol", "--out"},
+    "assoc faces": {"--n", "--format", "--out"},
+    "assoc fvector": {"--n", "--format", "--out"},
+    "assoc realize": {"--tree", "--params", "--out"},
+    "degenerate": {"--in", "--kmax", "--out"},
+}
+
+# the formats each subcommand writes, its default first
+_FORMATS = {
+    "trees enumerate": ("json", "dot"),
+    "trees contract": ("json", "dot"),
+    "trees prune": ("json", "dot"),
+    "trees poset": ("json", "dot"),
+    "simplicial residuals": ("csv", "json"),
+    "assoc faces": ("json", "dot"),
+    "assoc fvector": ("csv", "json"),
+}
+
+
+def _subparsers(parser, prefix=()):
+    """(subcommand name, leaf parser) for every subcommand of the parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subparsers(sub, (*prefix, name))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_option_surface_is_what_the_handlers_read():
+    options, formats = {}, {}
+    for key, parser in _subparsers(cli.build_parser()):
+        settable = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        options[key] = {s for a in settable for s in a.option_strings}
+        assert len(options[key]) == len(settable), key
+        for a in settable:
+            if a.dest == "format":
+                formats[key] = (a.default, *(c for c in a.choices if c != a.default))
+    assert options == _OPTIONS
+    assert sum(len(opts) for opts in options.values()) == 85
+    assert sum("--in" in opts for opts in options.values()) == 18
+    assert formats == _FORMATS
+
+
+@pytest.mark.parametrize(
+    "key, extra",
+    [
+        ("chart expand", ["--format", "dot"]),
+        ("trees contract", ["--format", "csv"]),
+        ("degenerate", ["--format", "json"]),
+        ("trees enumerate", ["--seed", "5"]),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, key, extra):
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + extra)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", sorted(k for k, opts in _OPTIONS.items() if "--in" in opts))
+def test_missing_in_is_a_usage_error(tmp_path, capsys, key):
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    at = argv.index("--in")
+    del argv[at:at + 2]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--in" in captured.err and "Traceback" not in captured.err
 
 
 # -- documented examples ------------------------------------------------------------
@@ -415,7 +513,7 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["trees", "bogus"])
     assert exc.value.code == 2
-    code, _, _ = run(capsys, "trees", "enumerate", "--n", "3", "--tol", "-1")
+    code, _, _ = run(capsys, "point", "classify", "--in", "pt.json", "--tol", "-1")
     assert code == 2
 
 
@@ -663,6 +761,22 @@ def test_assoc_realize_command(tmp_path, capsys):
     assert code == 0
     pt = jsonio.ambient_from_json(json.loads(out))
     assert abs(pt.d[(1, 2, 3)] - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "root", [{"a": 1}, ["0", "0.5", "1"]], ids=["object", "numbers-as-strings"]
+)
+def test_assoc_realize_params_follow_the_number_rule(tmp_path, capsys, root):
+    f = tmp_path / "t.json"
+    f.write_text(jsonio.dumps(jsonio.tree_to_json(cs.corolla(3))))
+    params = tmp_path / "p.json"
+    params.write_text(jsonio.dumps({"root": root}))
+    code, out, err = run(
+        capsys, "assoc", "realize", "--tree", str(f), "--params", str(params),
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "params[root]" in payload["message"]
 
 
 def test_assoc_realize_params_array_reports_json(tmp_path, capsys):
