@@ -190,12 +190,12 @@ class Configuration:
         return self.points.shape[1]
 
 
-def as_configuration(c, m: int | None = None) -> Configuration:
+def as_configuration(c) -> Configuration:
     if isinstance(c, Configuration):
         return c
     pts = np.asarray(c, dtype=float)
     if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if m in (None, 1) else pts.reshape(1, -1)
+        pts = pts.reshape(-1, 1)
     return Configuration(pts)
 
 
@@ -266,9 +266,10 @@ ManifoldDescriptor = Euclidean | Sphere
 
 class _Coordinates(Mapping):
     """Read-only mapping view of a dense array: U or D under 1-based label
-    tuples in itertools.permutations order, or a stratum's rows and scales
-    under internal vertices.  The index maps each key to what it reads (an
-    index tuple, a row slice or a position); any other key raises KeyError."""
+    tuples in itertools.permutations order, a framed point's F under labels,
+    or a stratum's rows and scales under internal vertices.  The index maps
+    each key to what it reads (an index tuple, a row slice or a position);
+    any other key raises KeyError."""
 
     __slots__ = ("_array", "_index")
 
@@ -1081,14 +1082,26 @@ def _scale_values(plan: _ChartPlan, t: trees.FTree, scales) -> tuple[np.ndarray,
 
 
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
-    """Largest admissible scale parameter for the given stratum data."""
+    """Largest admissible scale parameter for the given stratum data.  Rejects
+    configs that is not a mapping and names the first configuration (the root
+    first) that is missing, not numeric, misshapen or not finite."""
     plan = _chart_plan(tree)
-    blocks = (0, *tree.internal_vertices)
-    rows = [np.asarray(root_config if v == 0 else configs[v], dtype=float) for v in blocks]
-    for v, r, k in zip(blocks, rows, plan.counts):
-        if r.ndim != 2 or r.shape != (k, rows[0].shape[1]):
-            where = "root configuration" if v == 0 else f"configuration at vertex {v}"
+    if not isinstance(configs, Mapping):
+        raise ValueError("configs must map internal vertices to configurations")
+    rows = []
+    for v, k in zip((0, *tree.internal_vertices), plan.counts):
+        where = "root configuration" if v == 0 else f"configuration at vertex {v}"
+        if v and v not in configs:
+            raise ValueError(f"missing configuration for vertex {v}")
+        try:
+            r = _float_array(configs[v] if v else root_config)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} is not a numeric array") from None
+        if r.ndim != 2 or r.shape[0] != k or r.shape[1] != (rows[0] if rows else r).shape[1]:
             raise ValueError(f"{where} has wrong shape")
+        if not np.isfinite(r).all():
+            raise ValueError(f"{where} must be finite")
+        rows.append(r)
     return _scale_bound(_min_gap(np.concatenate(rows), *plan.siblings))
 
 

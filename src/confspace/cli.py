@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -172,21 +171,15 @@ def _simplicial_approx(args):
 
 def _simplicial_residuals(args):
     p = jsonio.simplicial_from_json(_read_json(args.infile))
-    rows = []
-    basis = np.eye(p.m)
-    for quad in itertools.combinations(range(1, p.n + 1), 4):
-        sub = {(i, j): p.U[i - 1, j - 1] for i, j in itertools.permutations(quad, 2)}
-        for a in range(p.m):
-            for b in range(p.m):
-                res = simplicial.four_consistency_residual(sub, basis[a], basis[b])
-                rows.append((quad, a + 1, b + 1, res))
+    quads, res, _ = simplicial._basis_residuals(p.U)
+    rows = [
+        (quad, a, b, r)
+        for quad, table in zip((quads + 1).tolist(), res.tolist())
+        for a, line in enumerate(table, 1)
+        for b, r in enumerate(line, 1)
+    ]
     if args.format == "json":
-        return jsonio.dumps(
-            [
-                {"subset": list(q), "v": a, "w": b, "residual": r}
-                for q, a, b, r in rows
-            ]
-        )
+        return jsonio.dumps([{"subset": q, "v": a, "w": b, "residual": r} for q, a, b, r in rows])
     return jsonio.residuals_csv(rows)
 
 
@@ -347,9 +340,7 @@ COMMANDS = {
         (simplicial.approximating_configuration, simplicial.stratum_tree_of_directions),
         (_IN, _opt("--eps", type=float, required=True), _TOL),
     ),
-    "simplicial residuals": Command(
-        _simplicial_residuals, (simplicial.four_consistency_residual,), (_IN, _CSV_JSON)
-    ),
+    "simplicial residuals": Command(_simplicial_residuals, (), (_IN, _CSV_JSON)),
     "maps project": Command(_maps_project, (maps.project_indices,), (_IN, _MAP)),
     "maps diagonal": Command(
         _maps_diagonal,

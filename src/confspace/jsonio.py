@@ -120,10 +120,6 @@ def tree_from_json(data: dict) -> trees.FTree:
     )
 
 
-def setmap_to_json(sm: trees.SetMap) -> dict:
-    return {"m": sm.m, "n": sm.n, "map": list(sm.values)}
-
-
 def setmap_from_json(data: dict) -> trees.SetMap:
     data = _object(data, "map")
     m, n = _int(data.get("m"), "m"), _int(data.get("n"), "n")
@@ -231,7 +227,7 @@ def simplicial_from_json(data: dict) -> SimplicialPoint:
 
 def framed_to_json(fp: FramedPoint) -> dict:
     out = _point_to_json(fp.point)
-    out["frames"] = [list(map(float, fp.frames[i])) for i in range(1, fp.n + 1)]
+    out["frames"] = fp.F.tolist()
     return out
 
 

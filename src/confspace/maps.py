@@ -5,6 +5,8 @@ change the index set: injective maps project coordinates, arbitrary maps act
 contravariantly on framed direction points (duplicated indices string out
 along the frame), and framed ratio points admit doubling maps whose ratio
 data on the new cluster come from a compactified-interval parameter.
+A framed point keeps its frames as one frozen (n, m) array F, checked once
+by framed_point; every map selects rows of F and does not check them again.
 
 Orientation convention for a collapsed pair created by a non-injective map:
 u_ij is plus the inherited frame when i < j.  This is the unique
@@ -30,6 +32,7 @@ from .canonical import (
     ManifoldDescriptor,
     SimplicialPoint,
     Verdict,
+    _Coordinates,
     _canonical_blocks,
     _check_manifold,
     _relabel,
@@ -45,10 +48,15 @@ from .simplicial import _simplicial_blocks
 
 @dataclass(frozen=True, eq=False)
 class FramedPoint:
-    """An ambient or simplicial point with a unit tangent vector per index."""
+    """An ambient or simplicial point with a unit tangent vector per index:
+    F[i-1] is the frame at index i, and frames reads F keyed by 1..n."""
 
     point: AmbientPoint | SimplicialPoint
-    frames: dict[int, np.ndarray]
+    F: np.ndarray
+
+    @property
+    def frames(self) -> Mapping[int, np.ndarray]:
+        return _Coordinates(self.F, dict(zip(range(1, self.n + 1), range(self.n))))
 
     @property
     def n(self) -> int:
@@ -64,21 +72,29 @@ class FramedPoint:
 
 
 def framed_point(point, frames) -> FramedPoint:
+    """point with frames, a sequence in index order or a mapping keyed by
+    1..n: the one place frames are checked."""
     if isinstance(frames, np.ndarray) or (
         frames and not isinstance(frames, Mapping)
     ):
         frames = {i + 1: np.asarray(f, dtype=float) for i, f in enumerate(frames)}
-    out: dict[int, np.ndarray] = {}
+    F = np.empty((point.n, point.m))
     for i in range(1, point.n + 1):
         if i not in frames:
             raise ValueError(f"missing frame at index {i}")
-        vec = require_unit(frames[i], f"frame at {i}", slack=1e-6)
+        vec = require_unit(frames[i], f"frame at {i}")
         if vec.shape != (point.m,):
             raise ValueError(f"frame at {i} has wrong dimension")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        out[i] = vec
-    return FramedPoint(point, out)
+        F[i - 1] = vec
+    F.flags.writeable = False
+    return FramedPoint(point, F)
+
+
+def _frame_rows(fp: FramedPoint, values) -> np.ndarray:
+    """The frames of fp at the 1-based labels values, as a new frozen array."""
+    F = fp.F[np.subtract(values, 1)]
+    F.flags.writeable = False
+    return F
 
 
 def membership_framed(
@@ -88,8 +104,7 @@ def membership_framed(
     (frame-tangency for a sphere), reported after the point's."""
     manifold = _check_manifold(manifold, fp.m)
     blocks = (_canonical_blocks if fp.is_ambient else _simplicial_blocks)(fp.point, manifold, tol)
-    frames = np.reshape([fp.frames[i] for i in range(1, fp.n + 1)], (fp.n, fp.m))
-    return _verdict([*blocks, *manifold.frame_blocks(fp.point.x, frames)], tol)
+    return _verdict([*blocks, *manifold.frame_blocks(fp.point.x, fp.F)], tol)
 
 
 # -- coordinate projections -----------------------------------------------------
@@ -105,9 +120,7 @@ def project_indices(sigma: trees.SetMap, p):
     if not sigma.is_injective:
         raise ValueError("projection requires an injective index map")
     if isinstance(p, FramedPoint):
-        inner = project_indices(sigma, p.point)
-        frames = {j: p.frames[sigma(j)] for j in range(1, sigma.m + 1)}
-        return framed_point(inner, frames)
+        return FramedPoint(project_indices(sigma, p.point), _frame_rows(p, sigma.values))
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
     return _trusted(*_relabel(p, sigma.values))
@@ -129,19 +142,18 @@ def pullback(sigma: trees.SetMap, fp: FramedPoint) -> FramedPoint:
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
     x, U, _ = _relabel(p, sigma.values)
-    frames = [fp.frames[v] for v in sigma.values]
-    _frame_collapsed(U, sigma.values, frames)
-    return framed_point(_trusted(x, U), frames)
+    F = _frame_rows(fp, sigma.values)
+    _frame_collapsed(U, sigma.values, F)
+    return FramedPoint(_trusted(x, U), F)
 
 
-def _frame_collapsed(U: np.ndarray, values, frames):
+def _frame_collapsed(U: np.ndarray, values, F: np.ndarray):
     """Where 0-based labels a < b share a target in values, set u_ab to
-    +frames[a] and u_ba to -frames[a], the frame of that common target."""
+    +F[a] and u_ba to -F[a], the frame of that common target."""
     values = np.asarray(values)
     a, b = np.nonzero(np.triu(values[:, None] == values[None, :], 1))
-    frames = np.reshape(frames, (len(values), U.shape[2]))
-    U[a, b] = frames[a]
-    U[b, a] = -frames[a]
+    U[a, b] = F[a]
+    U[b, a] = -F[a]
 
 
 # -- doubling maps -----------------------------------------------------------------
@@ -209,8 +221,8 @@ def diagonal_map(
             raise ValueError("k >= 2 needs an interval parameter")
         _check_assoc_parameter(assoc, k, tol)
     x, U, D = _relabel(p, sigma.values)
-    frames = [fp.frames[v] for v in sigma.values]
-    _frame_collapsed(U, sigma.values, frames)
+    F = _frame_rows(fp, sigma.values)
+    _frame_collapsed(U, sigma.values, F)
     # triples with two indices in the new cluster i..i+k; the gather left
     # NaN there, and the cluster block itself is the interval parameter's
     cluster = slice(i - 1, i + k)
@@ -222,7 +234,7 @@ def diagonal_map(
         D[tuple(triples[mask].T)] = value
     if k >= 2:
         D[cluster, cluster, cluster] = assoc.D
-    return framed_point(_trusted(x, U, D), frames)
+    return FramedPoint(_trusted(x, U, D), F)
 
 
 # -- cosimplicial structure over the interval ---------------------------------------
@@ -264,8 +276,8 @@ def _check_interval_decoration(fp: FramedPoint, tol: float):
     ):
         raise ValueError("end points must sit at 0 and 1")
     if (
-        abs(float(fp.frames[1][0]) - 1.0) > tol
-        or abs(float(fp.frames[p.n][0]) + 1.0) > tol
+        abs(float(fp.F[0, 0]) - 1.0) > tol
+        or abs(float(fp.F[-1, 0]) + 1.0) > tol
     ):
         raise ValueError("end frames must be +1 at 0 and -1 at 1")
 

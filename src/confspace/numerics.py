@@ -5,13 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / nrm
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis.
 
@@ -26,11 +19,14 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
-def require_unit(v: np.ndarray, where: str = "vector", slack: float = 1e-6) -> np.ndarray:
+_UNIT_SLACK = 1e-6  # how far from 1 a norm may be for require_unit to rescale it
+
+
+def require_unit(v: np.ndarray, where: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=float)
     nrm = float(np.linalg.norm(v))
     # written so that a NaN norm fails the test
-    if not abs(nrm - 1.0) <= slack:
+    if not abs(nrm - 1.0) <= _UNIT_SLACK:
         raise ValueError(f"{where} is not a unit vector (norm {nrm})")
     if abs(nrm - 1.0) <= 1e-12:
         return v

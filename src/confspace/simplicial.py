@@ -13,9 +13,12 @@ four-index set modulo reversal, the signed product of the circuit's three
 directions dotted against a probe v and the complementary circuit's three
 dotted against a probe w.  Every term contains each of the six index pairs
 exactly once, so all directions may enter with the smaller index first; the
-sign of a circuit is the parity of its vertex sequence.  The frozen table
-(circuit, complement, sign), validated by the empirical calibration in
-calibrate_circuit_signs, is:
+sign of a circuit is the parity of its vertex sequence.  One kernel
+(_four_consistency) sums it for all four callers: membership's check block
+and the CLI's residual table gather the six pairs from U, and
+four_consistency_residual reads its mapping through _direction_rows.  The
+frozen table (circuit, complement, sign), validated by the empirical
+calibration in calibrate_circuit_signs, is:
 
     +  1-2-3-4  | 2-4-1-3        -  2-1-3-4  | 1-4-2-3
     -  1-2-4-3  | 2-3-1-4        +  2-1-4-3  | 1-3-2-4
@@ -102,37 +105,18 @@ def _parity(seq: Sequence[int]) -> int:
 
 
 def _complement_path(path: tuple[int, ...]) -> tuple[int, ...]:
-    used = {frozenset(e) for e in zip(path, path[1:])}
-    rest = [
-        (a, b)
-        for a, b in itertools.combinations(range(4), 2)
-        if frozenset((a, b)) not in used
-    ]
-    degree: dict[int, int] = {}
-    for a, b in rest:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    ends = sorted(v for v, dg in degree.items() if dg == 1)
-    walk = [ends[0]]
-    edges = set(map(frozenset, rest))
-    while edges:
-        for e in list(edges):
-            if walk[-1] in e:
-                (nxt,) = e - {walk[-1]}
-                walk.append(nxt)
-                edges.remove(e)
-                break
-    return tuple(walk)
+    """The path c-a-d-b through the pairs that a-b-c-d misses, from its smaller end."""
+    a, b, c, d = path
+    return (b, d, a, c) if b < c else (c, a, d, b)
 
 
 def _circuit_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    rows = []
-    for perm in itertools.permutations(range(4)):
-        if perm[0] > perm[3]:
-            continue
-        rows.append((perm, _complement_path(perm), _parity(perm)))
-    rows.sort()
-    return tuple(rows)
+    # permutations come in lexicographic order, so the table is sorted
+    return tuple(
+        (perm, _complement_path(perm), _parity(perm))
+        for perm in itertools.permutations(range(4))
+        if perm[0] < perm[3]
+    )
 
 
 _CIRCUITS = _circuit_table()
@@ -184,7 +168,8 @@ class Circuit3:
 
 
 def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int]) -> np.ndarray:
-    """Stack u over the six index pairs (smaller index first), in slot order."""
+    """Stack u, where either orientation of a pair may stand, over the six
+    index pairs (smaller index first) in slot order."""
     rows = []
     for a, b in itertools.combinations(idx, 2):
         if (a, b) in u:
@@ -194,6 +179,19 @@ def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int]) -> np.ndar
         else:
             raise ValueError(f"missing direction for pair ({a},{b})")
     return np.stack(rows)
+
+
+def _four_consistency(dots_v: np.ndarray, dots_w: np.ndarray):
+    """The identity on Q four-index subsets, from dots_v (Q, 6, P) and dots_w
+    (Q, 6, R), the six pair directions' dot products (slot order) with P
+    probes v and R probes w.  Returns the unsigned circuit and complement
+    products, (Q, 12, P) and (Q, 12, R), then the signed sums and the sums
+    of absolute terms, (Q, P, R) each."""
+    prod_c = dots_v[:, _C_SLOTS].prod(axis=2)
+    prod_s = dots_w[:, _CSTAR_SLOTS].prod(axis=2)
+    res = np.einsum("c,qcv,qcw->qvw", _SIGNS, prod_c, prod_s)
+    scale = np.einsum("qcv,qcw->qvw", np.abs(prod_c), np.abs(prod_s))
+    return prod_c, prod_s, res, scale
 
 
 def four_consistency_residual(u: Mapping[Pair, np.ndarray], v, w) -> float:
@@ -211,12 +209,8 @@ def four_consistency_residual(u: Mapping[Pair, np.ndarray], v, w) -> float:
     v = require_unit(v, "v")
     w = require_unit(w, "w")
     rows = _direction_rows(u, idx)
-    dots_v = rows @ v
-    dots_w = rows @ w
-    total = 0.0
-    for slots_c, slots_s, sign in zip(_C_SLOTS, _CSTAR_SLOTS, _SIGNS):
-        total += sign * dots_v[slots_c].prod() * dots_w[slots_s].prod()
-    return float(total)
+    _, _, res, _ = _four_consistency((rows @ v)[None, :, None], (rows @ w)[None, :, None])
+    return float(res[0, 0, 0])
 
 
 def calibrate_circuit_signs(
@@ -231,7 +225,7 @@ def calibrate_circuit_signs(
     circuit gets +1.  Raises if the data do not pin the table down.
     """
     rng = np.random.default_rng(seed)
-    rows = []
+    dv, dw = [], []
     for _ in range(samples):
         pts = rng.uniform(-1.0, 1.0, size=(4, 2))
         while min(
@@ -248,15 +242,10 @@ def calibrate_circuit_signs(
         v /= np.linalg.norm(v)
         w = rng.normal(size=2)
         w /= np.linalg.norm(w)
-        dots_v = urows @ v
-        dots_w = urows @ w
-        rows.append(
-            [
-                dots_v[sc].prod() * dots_w[ss].prod()
-                for sc, ss in zip(_C_SLOTS, _CSTAR_SLOTS)
-            ]
-        )
-    mat = np.array(rows)
+        dv.append(urows @ v)
+        dw.append(urows @ w)
+    prod_c, prod_s, _, _ = _four_consistency(np.array(dv)[..., None], np.array(dw)[..., None])
+    mat = (prod_c * prod_s)[:, :, 0]
     _, svals, vt = np.linalg.svd(mat, full_matrices=False)
     if svals[-1] > tol * svals[0]:
         raise ValueError("no vanishing sign combination found")
@@ -267,10 +256,7 @@ def calibrate_circuit_signs(
     if np.abs(np.abs(vec) - top).max() > 1e-6 * top:
         raise ValueError("null vector entries are not of equal magnitude")
     signs = np.sign(vec).astype(int)
-    identity_slot = next(
-        idx for idx, (p, _, _) in enumerate(_CIRCUITS) if p == (0, 1, 2, 3)
-    )
-    if signs[identity_slot] < 0:
+    if signs[0] < 0:  # the first circuit is the identity order 1-2-3-4
         signs = -signs
     return tuple(int(s) for s in signs)
 
@@ -313,19 +299,23 @@ def _simplicial_blocks(
     ]
 
 
+def _basis_residuals(U: np.ndarray):
+    """The 4-subsets of U's labels (0-based, combinations order) and the
+    identity's signed and absolute sums at every basis probe pair, (Q, m, m)."""
+    quads = _quads(U.shape[0], False)
+    rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
+    _, _, res, scale = _four_consistency(rows, rows)
+    return quads, res, scale
+
+
 def _four_consistency_block(U: np.ndarray, tol: float):
     """The consistency identity on every 4-subset at every basis probe pair.
 
     Rows run over (quad, v, w) in that nesting; each residual is bounded by
     tol times the sum of the absolute terms (at least tol).
     """
-    quads = _quads(U.shape[0], False)
+    quads, res, scale = _basis_residuals(U)
     m = U.shape[2]
-    rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
-    prod_c = rows[:, _C_SLOTS].prod(axis=2)
-    prod_s = rows[:, _CSTAR_SLOTS].prod(axis=2)
-    res = np.einsum("c,qcv,qcw->qvw", _SIGNS, prod_c, prod_s)
-    scale = np.einsum("qcv,qcw->qvw", np.abs(prod_c), np.abs(prod_s))
     probes = np.array(list(itertools.product(range(m), repeat=2)), dtype=np.intp)
     index = np.concatenate(
         [np.repeat(quads, m * m, axis=0), np.tile(probes, (len(quads), 1))], axis=1

@@ -529,6 +529,23 @@ def test_scale_bound_checks_block_shapes():
             cs.scale_bound(t, root_config, configs)
 
 
+@pytest.mark.parametrize(
+    "root_config, configs, message",
+    [
+        ([[0.0], [1.0]], {5: [[-1.0], [1.0]]}, "missing configuration for vertex 6"),
+        ([[0.0], [1.0]], [[[-1.0], [1.0]]] * 2, "configs must map internal vertices to configurations"),
+        ([["0"], ["1"]], {5: [[-1.0], [1.0]], 6: [[-1.0], [1.0]]}, "root configuration is not a numeric array"),
+        ([[0.0], [1.0]], {5: [[math.nan], [1.0]], 6: [[-1.0], [1.0]]}, "configuration at vertex 5 must be finite"),
+    ],
+    ids=["missing-vertex", "configs-list", "root-strings", "nan-row"],
+)
+def test_scale_bound_names_the_bad_vertex_or_field(root_config, configs, message):
+    """Each of these escaped as a KeyError or an IndexError, or returned 0.25."""
+    t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
+    with pytest.raises(ValueError, match=message):
+        cs.scale_bound(t, root_config, configs)
+
+
 def test_chart_plan_cache_is_bounded_and_read_only():
     """Charts on every tree with n <= 5 leave no more plans cached than the
     cache's fixed size, and no array of a plan or of stratum data is writable."""

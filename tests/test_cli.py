@@ -1,6 +1,7 @@
 """Command line front end: coverage, determinism, exit codes, pipelines."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -110,7 +111,7 @@ def test_every_operation_owned_by_exactly_one_subcommand(tmp_path, capsys):
         cs.lift_configuration, cs.normalize,
         cs.membership_canonical, cs.stratum_tree, cs.expand_chart,
         cs.invert_chart, cs.stratum_sample, cs.permute,
-        cs.to_simplicial, cs.four_consistency_residual,
+        cs.to_simplicial,
         cs.membership_simplicial, cs.stratum_tree_of_directions,
         cs.reconstruct_from_directions, cs.approximating_configuration,
         cs.pullback, cs.project_indices, cs.diagonal_map, cs.cosimplicial_map,
@@ -636,6 +637,34 @@ def test_simplicial_pipeline(tmp_path, capsys):
     assert out.splitlines()[0] == "subset,v,w,residual"
     code, out, _ = run(capsys, "simplicial", "approx", "--in", str(sp), "--eps", "1e-3")
     assert code == 0
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("flat", [False, True])
+def test_residuals_table_is_the_public_residual_on_every_subset(tmp_path, capsys, n, m, flat):
+    """Byte for byte, the residual table is four_consistency_residual at the
+    basis probes on each 4-subset's directions; a point whose last
+    coordinates are all 0 puts signed zeros into the directions."""
+    pts = np.random.default_rng(10 * n + m).uniform(-1, 1, (n, m))
+    if flat:
+        pts[:, -1] = 0.0 if m > 1 else np.arange(n)
+    p = cs.to_simplicial(cs.lift_configuration(pts))
+    sp = tmp_path / "sp.json"
+    sp.write_text(jsonio.dumps(jsonio.simplicial_to_json(p)))
+    basis = np.eye(m)
+    rows = []
+    for quad in itertools.combinations(range(1, n + 1), 4):
+        sub = {(i, j): p.u[(i, j)] for i, j in itertools.permutations(quad, 2)}
+        for a in range(m):
+            for b in range(m):
+                rows.append((quad, a + 1, b + 1, cs.four_consistency_residual(sub, basis[a], basis[b])))
+    want_json = jsonio.dumps(
+        [{"subset": list(q), "v": a, "w": b, "residual": r} for q, a, b, r in rows]
+    )
+    assert run(capsys, "simplicial", "residuals", "--in", str(sp)) == (0, jsonio.residuals_csv(rows), "")
+    got = run(capsys, "simplicial", "residuals", "--in", str(sp), "--format", "json")
+    assert got == (0, want_json, "")
 
 
 def test_maps_pipeline(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Index functoriality: projections, framed actions, doubling, cosimplicial checks."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -91,6 +93,70 @@ def test_project_framed_points_and_simplicial():
     out = cs.project_indices(sigma, fp)
     assert np.array_equal(out.frames[1], fp.frames[2])
     assert cs.membership_simplicial(out.point).passed
+
+
+# -- frame storage ------------------------------------------------------------------------
+
+
+def test_frames_are_one_frozen_array_with_a_read_only_view():
+    rng = np.random.default_rng(20)
+    frames = random_frames(rng, 4, 3)
+    for fp in (framed_ambient(rng, 4, 3), framed_directions(rng, 4, 3)):
+        fp = cs.framed_point(fp.point, frames)
+        assert fp.F.shape == (4, 3) and fp.F.dtype == float and not fp.F.flags.writeable
+        assert list(fp.frames) == [1, 2, 3, 4] and len(fp.frames) == 4
+        for i in range(1, 5):
+            assert fp.frames[i].tobytes() == fp.F[i - 1].tobytes() == frames[i - 1].tobytes()
+            assert not fp.frames[i].flags.writeable
+        for key in (0, 5, -1, (1,), "1"):
+            with pytest.raises(KeyError):
+                fp.frames[key]
+        with pytest.raises(TypeError):
+            fp.frames[1] = frames[0]
+        assert not hasattr(fp.frames, "pop") and not hasattr(fp.frames, "update")
+
+
+def test_maps_take_rows_of_the_frames_array():
+    """pullback, project_indices and diagonal_map return the selected rows of
+    the input's F, bit for bit, as a new frozen array."""
+    rng = np.random.default_rng(21)
+    fs, fa = framed_directions(rng, 5, 2), framed_ambient(rng, 5, 2)
+    sigma = cs.SetMap(6, 5, (3, 1, 1, 5, 3, 2))
+    injection = cs.SetMap(3, 5, (4, 2, 5))
+    for out, fp, values in [
+        (cs.pullback(sigma, fs), fs, sigma.values),
+        (cs.project_indices(injection, fs), fs, injection.values),
+        (cs.project_indices(injection, fa), fa, injection.values),
+        (cs.diagonal_map(fa, 2), fa, cs.doubling_map(2, 1, 5).values),
+        (cs.diagonal_map(fa, 4, 2, lift([[0.0], [0.3], [1.0]])), fa, cs.doubling_map(4, 2, 5).values),
+    ]:
+        assert out.F.tobytes() == fp.F[[v - 1 for v in values]].tobytes()
+        assert out.F.shape == (len(values), 2) and not out.F.flags.writeable
+
+
+def test_framed_point_survives_pickle_and_deepcopy():
+    rng = np.random.default_rng(22)
+    for fp in (framed_ambient(rng, 4, 2), framed_directions(rng, 4, 3)):
+        for copied in (pickle.loads(pickle.dumps(fp)), copy.deepcopy(fp)):
+            assert copied.F.tobytes() == fp.F.tobytes() and copied.F.shape == fp.F.shape
+            assert copied.point.U.tobytes() == fp.point.U.tobytes()
+            assert {i: f.tolist() for i, f in copied.frames.items()} == {
+                i: f.tolist() for i, f in fp.frames.items()
+            }
+            assert cs.membership_framed(copied).passed
+
+
+def test_framed_point_names_the_bad_frame():
+    a = lift([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    e = np.array([1.0, 0.0])
+    for frames, message in [
+        ([e, e], "missing frame at index 3"),
+        ({1: e, 3: e}, "missing frame at index 2"),
+        ([e, np.array([1.0, 0.0, 0.0]), e], "frame at 2 has wrong dimension"),
+        ([e, e, 2 * e], r"frame at 3 is not a unit vector \(norm 2.0\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cs.framed_point(a, frames)
 
 
 # -- framed pullback -------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import confspace as cs
-from confspace.simplicial import _CIRCUITS
+from confspace.simplicial import _CIRCUITS, _basis_residuals
 from helpers import (
     direction_error,
     random_unit,
@@ -185,6 +185,21 @@ def test_five_directions_determine_the_sixth():
         }
         got = solve_sixth_direction(u5, (3, 4), 3)
         assert np.linalg.norm(got - a.u[(3, 4)]) <= 1e-6
+
+
+def test_public_residual_is_the_kernel_entry_on_every_subset():
+    """four_consistency_residual at the basis probes is, bit for bit, the
+    signed entry that membership's kernel computes for the same subset."""
+    m = 3
+    p = cs.to_simplicial(lift(sample_config(np.random.default_rng(12), 6, m)))
+    quads, res, _ = _basis_residuals(p.U)
+    assert [tuple(q) for q in quads.tolist()] == list(itertools.combinations(range(6), 4))
+    basis = np.eye(m)
+    for quad, table in zip(quads + 1, res):
+        sub = {(i, j): p.u[(i, j)] for i, j in itertools.permutations(quad.tolist(), 2)}
+        for a, b in itertools.product(range(m), repeat=2):
+            public = cs.four_consistency_residual(sub, basis[a], basis[b])
+            assert public.hex() == float(table[a, b]).hex()
 
 
 def test_calibration_recovers_frozen_sign_table():
