@@ -24,7 +24,10 @@ D[i-1, j-1, k-1] = d_ijk and NaN wherever i, j, k are not distinct.  Library
 code reads the arrays, so relabelling a point is one index gather.  The
 attributes u and d are read-only mappings over the same arrays, keyed by
 label tuples in itertools.permutations order, for callers that think in
-coordinates: u[(i, j)] is a frozen row, d[(i, j, k)] a Python float.
+coordinates: u[(i, j)] is a frozen row, d[(i, j, k)] a Python float.  Only
+the checking readers make records, and one builder (_record) sets the
+fields of every record and freezes its arrays, for them and for pickle and
+copy alike; AmbientPoint and SimplicialPoint cannot be called.
 
 Stratum data is a dense record too: one frozen (E, m) array C with a row per
 non-root edge (the root's rows first, then each internal vertex's children)
@@ -36,8 +39,9 @@ built once into the tree's chart plan, held in a bounded cache: a chart
 round trip reads its tree's plan seven times in a row, so a small cache hits.
 A record built from mappings and one that invert_chart or stratum_sample
 builds from the C and S arrays it has just computed pass the same check
-(_set_record): the rows in one array pass, then the scales against the
-bound of the rows' smallest sibling gap.
+(_check_stratum): the rows in one array pass, then the scales against the
+bound of the rows' smallest sibling gap.  scale_bound checks the rows the
+same way.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import trees
-from .numerics import nonneg_dependent_rows, require_unit, row_dots, row_norms, sign_distinct
+from .numerics import _UNIT_EXACT, _UNIT_SLACK, _float, _float_array, nonneg_dependent_rows
+from .numerics import require_unit, row_dots, row_norms, sign_distinct
 
 Pair = tuple[int, int]
 Index3 = tuple[int, int, int]
@@ -158,17 +163,60 @@ def _quads(n: int, ordered: bool) -> np.ndarray:
     return _index_table(tuples(range(n), 4), 4)
 
 
+# -- records -----------------------------------------------------------------
+
+
+class _Frozen:
+    """Base of the record classes.  Only the checking readers make records,
+    and _record is the one code that fills one: the readers call it, and so
+    do pickle and copy through __setstate__, so a copy is frozen too.  A
+    class without a checking constructor cannot be called."""
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is made by its readers, not called")
+
+    def __setstate__(self, state: dict):
+        _record(self, **state)
+
+
+def _record(record, **fields):
+    """Set the fields of record (a record class, for a new one), freezing
+    every array among them and any array it views.  A StratumPoint's
+    root_config, configs and scales are set as views of its C and S, so pass
+    it tree, C and S."""
+    if isinstance(record, type):
+        record = object.__new__(record)
+    if isinstance(record, StratumPoint):
+        plan = _chart_plan(fields["tree"])
+        C, S = fields["C"], fields["S"]
+        fields.update(
+            root_config=C[: plan.counts[0]],
+            configs=_Coordinates(C, plan.config_index),
+            scales=_Coordinates(S, plan.scale_index),
+        )
+    for name, value in fields.items():
+        arr = value
+        while isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+            arr = arr.base
+        object.__setattr__(record, name, value)
+    return record
+
+
 # -- configurations ----------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class Configuration:
+class Configuration(_Frozen):
     """An ordered tuple of pairwise-distinct points in R^m."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        try:
+            pts = _float_array(self.points)
+        except (TypeError, ValueError):
+            raise ValueError("points must form an (n, m) array") from None
         if pts.ndim != 2:
             raise ValueError("points must form an (n, m) array")
         if not np.isfinite(pts).all():
@@ -177,9 +225,7 @@ class Configuration:
         same = np.flatnonzero((pts[i] == pts[j]).all(axis=1))
         if same.size:
             raise ValueError(f"points {i[same[0]] + 1} and {j[same[0]] + 1} coincide")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        _record(self, points=pts.copy())
 
     @property
     def n(self) -> int:
@@ -193,7 +239,10 @@ class Configuration:
 def as_configuration(c) -> Configuration:
     if isinstance(c, Configuration):
         return c
-    pts = np.asarray(c, dtype=float)
+    try:
+        pts = _float_array(c)
+    except (TypeError, ValueError):
+        raise ValueError("points must form an (n, m) array") from None
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     return Configuration(pts)
@@ -295,8 +344,8 @@ class _Coordinates(Mapping):
         return _Coordinates, (self._array, dict(self._index))
 
 
-@dataclass(frozen=True, eq=False)
-class _Record:
+@dataclass(frozen=True, eq=False, init=False)
+class _Record(_Frozen):
     """Positions x (n, m) and directions U (n, n, m), both frozen."""
 
     x: np.ndarray
@@ -315,12 +364,12 @@ class _Record:
         return _Coordinates(self.U, _tables(self.n).pair_index)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SimplicialPoint(_Record):
     """Positions plus pairwise unit directions; no ratio coordinates."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AmbientPoint(_Record):
     """Candidate point of the compactification: positions, directions, ratios."""
 
@@ -331,29 +380,21 @@ class AmbientPoint(_Record):
         return _Coordinates(self.D, _tables(self.n).triple_index)
 
 
-def _trusted(x: np.ndarray, U: np.ndarray, D: np.ndarray | None = None):
-    """A point (simplicial if D is None) over arrays gathered from a
-    validated point: they pass validation unchanged, so they are only frozen."""
-    for arr in (x, U, D):
-        if arr is not None:
-            arr.flags.writeable = False
-    return SimplicialPoint(x, U) if D is None else AmbientPoint(x, U, D)
-
-
 def _positions(x) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
+    try:
+        pts = _float_array(x)
+    except (TypeError, ValueError):
+        raise ValueError("x must be an (n, m) array") from None
     if pts.ndim != 2:
         raise ValueError("x must be an (n, m) array")
     return _finite(pts)
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
-    """A frozen copy of the positions of one point or a stack, checked finite."""
+    """A copy of the positions of one point or a stack, checked finite."""
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    x = x.copy()
-    x.flags.writeable = False
-    return x
+    return x.copy()
 
 
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
@@ -366,8 +407,8 @@ def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarr
         raise ValueError(f"missing direction u[{i},{j}]") from None
     rows = None
     try:
-        rows = np.array(vals, dtype=float) if vals else np.zeros((0, m))
-    except ValueError:
+        rows = _float_array(vals) if vals else np.zeros((0, m))
+    except (TypeError, ValueError):
         pass
     if rows is None or rows.shape[1:] != (m,):
         for i, j in t.pair_index:
@@ -381,37 +422,35 @@ def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarr
 
 
 def _unit_directions(U: np.ndarray) -> np.ndarray:
-    """Check and renormalize every u_ij of one U or a stack, then freeze U."""
+    """Check and renormalize every u_ij of one U or a stack."""
     t = _tables(U.shape[-2])
     i, j = t.pairs.T
     nrm = row_norms(U[..., i, j, :])
     dev = np.abs(nrm - 1.0)
-    bad = np.flatnonzero(~(dev <= 1e-6))
+    bad = np.flatnonzero(~(dev <= _UNIT_SLACK))
     if bad.size:
         a, b = t.pairs[bad[0] % len(t.pairs)] + 1
         raise ValueError(f"u[{a},{b}] is not a unit vector (norm {nrm.flat[bad[0]]})")
-    off = dev > 1e-12
+    off = dev > _UNIT_EXACT
     if off.any():
         *lead, p = np.nonzero(off)
         U[(*lead, i[p], j[p])] /= nrm[off][:, None]
-    U.flags.writeable = False
     return U
 
 
 def _ratios(D: np.ndarray) -> np.ndarray:
-    """Check that every d_ijk of one D or a stack lies in [0, inf], then freeze D."""
+    """Check that every d_ijk of one D or a stack lies in [0, inf]."""
     t = _tables(D.shape[-1])
     bad = np.flatnonzero(~(D[(..., *t.triples.T)] >= 0.0))
     if bad.size:
         i, j, k = t.triples[bad[0] % len(t.triples)] + 1
         raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
-    D.flags.writeable = False
     return D
 
 
 def _checked(x: np.ndarray, U: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, ...]:
     """ambient_point's array check of one point or a stack, for coordinates
-    computed here: x copied, all three frozen."""
+    computed here: x copied, U renormalized in place."""
     return _finite(x), _unit_directions(U), _ratios(D)
 
 
@@ -422,13 +461,15 @@ def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) ->
     U = _unit_directions(_gather_directions(u, n, m))
     t = _tables(n)
     try:
-        vals = np.array(t.get_triples(d), dtype=float)
+        vals = _float_array(t.get_triples(d))
     except KeyError:
         i, j, k = next(key for key in t.triple_index if key not in d)
         raise ValueError(f"missing ratio d[{i},{j},{k}]") from None
+    except (TypeError, ValueError):
+        raise ValueError("ratios must be numbers") from None
     D = np.full((n, n, n), np.nan)
     D[tuple(t.triples.T)] = vals
-    return AmbientPoint(pts, U, _ratios(D))
+    return _record(AmbientPoint, x=pts, U=U, D=_ratios(D))
 
 
 def lift_configuration(c) -> AmbientPoint:
@@ -449,7 +490,8 @@ def lift_configuration(c) -> AmbientPoint:
         D = np.full((n, n, n), np.nan)
         i, j, k = _tables(n).triples.T
         D[i, j, k] = dist[i, j] / dist[i, k]
-    return AmbientPoint(*_checked(pts, U, D))
+    x, U, D = _checked(pts, U, D)
+    return _record(AmbientPoint, x=x, U=U, D=D)
 
 
 def _pair_directions(diff: np.ndarray, nrm: np.ndarray, n: int) -> np.ndarray:
@@ -464,12 +506,14 @@ def _pair_directions(diff: np.ndarray, nrm: np.ndarray, n: int) -> np.ndarray:
     return U
 
 
-def _relabel(p: _Record, values: Sequence[int]):
-    """x, U and D (None for a simplicial point) of p with label i carrying
+def _relabel(p: _Record, values: Sequence[int]) -> dict:
+    """The fields x, U and (ambient points only) D of p with label i carrying
     the data of label values[i-1]: one index gather each."""
     s = np.asarray(values, dtype=np.intp) - 1
-    D = p.D[np.ix_(s, s, s)] if isinstance(p, AmbientPoint) else None
-    return p.x[s], p.U[np.ix_(s, s)], D
+    fields = {"x": p.x[s], "U": p.U[np.ix_(s, s)]}
+    if isinstance(p, AmbientPoint):
+        fields["D"] = p.D[np.ix_(s, s, s)]
+    return fields
 
 
 def permute(sigma, p: _Record):
@@ -480,7 +524,7 @@ def permute(sigma, p: _Record):
     values = tuple(sigma.values) if isinstance(sigma, trees.SetMap) else tuple(sigma)
     if sorted(values) != list(range(1, p.n + 1)):
         raise ValueError("sigma is not a permutation of the labels")
-    return _trusted(*_relabel(p, values))
+    return _record(type(p), **_relabel(p, values))
 
 
 # -- law of sines ------------------------------------------------------------
@@ -878,7 +922,7 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class StratumPoint:
+class StratumPoint(_Frozen):
     """Chart-domain data: per-vertex configurations plus scale parameters.
 
     root_config holds one point of R^m per root edge (pairwise distinct, in
@@ -906,30 +950,22 @@ class StratumPoint:
         plan = _chart_plan(self.tree)
         C = _config_rows(plan, self.tree, self.root_config, self.configs)
         S, err = _scale_values(plan, self.tree, self.scales)
-        _set_record(self, plan, C, lambda bound: S)
+        _check_stratum(plan, self.tree, C, lambda bound: S)
         if err:
             raise ValueError(err)
+        _record(self, tree=self.tree, C=C, S=S)
 
     @property
     def m(self) -> int:
         return self.C.shape[1]
 
 
-def _stratum(t: trees.FTree, plan: _ChartPlan, C: np.ndarray, scales) -> StratumPoint:
-    """A StratumPoint over rows C that this module has just computed, in the
-    plan's layout, and the (V,) scale array scales(bound) for the bound C
-    allows: checked like every record, without the mapping loops."""
-    s = object.__new__(StratumPoint)
-    object.__setattr__(s, "tree", t)
-    _set_record(s, plan, C, scales)
-    return s
-
-
-def _set_record(s: StratumPoint, plan: _ChartPlan, C: np.ndarray, scales) -> None:
+def _check_stratum(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, scales) -> np.ndarray:
     """The one check path of a StratumPoint: the rows C in one array pass,
-    then the scales scales(bound) against the bound of C's smallest sibling
-    gap, in vertex order.  Freezes both arrays and sets s's fields."""
-    t = s.tree
+    then the scales S = scales(bound) against the bound of C's smallest
+    sibling gap, in vertex order.  Returns S.  invert_chart and
+    stratum_sample check the rows and scales they compute here, without
+    StratumPoint's mapping loops."""
     bound = _scale_bound(_check_rows(plan, t, C, len(plan.starts)))
     S = scales(bound)
     vals = S[t.n + 1 :]
@@ -937,35 +973,10 @@ def _set_record(s: StratumPoint, plan: _ChartPlan, C: np.ndarray, scales) -> Non
     if not inside.all():
         p = np.flatnonzero(~inside)[0]
         raise ValueError(f"scale {float(vals[p])} at vertex {t.n + 1 + p} outside [0, {bound})")
-    C.flags.writeable = False
-    S.flags.writeable = False
-    object.__setattr__(s, "C", C)
-    object.__setattr__(s, "S", S)
-    object.__setattr__(s, "root_config", C[: plan.counts[0]])
-    object.__setattr__(s, "configs", _Coordinates(C, plan.config_index))
-    object.__setattr__(s, "scales", _Coordinates(S, plan.scale_index))
+    return S
 
 
 _ROOT_SHAPE = "root configuration must be an (#v0, m) array"
-
-
-def _float_array(value) -> np.ndarray:
-    """np.asarray(value, dtype=float), except that numbers written as
-    strings are not numbers (TypeError)."""
-    raw = np.asarray(value)
-    if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
-        isinstance(x, (str, bytes)) for x in raw.flat
-    ):
-        raise TypeError("numbers written as strings")
-    return np.asarray(raw, dtype=float)
-
-
-def _float(value) -> float:
-    """float(value), except that a number written as a string is not a
-    number (TypeError): _float_array's rule for one number."""
-    if isinstance(value, (str, bytes)):
-        raise TypeError("a number written as a string")
-    return float(value)
 
 
 def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> np.ndarray:
@@ -1082,27 +1093,11 @@ def _scale_values(plan: _ChartPlan, t: trees.FTree, scales) -> tuple[np.ndarray,
 
 
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
-    """Largest admissible scale parameter for the given stratum data.  Rejects
-    configs that is not a mapping and names the first configuration (the root
-    first) that is missing, not numeric, misshapen or not finite."""
+    """Largest admissible scale parameter for the given stratum data, which
+    is checked as StratumPoint checks it, with the same messages."""
     plan = _chart_plan(tree)
-    if not isinstance(configs, Mapping):
-        raise ValueError("configs must map internal vertices to configurations")
-    rows = []
-    for v, k in zip((0, *tree.internal_vertices), plan.counts):
-        where = "root configuration" if v == 0 else f"configuration at vertex {v}"
-        if v and v not in configs:
-            raise ValueError(f"missing configuration for vertex {v}")
-        try:
-            r = _float_array(configs[v] if v else root_config)
-        except (TypeError, ValueError):
-            raise ValueError(f"{where} is not a numeric array") from None
-        if r.ndim != 2 or r.shape[0] != k or r.shape[1] != (rows[0] if rows else r).shape[1]:
-            raise ValueError(f"{where} has wrong shape")
-        if not np.isfinite(r).all():
-            raise ValueError(f"{where} must be finite")
-        rows.append(r)
-    return _scale_bound(_min_gap(np.concatenate(rows), *plan.siblings))
+    C = _config_rows(plan, tree, root_config, configs)
+    return _scale_bound(_check_rows(plan, tree, C, len(plan.starts)))
 
 
 def _scale_bound(q: float) -> float:
@@ -1130,7 +1125,7 @@ def _expansion_positions(plan: _ChartPlan, s: StratumPoint, factors: np.ndarray)
 
 def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The chart images of s with every scale times each of K factors in [0, 1]
-    (so still admissible): checked, frozen stacks x, U and D with a leading K axis."""
+    (so still admissible): checked stacks x, U and D with a leading K axis."""
     n = s.tree.n
     plan = _chart_plan(s.tree)
     pos = _expansion_positions(plan, s, np.asarray(factors, dtype=float))
@@ -1159,7 +1154,7 @@ def expand_chart(s: StratumPoint) -> AmbientPoint:
     zero it is the corresponding boundary point.
     """
     x, U, D = _expand(s, [1.0])
-    return AmbientPoint(x[0], U[0], D[0])
+    return _record(AmbientPoint, x=x[0], U=U[0], D=D[0])
 
 
 def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> StratumPoint:
@@ -1207,7 +1202,7 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     C = np.concatenate([Z[plan.root_states], rows / np.repeat(extent, plan.counts[1:])[:, None]])
     S = np.zeros(T.num_vertices)
     S[T.n + 1 :] = d_v / d_p
-    return _stratum(T, plan, C, lambda bound: S)
+    return _record(StratumPoint, tree=T, C=C, S=_check_stratum(plan, T, C, lambda bound: S))
 
 
 def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
@@ -1238,7 +1233,7 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
         S[T.n + 1 :] = [float(rng.uniform(0.0, bound)) for _ in T.internal_vertices]
         return S
 
-    return _stratum(T, _chart_plan(T), C, scales)
+    return _record(StratumPoint, tree=T, C=C, S=_check_stratum(_chart_plan(T), T, C, scales))
 
 
 # -- comparison helpers --------------------------------------------------------

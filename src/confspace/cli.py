@@ -281,7 +281,7 @@ def _format(*choices: str):
 
 
 _IN = _opt("--in", dest="infile", required=True, help="input JSON file")
-_TOL = _opt("--tol", type=float, default=1e-9)
+_TOL = _opt("--tol", type=float, default=canonical.DEFAULT_TOL)
 _N = _opt("--n", type=int)
 _M = _opt("--m", type=int)
 _MAP = _opt("--map", required=True, help="SetMap JSON file or inline values")

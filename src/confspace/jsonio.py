@@ -18,12 +18,11 @@ from .canonical import (
     Configuration,
     StratumPoint,
     Verdict,
-    _float,
-    _float_array,
     _tables,
     ambient_point,
 )
 from .maps import FramedPoint, framed_point
+from .numerics import _float, _float_array
 from .simplicial import SimplicialPoint, simplicial_point
 from .associahedron import FacePoset
 
@@ -135,9 +134,7 @@ def config_to_json(c: Configuration) -> dict:
 
 def config_from_json(data: dict) -> Configuration:
     data = _object(data, "configuration")
-    pts = _floats(_field(data, "points"), "points")
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _positions(data, "points")
     if "m" in data and _int(data["m"], "m") != pts.shape[1]:
         raise ValueError("declared dimension does not match the points")
     return Configuration(pts)
@@ -176,6 +173,12 @@ def _index_key(key: str, arity: int, field: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _positions(data: dict, field: str) -> np.ndarray:
+    """A positions field: an (n, m) list, or a flat list of n points on a line."""
+    pts = _floats(_field(data, field), field)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+
+
 def _floats(value, field: str) -> np.ndarray:
     try:
         return _float_array(value)
@@ -204,9 +207,7 @@ def ambient_to_json(a: AmbientPoint) -> dict:
 
 def ambient_from_json(data: dict) -> AmbientPoint:
     data = _object(data, "point")
-    x = _floats(_field(data, "x"), "x")
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _positions(data, "x")
     d = {}
     for key, val in _object(_field(data, "d"), "d").items():
         d[_index_key(key, 3, "d")] = _number(val, f"d[{key}]")
@@ -219,10 +220,7 @@ def simplicial_to_json(p: SimplicialPoint) -> dict:
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:
     data = _object(data, "point")
-    x = _floats(_field(data, "x"), "x")
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    return simplicial_point(x, _u_from_json(_field(data, "u")))
+    return simplicial_point(_positions(data, "x"), _u_from_json(_field(data, "u")))
 
 
 def framed_to_json(fp: FramedPoint) -> dict:

@@ -5,8 +5,9 @@ change the index set: injective maps project coordinates, arbitrary maps act
 contravariantly on framed direction points (duplicated indices string out
 along the frame), and framed ratio points admit doubling maps whose ratio
 data on the new cluster come from a compactified-interval parameter.
-A framed point keeps its frames as one frozen (n, m) array F, checked once
-by framed_point; every map selects rows of F and does not check them again.
+A framed point keeps its frames as one frozen (n, m) array F.  framed_point
+is the only way to make one, and the one place frames are checked; every
+map selects rows of F and does not check them again.
 
 Orientation convention for a collapsed pair created by a non-injective map:
 u_ij is plus the inherited frame when i < j.  This is the unique
@@ -33,11 +34,12 @@ from .canonical import (
     SimplicialPoint,
     Verdict,
     _Coordinates,
+    _Frozen,
     _canonical_blocks,
     _check_manifold,
+    _record,
     _relabel,
     _tables,
-    _trusted,
     _verdict,
     ambient_point,  # unused here; perfbench/selftest.py checks this binding site
     membership_canonical,
@@ -46,8 +48,8 @@ from .numerics import require_unit
 from .simplicial import _simplicial_blocks
 
 
-@dataclass(frozen=True, eq=False)
-class FramedPoint:
+@dataclass(frozen=True, eq=False, init=False)
+class FramedPoint(_Frozen):
     """An ambient or simplicial point with a unit tangent vector per index:
     F[i-1] is the frame at index i, and frames reads F keyed by 1..n."""
 
@@ -74,10 +76,12 @@ class FramedPoint:
 def framed_point(point, frames) -> FramedPoint:
     """point with frames, a sequence in index order or a mapping keyed by
     1..n: the one place frames are checked."""
+    if not isinstance(point, (AmbientPoint, SimplicialPoint)):
+        raise ValueError("point must be an ambient or simplicial point")
     if isinstance(frames, np.ndarray) or (
         frames and not isinstance(frames, Mapping)
     ):
-        frames = {i + 1: np.asarray(f, dtype=float) for i, f in enumerate(frames)}
+        frames = dict(enumerate(frames, 1))
     F = np.empty((point.n, point.m))
     for i in range(1, point.n + 1):
         if i not in frames:
@@ -86,15 +90,7 @@ def framed_point(point, frames) -> FramedPoint:
         if vec.shape != (point.m,):
             raise ValueError(f"frame at {i} has wrong dimension")
         F[i - 1] = vec
-    F.flags.writeable = False
-    return FramedPoint(point, F)
-
-
-def _frame_rows(fp: FramedPoint, values) -> np.ndarray:
-    """The frames of fp at the 1-based labels values, as a new frozen array."""
-    F = fp.F[np.subtract(values, 1)]
-    F.flags.writeable = False
-    return F
+    return _record(FramedPoint, point=point, F=F)
 
 
 def membership_framed(
@@ -120,10 +116,11 @@ def project_indices(sigma: trees.SetMap, p):
     if not sigma.is_injective:
         raise ValueError("projection requires an injective index map")
     if isinstance(p, FramedPoint):
-        return FramedPoint(project_indices(sigma, p.point), _frame_rows(p, sigma.values))
+        F = p.F[np.subtract(sigma.values, 1)]
+        return _record(FramedPoint, point=project_indices(sigma, p.point), F=F)
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
-    return _trusted(*_relabel(p, sigma.values))
+    return _record(type(p), **_relabel(p, sigma.values))
 
 
 # -- contravariant action on framed direction points ------------------------------
@@ -141,10 +138,10 @@ def pullback(sigma: trees.SetMap, fp: FramedPoint) -> FramedPoint:
     p: SimplicialPoint = fp.point
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
-    x, U, _ = _relabel(p, sigma.values)
-    F = _frame_rows(fp, sigma.values)
-    _frame_collapsed(U, sigma.values, F)
-    return FramedPoint(_trusted(x, U), F)
+    fields = _relabel(p, sigma.values)
+    F = fp.F[np.subtract(sigma.values, 1)]
+    _frame_collapsed(fields["U"], sigma.values, F)
+    return _record(FramedPoint, point=_record(SimplicialPoint, **fields), F=F)
 
 
 def _frame_collapsed(U: np.ndarray, values, F: np.ndarray):
@@ -220,9 +217,9 @@ def diagonal_map(
         if assoc is None:
             raise ValueError("k >= 2 needs an interval parameter")
         _check_assoc_parameter(assoc, k, tol)
-    x, U, D = _relabel(p, sigma.values)
-    F = _frame_rows(fp, sigma.values)
-    _frame_collapsed(U, sigma.values, F)
+    fields = _relabel(p, sigma.values)
+    D, F = fields["D"], fp.F[np.subtract(sigma.values, 1)]
+    _frame_collapsed(fields["U"], sigma.values, F)
     # triples with two indices in the new cluster i..i+k; the gather left
     # NaN there, and the cluster block itself is the interval parameter's
     cluster = slice(i - 1, i + k)
@@ -234,7 +231,7 @@ def diagonal_map(
         D[tuple(triples[mask].T)] = value
     if k >= 2:
         D[cluster, cluster, cluster] = assoc.D
-    return FramedPoint(_trusted(x, U, D), F)
+    return _record(FramedPoint, point=_record(AmbientPoint, **fields), F=F)
 
 
 # -- cosimplicial structure over the interval ---------------------------------------

@@ -19,16 +19,39 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
-_UNIT_SLACK = 1e-6  # how far from 1 a norm may be for require_unit to rescale it
+def _float_array(value) -> np.ndarray:
+    """np.asarray(value, dtype=float), except that numbers written as
+    strings are not numbers (TypeError)."""
+    raw = np.asarray(value)
+    if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+        isinstance(x, (str, bytes)) for x in raw.flat
+    ):
+        raise TypeError("numbers written as strings")
+    return np.asarray(raw, dtype=float)
+
+
+def _float(value) -> float:
+    """float(value), except that a number written as a string is not a
+    number (TypeError): _float_array's rule for one number."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError("a number written as a string")
+    return float(value)
+
+
+_UNIT_SLACK = 1e-6  # how far from 1 a norm may be for a unit vector to be rescaled
+_UNIT_EXACT = 1e-12  # how far from 1 a norm may be for a unit vector to be kept as is
 
 
 def require_unit(v: np.ndarray, where: str = "vector") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    try:
+        v = _float_array(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} is not a numeric vector") from None
     nrm = float(np.linalg.norm(v))
     # written so that a NaN norm fails the test
     if not abs(nrm - 1.0) <= _UNIT_SLACK:
         raise ValueError(f"{where} is not a unit vector (norm {nrm})")
-    if abs(nrm - 1.0) <= 1e-12:
+    if abs(nrm - 1.0) <= _UNIT_EXACT:
         return v
     return v / nrm
 

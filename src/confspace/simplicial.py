@@ -53,8 +53,8 @@ from .canonical import (
     _positions,
     _quads,
     _shared_blocks,
+    _record,
     _tables,
-    _trusted,
     _unit_directions,
     _verdict,
     config_scale,
@@ -76,12 +76,12 @@ Pair = tuple[int, int]
 
 def simplicial_point(x, u: Mapping[Pair, np.ndarray]) -> SimplicialPoint:
     pts = _positions(x)
-    return SimplicialPoint(pts, _unit_directions(_gather_directions(u, *pts.shape)))
+    return _record(SimplicialPoint, x=pts, U=_unit_directions(_gather_directions(u, *pts.shape)))
 
 
 def to_simplicial(a: AmbientPoint) -> SimplicialPoint:
     """Forget the ratio coordinates."""
-    return _trusted(a.x, a.U)
+    return _record(SimplicialPoint, x=a.x, U=a.U)
 
 
 # -- dependence and consistency -------------------------------------------------

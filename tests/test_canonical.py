@@ -1,9 +1,7 @@
 """Canonical coordinates: lifting, membership, classification, charts."""
 
-import copy
 import itertools
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -504,9 +502,6 @@ def test_stratum_point_validation():
     # the views of a valid record are checked against a new root and scales
     s = cs.StratumPoint(t, root, good, {5: 0.1, 6: 0.1})
     assert cs.StratumPoint(t, s.root_config, s.configs, s.scales).C.tobytes() == s.C.tobytes()
-    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
-        assert np.array_equal(copied.C, s.C) and copied.scales == s.scales
-        assert cs.expand_chart(copied).D.tobytes() == cs.expand_chart(s).D.tobytes()
     with pytest.raises(ValueError, match="root configuration has coincident points"):
         cs.StratumPoint(t, [[0.5], [0.5]], s.configs, s.scales)
     with pytest.raises(ValueError, match=r"scale 0.2 at vertex 6 outside \[0, 0.1428"):
@@ -522,8 +517,8 @@ def test_scale_bound_checks_block_shapes():
     for root_config, configs, message in [
         (root, {5: [[-1.0], [0.0], [1.0]], 6: pair}, "configuration at vertex 5 has wrong shape"),
         (root, {5: pair, 6: [[-1.0, 0.0], [1.0, 0.0]]}, "configuration at vertex 6 has wrong shape"),
-        ([0.0, 1.0], {5: pair, 6: pair}, "root configuration has wrong shape"),
-        ([[0.0], [0.5], [1.0]], {5: pair, 6: pair}, "root configuration has wrong shape"),
+        ([0.0, 1.0], {5: pair, 6: pair}, r"root configuration must be an \(#v0, m\) array"),
+        ([[0.0], [0.5], [1.0]], {5: pair, 6: pair}, "root configuration size does not match root valence"),
     ]:
         with pytest.raises(ValueError, match=message):
             cs.scale_bound(t, root_config, configs)
@@ -534,13 +529,24 @@ def test_scale_bound_checks_block_shapes():
     [
         ([[0.0], [1.0]], {5: [[-1.0], [1.0]]}, "missing configuration for vertex 6"),
         ([[0.0], [1.0]], [[[-1.0], [1.0]]] * 2, "configs must map internal vertices to configurations"),
-        ([["0"], ["1"]], {5: [[-1.0], [1.0]], 6: [[-1.0], [1.0]]}, "root configuration is not a numeric array"),
+        ([["0"], ["1"]], {5: [[-1.0], [1.0]], 6: [[-1.0], [1.0]]},
+         r"root configuration must be an \(#v0, m\) array"),
         ([[0.0], [1.0]], {5: [[math.nan], [1.0]], 6: [[-1.0], [1.0]]}, "configuration at vertex 5 must be finite"),
+        # StratumPoint rejects these rows; scale_bound returned 0.0, 0.25, 0.25 and 0.0
+        ([[0.0], [1.0]], {5: [[0.0], [0.0]], 6: [[-1.0], [1.0]]},
+         "configuration at vertex 5 is not max-norm 1"),
+        ([[0.0], [1.0]], {5: [[3.0], [9.0]], 6: [[-1.0], [1.0]]}, "configuration at vertex 5 is not centered"),
+        ([[0.0], [1.0]], {5: [[-2.0], [2.0]], 6: [[-1.0], [1.0]]},
+         "configuration at vertex 5 is not max-norm 1"),
+        ([[0.0], [0.0]], {5: [[-1.0], [1.0]], 6: [[-1.0], [1.0]]}, "root configuration has coincident points"),
     ],
-    ids=["missing-vertex", "configs-list", "root-strings", "nan-row"],
+    ids=[
+        "missing-vertex", "configs-list", "root-strings", "nan-row",
+        "zero-rows", "uncentred", "wide", "coincident-root",
+    ],
 )
 def test_scale_bound_names_the_bad_vertex_or_field(root_config, configs, message):
-    """Each of these escaped as a KeyError or an IndexError, or returned 0.25."""
+    """Each of these escaped as a KeyError or an IndexError, or returned a bound."""
     t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
     with pytest.raises(ValueError, match=message):
         cs.scale_bound(t, root_config, configs)

@@ -1,6 +1,8 @@
 """The dense coordinate record: the u / d views and bit equality with dict-based code."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -72,6 +74,7 @@ def test_views_and_arrays_are_read_only():
     chart = cs.expand_chart(cs.stratum_sample(cs.tree_from_nested([{1, 2}], 4), 3, 5))
     for arr in (a.x, a.U, a.D, cs.permute((2, 1, 4, 3), a).D, chart.x, chart.U, chart.D):
         assert not arr.flags.writeable
+        assert arr.base is None or not arr.base.flags.writeable  # nor the memory it views
 
 
 def test_storage_convention():
@@ -84,6 +87,130 @@ def test_storage_convention():
         assert np.isnan(a.D[i - 1, j - 1, k - 1]) != distinct
         if distinct:
             assert a.D[i - 1, j - 1, k - 1] == a.d[(i, j, k)]
+
+
+# -- records: only the readers make them, and copies stay frozen --------------------------
+
+
+def _pair_stratum():
+    """Vertex 5 is {1, 2, 3} over (6, 3), vertex 6 is {1, 2} over (1, 2)."""
+    pair = np.array([[-1.0], [1.0]])
+    t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
+    return cs.StratumPoint(t, np.array([[0.0], [1.0]]), {5: pair, 6: pair}, {5: 0.1, 6: 0.1})
+
+
+def _framed(rng, n, m, ambient):
+    a = cs.lift_configuration(sample_config(rng, n, m))
+    return cs.framed_point(a if ambient else cs.to_simplicial(a), random_frames(rng, n, m))
+
+
+RECORDS = {
+    "configuration": lambda rng: cs.Configuration(sample_config(rng, 4, 2)),
+    "simplicial": lambda rng: cs.to_simplicial(cs.lift_configuration(sample_config(rng, 4, 3))),
+    "ambient": lambda rng: cs.lift_configuration(sample_config(rng, 4, 2)),
+    "framed-ambient": lambda rng: _framed(rng, 4, 2, True),
+    "framed-simplicial": lambda rng: _framed(rng, 4, 3, False),
+    "stratum": lambda rng: _pair_stratum(),
+}
+COPIES = {
+    "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+def _arrays(record, prefix=""):
+    """Every array a record holds (a framed point's point's too) and every
+    row its u, frames and configs views return, by name."""
+    out = {}
+    for name, value in vars(record).items():
+        if isinstance(value, np.ndarray):
+            out[prefix + name] = value
+        elif isinstance(value, (cs.AmbientPoint, cs.SimplicialPoint)):
+            out.update(_arrays(value, f"{name}."))
+    for view in ("u", "frames", "configs"):
+        for key, row in getattr(record, view, {}).items():
+            out[f"{prefix}{view}[{key}]"] = row
+    return out
+
+
+@pytest.mark.parametrize("route", list(COPIES))
+@pytest.mark.parametrize("kind", list(RECORDS))
+def test_copies_stay_frozen(kind, route):
+    """pickle, deepcopy and copy give a record of the same kind with the same
+    bytes, every array and view row of it read-only."""
+    record = RECORDS[kind](np.random.default_rng(22))
+    copied = COPIES[route](record)
+    assert type(copied) is type(record)
+    before, after = _arrays(record), _arrays(copied)
+    assert before.keys() == after.keys()
+    for name, arr in after.items():
+        assert arr.shape == before[name].shape and arr.tobytes() == before[name].tobytes(), name
+        assert not arr.flags.writeable, name
+    if isinstance(record, cs.FramedPoint):
+        assert cs.membership_framed(copied).passed
+    if isinstance(record, cs.StratumPoint):
+        # the copy's views read its own C and S
+        assert np.shares_memory(copied.root_config, copied.C)
+        assert all(np.shares_memory(rows, copied.C) for rows in copied.configs.values())
+        assert copied.scales == record.scales
+        assert cs.expand_chart(copied).D.tobytes() == cs.expand_chart(record).D.tobytes()
+
+
+def test_point_classes_cannot_be_called():
+    """Only the readers make points: the classes take no arguments at all."""
+    a = cs.lift_configuration(sample_config(np.random.default_rng(3), 3, 2))
+    fp = cs.framed_point(a, random_frames(np.random.default_rng(4), 3, 2))
+    for cls, args in [
+        (cs.AmbientPoint, (np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))),
+        (cs.AmbientPoint, (a.x, a.U, a.D)),
+        (cs.SimplicialPoint, (a.x, a.U)),
+        (cs.FramedPoint, (a, fp.F)),
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args)
+        with pytest.raises(TypeError):
+            cls()
+
+
+_X = [[0.0, 0.0], [1.0, 0.0]]
+_U = {(1, 2): [-1.0, 0.0], (2, 1): [1.0, 0.0]}
+_B = cs.lift_configuration(_X + [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: cs.Configuration([["0", "0"], ["1", "0"]]), r"points must form an \(n, m\) array"),
+        (lambda: cs.Configuration([[0.0, 0.0], [1.0]]), r"points must form an \(n, m\) array"),
+        (lambda: cs.lift_configuration(["0.1", "0.2"]), r"points must form an \(n, m\) array"),
+        (lambda: cs.lift_configuration([[0.0], [1.0, 2.0]]), r"points must form an \(n, m\) array"),
+        (lambda: cs.ambient_point([["0", "0"], ["1", "0"]], _U, {}), r"x must be an \(n, m\) array"),
+        (lambda: cs.ambient_point([[0.0], [1.0, 2.0]], _U, {}), r"x must be an \(n, m\) array"),
+        (lambda: cs.ambient_point(_X, {**_U, (2, 1): ["1", "0"]}, {}), "directions must be numeric vectors"),
+        (lambda: cs.ambient_point(_B.x, _B.u, {**_B.d, (1, 2, 3): "0.5"}), "ratios must be numbers"),
+        (lambda: cs.simplicial_point([["0", "0"], ["1", "0"]], _U), r"x must be an \(n, m\) array"),
+        (lambda: cs.simplicial_point(_X, {**_U, (1, 2): ["-1", "0"]}), "directions must be numeric vectors"),
+        (lambda: cs.framed_point(cs.lift_configuration(_X), [["1", "0"], [1.0, 0.0]]),
+         "frame at 1 is not a numeric vector"),
+        (lambda: cs.framed_point(cs.lift_configuration(_X), [[1.0, 0.0], [1.0, [0.0]]]),
+         "frame at 2 is not a numeric vector"),
+        (lambda: cs.framed_point(cs.lift_configuration(_X), {1: [1.0, 0.0], 2: "1"}),
+         "frame at 2 is not a numeric vector"),
+        (lambda: cs.framed_point({"n": 1}, [[1.0]]), "point must be an ambient or simplicial point"),
+    ],
+    ids=[
+        "configuration-strings", "configuration-ragged", "lift-strings", "lift-ragged",
+        "ambient-x-strings", "ambient-x-ragged", "ambient-u-strings", "ambient-d-strings",
+        "simplicial-x-strings", "simplicial-u-strings", "framed-strings", "framed-ragged",
+        "framed-mapping-string", "framed-not-a-point",
+    ],
+)
+def test_readers_reject_numbers_written_as_strings(read, message):
+    """Each reader names the field; every one of these was read or escaped
+    as an unnamed error."""
+    with pytest.raises(ValueError, match=message):
+        read()
 
 
 # -- bit equality with the dict-based references -----------------------------------------

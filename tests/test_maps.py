@@ -1,8 +1,6 @@
 """Index functoriality: projections, framed actions, doubling, cosimplicial checks."""
 
-import copy
 import itertools
-import pickle
 
 import numpy as np
 import pytest
@@ -132,18 +130,6 @@ def test_maps_take_rows_of_the_frames_array():
     ]:
         assert out.F.tobytes() == fp.F[[v - 1 for v in values]].tobytes()
         assert out.F.shape == (len(values), 2) and not out.F.flags.writeable
-
-
-def test_framed_point_survives_pickle_and_deepcopy():
-    rng = np.random.default_rng(22)
-    for fp in (framed_ambient(rng, 4, 2), framed_directions(rng, 4, 3)):
-        for copied in (pickle.loads(pickle.dumps(fp)), copy.deepcopy(fp)):
-            assert copied.F.tobytes() == fp.F.tobytes() and copied.F.shape == fp.F.shape
-            assert copied.point.U.tobytes() == fp.point.U.tobytes()
-            assert {i: f.tolist() for i, f in copied.frames.items()} == {
-                i: f.tolist() for i, f in fp.frames.items()
-            }
-            assert cs.membership_framed(copied).passed
 
 
 def test_framed_point_names_the_bad_frame():
