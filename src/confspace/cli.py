@@ -35,10 +35,10 @@ def _n_arg(args) -> int:
     return args.n
 
 
-def _setmap_arg(value: str, codomain: int | None = None) -> trees.SetMap:
-    if set(value) <= set("0123456789,"):
-        vals = tuple(int(t) for t in value.split(","))
-        return trees.SetMap(len(vals), codomain or max(vals), vals)
+def _setmap_arg(value: str, codomain: int) -> trees.SetMap:
+    if set(value) <= set("0123456789, "):
+        vals = jsonio.labels_from_text(value, "--map")
+        return trees.SetMap(len(vals), codomain, vals)
     return jsonio.setmap_from_json(_read_json(value))
 
 
@@ -51,7 +51,7 @@ def _manifold(kind: str, m: int):
 
 
 def _trees_enumerate(args):
-    out = trees.enumerate_trees(_n_arg(args), args.variant or "full")
+    out = trees.enumerate_trees(_n_arg(args), args.variant)
     if args.format == "dot":
         return "\n".join(trees.tree_to_dot(t, f"tree{i}") for i, t in enumerate(out))
     return jsonio.dumps([jsonio.tree_to_json(t) for t in out])
@@ -59,14 +59,7 @@ def _trees_enumerate(args):
 
 def _trees_contract(args):
     t = jsonio.tree_from_json(_read_json(args.infile))
-    edges = []
-    for part in args.edges.split("|"):
-        labels = [int(x) for x in part.split(",")]
-        v = t.vertex_over(labels)
-        if v is None or v <= t.n:
-            raise ValueError(f"no internal vertex over leaves {part}")
-        edges.append(v)
-    result = trees.contract(t, edges)
+    result = trees.contract(t, jsonio.vertices_from_keys(t, args.edges.split("|"), "--edges"))
     if args.format == "dot":
         return trees.tree_to_dot(result)
     return jsonio.dumps(jsonio.tree_to_json(result))
@@ -74,14 +67,14 @@ def _trees_contract(args):
 
 def _trees_prune(args):
     t = jsonio.tree_from_json(_read_json(args.infile))
-    result = trees.prune(t, _setmap_arg(args.map))
+    result = trees.prune(t, _setmap_arg(args.map, t.n))
     if args.format == "dot":
         return trees.tree_to_dot(result)
     return jsonio.dumps(jsonio.tree_to_json(result))
 
 
 def _trees_poset(args):
-    out = trees.enumerate_trees(_n_arg(args), args.variant or "full")
+    out = trees.enumerate_trees(_n_arg(args), args.variant)
     if args.format == "dot":
         return trees.hasse_to_dot(out)
     nodes = [
@@ -147,7 +140,7 @@ def _chart_invert(args):
 
 def _chart_sample(args):
     t = jsonio.tree_from_json(_read_json(args.tree))
-    s = canonical.stratum_sample(t, args.m or 2, args.seed)
+    s = canonical.stratum_sample(t, args.m, args.seed)
     return jsonio.dumps(jsonio.stratum_to_json(s))
 
 
@@ -203,10 +196,9 @@ def _maps_diagonal(args):
 
 def _maps_cosimplicial(args):
     fp = jsonio.framed_from_json(_read_json(args.infile))
-    sigma = [int(t) for t in args.map.split(",")]
     if args.m is None:
         raise ValueError("--m (the target level) is required")
-    out = maps.cosimplicial_map(fp, sigma, args.m, args.tol)
+    out = maps.cosimplicial_map(fp, jsonio.labels_from_text(args.map, "--map"), args.m, args.tol)
     return jsonio.dumps(jsonio.framed_to_json(out))
 
 
@@ -226,20 +218,7 @@ def _assoc_fvector(args):
 
 def _assoc_realize(args):
     t = jsonio.tree_from_json(_read_json(args.tree))
-    params = None
-    if args.params:
-        raw = jsonio._object(_read_json(args.params), "params")
-        params = {}
-        for key, vals in raw.items():
-            vals = jsonio._floats(vals, f"params[{key}]")
-            if key == "root":
-                params[0] = vals
-            else:
-                labels = [int(x) for x in key.split(",")]
-                v = t.vertex_over(labels)
-                if v is None:
-                    raise ValueError(f"no vertex over leaves {key}")
-                params[v] = vals
+    params = args.params and jsonio.vertex_values(t, _read_json(args.params), "params", root=True)
     return jsonio.dumps(jsonio.ambient_to_json(associahedron.realize_face(t, params)))
 
 
@@ -284,6 +263,7 @@ _IN = _opt("--in", dest="infile", required=True, help="input JSON file")
 _TOL = _opt("--tol", type=float, default=canonical.DEFAULT_TOL)
 _N = _opt("--n", type=int)
 _M = _opt("--m", type=int)
+_VARIANT = _opt("--variant", choices=("full", "trunk", "planar"), default="full")
 _MAP = _opt("--map", required=True, help="SetMap JSON file or inline values")
 _TREE = _opt("--tree", required=True, help="tree JSON file")
 _MANIFOLD = _opt("--manifold", choices=["euclidean", "sphere"], default="euclidean")
@@ -292,7 +272,7 @@ _CSV_JSON = _format("csv", "json")
 
 COMMANDS = {
     "trees enumerate": Command(
-        _trees_enumerate, (trees.enumerate_trees,), (_N, _opt("--variant"), _JSON_DOT)
+        _trees_enumerate, (trees.enumerate_trees,), (_N, _VARIANT, _JSON_DOT)
     ),
     "trees contract": Command(
         _trees_contract,
@@ -301,7 +281,7 @@ COMMANDS = {
     ),
     "trees prune": Command(_trees_prune, (trees.prune,), (_IN, _MAP, _JSON_DOT)),
     "trees poset": Command(
-        _trees_poset, (trees.covering_pairs, trees.codim), (_N, _opt("--variant"), _JSON_DOT)
+        _trees_poset, (trees.covering_pairs, trees.codim), (_N, _VARIANT, _JSON_DOT)
     ),
     "point alpha": Command(
         _point_alpha,
@@ -323,7 +303,9 @@ COMMANDS = {
     "chart expand": Command(_chart_expand, (canonical.expand_chart,), (_IN,)),
     "chart invert": Command(_chart_invert, (canonical.invert_chart, trees.leq), (_TREE, _IN, _TOL)),
     "chart sample": Command(
-        _chart_sample, (canonical.stratum_sample,), (_TREE, _M, _opt("--seed", type=int, default=0))
+        _chart_sample,
+        (canonical.stratum_sample,),
+        (_TREE, _opt("--m", type=int, default=2), _opt("--seed", type=int, default=0)),
     ),
     "simplicial project": Command(_simplicial_project, (maps.pullback,), (_IN, _MAP)),
     "simplicial membership": Command(
@@ -391,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:  # only a subcommand that reads --tol has one
-        print('{"error": "usage", "message": "tolerance must be positive"}', file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1.0) < np.inf:  # only a subcommand that reads --tol has one
+        print('{"error": "usage", "message": "tolerance must be finite and positive"}', file=sys.stderr)
         return 2
     try:
         result = args.handler(args)

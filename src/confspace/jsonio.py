@@ -3,6 +3,9 @@
 Output is deterministic: dictionary keys are sorted and floats are printed
 with 17 significant digits, so identical data always serializes to identical
 bytes.  Infinite ratio values appear as the strings "inf" / "-inf".
+
+`labels_from_text` is the one reader of label text (comma-separated leaf
+labels), and `vertices_from_keys` reads it as the leaf set of a tree vertex.
 """
 
 from __future__ import annotations
@@ -166,11 +169,12 @@ def _field(data: dict, field: str):
     return data[field]
 
 
-def _index_key(key: str, arity: int, field: str) -> tuple[int, ...]:
-    parts = key.split(",")
-    if len(parts) != arity or not all(p.strip().isdigit() for p in parts):
-        raise ValueError(f"field {field!r} has a bad key {key!r}")
-    return tuple(int(p) for p in parts)
+def labels_from_text(text: str, field: str, arity: int | None = None) -> tuple[int, ...]:
+    """Decimal labels separated by commas, spaces allowed around each, `arity` of them if given."""
+    parts = text.split(",")
+    if arity not in (None, len(parts)) or not all(p.strip().isdecimal() for p in parts):
+        raise ValueError(f"field {field!r} has a bad key {text!r}")
+    return tuple(map(int, parts))
 
 
 def _positions(data: dict, field: str) -> np.ndarray:
@@ -194,11 +198,10 @@ def _number(value, field: str) -> float:
         raise ValueError(f"field {field!r} is not a number") from None
 
 
-def _u_from_json(data):
-    out = {}
-    for key, vec in _object(data, "u").items():
-        out[_index_key(key, 2, "u")] = _floats(vec, f"u[{key}]")
-    return out
+def _label_keyed(data, field: str, arity: int, read) -> dict:
+    """{labels: read(value, "field[key]")} of a JSON object keyed by `arity` labels."""
+    data = _object(data, field)
+    return {labels_from_text(k, field, arity): read(v, f"{field}[{k}]") for k, v in data.items()}
 
 
 def ambient_to_json(a: AmbientPoint) -> dict:
@@ -208,10 +211,8 @@ def ambient_to_json(a: AmbientPoint) -> dict:
 def ambient_from_json(data: dict) -> AmbientPoint:
     data = _object(data, "point")
     x = _positions(data, "x")
-    d = {}
-    for key, val in _object(_field(data, "d"), "d").items():
-        d[_index_key(key, 3, "d")] = _number(val, f"d[{key}]")
-    return ambient_point(x, _u_from_json(_field(data, "u")), d)
+    d = _label_keyed(_field(data, "d"), "d", 3, _number)
+    return ambient_point(x, _label_keyed(_field(data, "u"), "u", 2, _floats), d)
 
 
 def simplicial_to_json(p: SimplicialPoint) -> dict:
@@ -220,7 +221,7 @@ def simplicial_to_json(p: SimplicialPoint) -> dict:
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:
     data = _object(data, "point")
-    return simplicial_point(_positions(data, "x"), _u_from_json(_field(data, "u")))
+    return simplicial_point(_positions(data, "x"), _label_keyed(_field(data, "u"), "u", 2, _floats))
 
 
 def framed_to_json(fp: FramedPoint) -> dict:
@@ -231,12 +232,8 @@ def framed_to_json(fp: FramedPoint) -> dict:
 
 def framed_from_json(data: dict) -> FramedPoint:
     data = _object(data, "point")
-    if "frames" not in data:
-        raise ValueError("framed point needs a frames field")
+    frames = _field(data, "frames")
     point = ambient_from_json(data) if "d" in data else simplicial_from_json(data)
-    if not isinstance(data["frames"], list):
-        raise ValueError("field 'frames' must be a list")
-    frames = [_floats(f, "frames") for f in data["frames"]]
     return framed_point(point, frames)
 
 
@@ -270,20 +267,40 @@ def stratum_to_json(s: StratumPoint) -> dict:
     }
 
 
+def vertices_from_keys(t: trees.FTree, keys, field: str, root: bool = False) -> dict[int, str]:
+    """{vertex: key} in key order.  A key lists the leaves of one vertex, in
+    any order and each once, and names the internal vertex over exactly those
+    leaves; with `root`, "root" and (without a trunk) the full leaf set name the root."""
+    table = {t.leaves_over[v]: v for v in t.internal_vertices}
+    if root:
+        table.setdefault(frozenset(range(1, t.n + 1)), 0)
+    out = {}
+    for key in keys:
+        if root and key == "root":
+            v = 0
+        else:
+            leaves = labels_from_text(key, field)
+            v = table.get(frozenset(leaves)) if len(set(leaves)) == len(leaves) else None
+            if v is None:
+                raise ValueError(f"field {field!r} has a key {key!r} that names no vertex")
+        if v in out:
+            raise ValueError(f"field {field!r} names one vertex twice, as {out[v]!r} and {key!r}")
+        out[v] = key
+    return out
+
+
+def vertex_values(t: trees.FTree, data, field: str, read=_floats, root: bool = False) -> dict:
+    """{vertex: read(value, "field[key]")} of a JSON object keyed as `vertices_from_keys` reads."""
+    data = _object(data, field)
+    keys = vertices_from_keys(t, data, field, root)
+    return {v: read(data[k], f"{field}[{k}]") for v, k in keys.items()}
+
+
 def stratum_from_json(data: dict) -> StratumPoint:
     data = _object(data, "stratum")
     t = tree_from_json(_field(data, "tree"))
-    key_of = {_vertex_key(t, v): v for v in t.internal_vertices}
-    configs = {}
-    scales = {}
-    for key, rows in _object(_field(data, "configs"), "configs").items():
-        if key not in key_of:
-            raise ValueError(f"no internal vertex over leaves {{{key}}}")
-        configs[key_of[key]] = _floats(rows, f"configs[{key}]")
-    for key, val in _object(_field(data, "scales"), "scales").items():
-        if key not in key_of:
-            raise ValueError(f"no internal vertex over leaves {{{key}}}")
-        scales[key_of[key]] = _number(val, f"scales[{key}]")
+    configs = vertex_values(t, _field(data, "configs"), "configs")
+    scales = vertex_values(t, _field(data, "scales"), "scales", _number)
     return StratumPoint(t, _floats(_field(data, "root"), "root"), configs, scales)
 
 

@@ -78,10 +78,11 @@ def framed_point(point, frames) -> FramedPoint:
     1..n: the one place frames are checked."""
     if not isinstance(point, (AmbientPoint, SimplicialPoint)):
         raise ValueError("point must be an ambient or simplicial point")
-    if isinstance(frames, np.ndarray) or (
-        frames and not isinstance(frames, Mapping)
-    ):
-        frames = dict(enumerate(frames, 1))
+    if not isinstance(frames, Mapping):
+        try:
+            frames = dict(enumerate(frames, 1))
+        except TypeError:
+            raise ValueError("'frames' must be a sequence or a mapping of frames") from None
     F = np.empty((point.n, point.m))
     for i in range(1, point.n + 1):
         if i not in frames:

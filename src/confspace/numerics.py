@@ -21,20 +21,21 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 def _float_array(value) -> np.ndarray:
     """np.asarray(value, dtype=float), except that numbers written as
-    strings are not numbers (TypeError)."""
+    strings are not numbers and complex numbers are not real (TypeError)."""
     raw = np.asarray(value)
-    if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+    if raw.dtype.kind in "SUc" or raw.dtype.kind == "O" and any(
         isinstance(x, (str, bytes)) for x in raw.flat
     ):
-        raise TypeError("numbers written as strings")
+        raise TypeError("numbers written as strings, or complex numbers")
     return np.asarray(raw, dtype=float)
 
 
 def _float(value) -> float:
     """float(value), except that a number written as a string is not a
-    number (TypeError): _float_array's rule for one number."""
-    if isinstance(value, (str, bytes)):
-        raise TypeError("a number written as a string")
+    number and a complex number is not real (TypeError): _float_array's rule
+    for one number."""
+    if isinstance(value, (str, bytes, complex)):
+        raise TypeError("a number written as a string, or a complex number")
     return float(value)
 
 

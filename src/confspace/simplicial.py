@@ -61,6 +61,7 @@ from .canonical import (
     normalize,
 )
 from .numerics import (
+    _float_array,
     nonneg_dependent,
     ray_intersection,
     require_unit,
@@ -172,12 +173,13 @@ def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int]) -> np.ndar
     index pairs (smaller index first) in slot order."""
     rows = []
     for a, b in itertools.combinations(idx, 2):
-        if (a, b) in u:
-            rows.append(np.asarray(u[(a, b)], dtype=float))
-        elif (b, a) in u:
-            rows.append(-np.asarray(u[(b, a)], dtype=float))
-        else:
+        pair, sign = ((a, b), 1.0) if (a, b) in u else ((b, a), -1.0)
+        if pair not in u:
             raise ValueError(f"missing direction for pair ({a},{b})")
+        try:
+            rows.append(sign * _float_array(u[pair]))
+        except (TypeError, ValueError):
+            raise ValueError(f"direction for pair {pair} is not numeric") from None
     return np.stack(rows)
 
 

@@ -518,6 +518,44 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
+    """A non-finite --tol passed every point: a lifted point with one
+    direction rotated reported pass."""
+    a = cs.lift_configuration([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
+    data = jsonio.ambient_to_json(a)
+    data["u"]["1,2"] = [0.0, 1.0]
+    pt = tmp_path / "pt.json"
+    pt.write_text(jsonio.dumps(data))
+    argv = ["point", "membership", "--in", str(pt), "--tol"]
+    assert run(capsys, *argv, "1e-9")[0] == 1
+    usage = '{"error": "usage", "message": "tolerance must be finite and positive"}\n'
+    assert run(capsys, *argv, tol) == (2, "", usage)
+
+
+def test_chart_sample_reads_m_as_given(tmp_path, capsys):
+    """--m 0 sampled in R^2, as if --m were not given."""
+    argv = _one_call_per_subcommand(tmp_path)["chart sample"]
+    explicit = run(capsys, *argv)
+    at = argv.index("--m")
+    assert explicit[0] == 0 and run(capsys, *argv[:at], *argv[at + 2:]) == explicit
+    argv[at + 1] = "0"
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"] == "ambient dimension must be at least 1"
+
+
+@pytest.mark.parametrize("verb", ["enumerate", "poset"])
+def test_tree_variant_is_one_of_the_documented_choices(capsys, verb):
+    argv = ["trees", verb, "--n", "3"]
+    assert run(capsys, *argv) == run(capsys, *argv, "--variant", "full")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--variant", "bogus"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--variant" in captured.err and "Traceback" not in captured.err
+
+
 # -- one parser per process ------------------------------------------------------------
 
 
@@ -778,47 +816,142 @@ def test_trees_commands(tmp_path, capsys):
     assert code == 0
 
 
-def test_assoc_realize_command(tmp_path, capsys):
-    t = cs.corolla(4)
+def _realize(tmp_path, capsys, params):
     f = tmp_path / "t.json"
-    f.write_text(jsonio.dumps(jsonio.tree_to_json(t)))
-    params = tmp_path / "p.json"
-    params.write_text(jsonio.dumps({"root": [0.0, 0.2, 0.4, 1.0]}))
-    code, out, _ = run(
-        capsys, "assoc", "realize", "--tree", str(f), "--params", str(params),
-    )
+    f.write_text(jsonio.dumps(jsonio.tree_to_json(cs.corolla(4))))
+    p = tmp_path / "p.json"
+    p.write_text(jsonio.dumps(params))
+    return run(capsys, "assoc", "realize", "--tree", str(f), "--params", str(p))
+
+
+def test_assoc_realize_command(tmp_path, capsys):
+    code, out, _ = _realize(tmp_path, capsys, {"root": [0.0, 0.2, 0.4, 1.0]})
     assert code == 0
     pt = jsonio.ambient_from_json(json.loads(out))
     assert abs(pt.d[(1, 2, 3)] - 0.5) < 1e-15
 
 
 @pytest.mark.parametrize(
-    "root", [{"a": 1}, ["0", "0.5", "1"]], ids=["object", "numbers-as-strings"]
+    "root", [{"a": 1}, ["0", "0.5", "1", "2"]], ids=["object", "numbers-as-strings"]
 )
 def test_assoc_realize_params_follow_the_number_rule(tmp_path, capsys, root):
-    f = tmp_path / "t.json"
-    f.write_text(jsonio.dumps(jsonio.tree_to_json(cs.corolla(3))))
-    params = tmp_path / "p.json"
-    params.write_text(jsonio.dumps({"root": root}))
-    code, out, err = run(
-        capsys, "assoc", "realize", "--tree", str(f), "--params", str(params),
-    )
+    code, out, err = _realize(tmp_path, capsys, {"root": root})
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ValueError" and "params[root]" in payload["message"]
 
 
 def test_assoc_realize_params_array_reports_json(tmp_path, capsys):
-    f = tmp_path / "t.json"
-    f.write_text(jsonio.dumps(jsonio.tree_to_json(cs.corolla(4))))
-    params = tmp_path / "p.json"
-    params.write_text("[1, 2]\n")
-    code, out, err = run(
-        capsys, "assoc", "realize", "--tree", str(f), "--params", str(params),
-    )
+    code, out, err = _realize(tmp_path, capsys, [1, 2])
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ValueError" and "'params'" in payload["message"]
+
+
+def test_assoc_realize_names_the_root_as_root_or_its_leaf_set(tmp_path, capsys):
+    vals = [0.0, 0.2, 0.4, 1.0]
+    outs = [_realize(tmp_path, capsys, {key: vals}) for key in ("root", "1,2,3,4", "4, 3,2 ,1")]
+    assert outs[0][0] == 0 and outs[1:] == outs[:1] * 2
+
+
+@pytest.mark.parametrize(
+    "params, keys",
+    [
+        ({"1": [5.0]}, ["1"]),
+        ({"root": [0.0, 0.5, 0.7, 1.0], "1,2,3,4": [0.0, 0.1, 0.7, 1.0]}, ["root", "1,2,3,4"]),
+        ({"1,x": [0.0, 1.0]}, ["1,x"]),
+    ],
+    ids=["a-leaf", "the-root-twice", "not-labels"],
+)
+def test_assoc_realize_params_keys_name_one_vertex_each(tmp_path, capsys, params, keys):
+    """A leaf key was ignored, the root's second key silently won, and a key
+    that is not labels escaped from int() naming no field."""
+    code, out, err = _realize(tmp_path, capsys, params)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "'params'" in payload["message"]
+    assert all(repr(key) in payload["message"] for key in keys)
+
+
+@pytest.mark.parametrize(
+    "key, option, value, bad",
+    [
+        ("trees contract", "--edges", "1,a", "1,a"),
+        ("trees contract", "--edges", "", ""),
+        ("trees contract", "--edges", "1,2|1,2", "1,2"),
+        ("trees contract", "--edges", "1,2|2, 1", "2, 1"),
+        ("trees contract", "--edges", "1,1,2", "1,1,2"),
+        ("trees contract", "--edges", "1", "1"),
+        ("trees prune", "--map", "1,,2", "1,,2"),
+        ("point permute", "--map", "2,,1", "2,,1"),
+        ("maps cosimplicial", "--map", "1,x", "1,x"),
+    ],
+)
+def test_label_text_errors_name_the_option_and_the_key(tmp_path, capsys, key, option, value, bad):
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    argv[argv.index(option) + 1] = value
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert repr(option) in payload["message"] and repr(bad) in payload["message"]
+
+
+def test_inline_prune_map_takes_the_tree_leaf_count(tmp_path, capsys):
+    """An inline map missing the largest leaf was read into fewer leaves."""
+    argv = _one_call_per_subcommand(tmp_path)["trees prune"]
+    sm = argv[argv.index("--map") + 1]
+    with open(sm, "w") as fh:
+        fh.write(jsonio.dumps({"m": 2, "n": 4, "map": [1, 3]}))
+    from_file = run(capsys, *argv)
+    argv[argv.index("--map") + 1] = "1,3"
+    assert from_file[0] == 0 and run(capsys, *argv) == from_file
+
+
+def _stratum_with_keys(s, write):
+    """stratum_to_json(s), its configs and scales keys rewritten by write."""
+    data = jsonio.loads(jsonio.dumps(jsonio.stratum_to_json(s)))
+    for field in ("configs", "scales"):
+        data[field] = {write(key): value for key, value in data[field].items()}
+    return data
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda key: key,
+        lambda key: ",".join(reversed(key.split(","))),
+        lambda key: " " + " , ".join(key.split(",")) + " ",
+    ],
+    ids=["sorted", "permuted", "padded"],
+)
+def test_stratum_keys_read_back_in_any_order_and_spacing(write):
+    for n in range(1, 5):
+        for t in cs.enumerate_trees(n):
+            s = cs.stratum_sample(t, 2, seed=n)
+            back = jsonio.stratum_from_json(_stratum_with_keys(s, write))
+            assert back.tree == t
+            assert back.C.tobytes() == s.C.tobytes() and back.S.tobytes() == s.S.tobytes()
+
+
+@pytest.mark.parametrize("key", ["2,1", " 1, 2"])
+def test_stratum_keys_and_edges_read_one_grammar(tmp_path, capsys, key):
+    """Stratum JSON rejected these keys while --edges accepted them."""
+    s = cs.stratum_sample(cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4), 2, seed=3)
+    back = jsonio.stratum_from_json(_stratum_with_keys(s, lambda k: key if k == "1,2" else k))
+    assert back.C.tobytes() == s.C.tobytes() and back.S.tobytes() == s.S.tobytes()
+    argv = _one_call_per_subcommand(tmp_path)["trees contract"]
+    sorted_out = run(capsys, *argv)
+    argv[argv.index("--edges") + 1] = key
+    assert sorted_out[0] == 0 and run(capsys, *argv) == sorted_out
+
+
+def test_stratum_keys_naming_one_vertex_twice_are_an_error():
+    s = cs.stratum_sample(cs.tree_from_nested([{1, 2}], 3), 2, seed=3)
+    data = jsonio.stratum_to_json(s)
+    data["configs"]["2,1"] = data["configs"]["1,2"]
+    with pytest.raises(ValueError, match="field 'configs' names one vertex twice, as '1,2' and '2,1'"):
+        jsonio.stratum_from_json(data)
 
 
 def _caterpillar_parent(n):

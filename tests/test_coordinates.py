@@ -176,6 +176,7 @@ def test_point_classes_cannot_be_called():
 _X = [[0.0, 0.0], [1.0, 0.0]]
 _U = {(1, 2): [-1.0, 0.0], (2, 1): [1.0, 0.0]}
 _B = cs.lift_configuration(_X + [[0.0, 1.0]])
+_SQUARE = cs.lift_configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize(
@@ -198,17 +199,36 @@ _B = cs.lift_configuration(_X + [[0.0, 1.0]])
         (lambda: cs.framed_point(cs.lift_configuration(_X), {1: [1.0, 0.0], 2: "1"}),
          "frame at 2 is not a numeric vector"),
         (lambda: cs.framed_point({"n": 1}, [[1.0]]), "point must be an ambient or simplicial point"),
+        (lambda: cs.four_consistency_residual(
+            {pair: [str(c) for c in vec] for pair, vec in _SQUARE.u.items()}, [1.0, 0.0], [0.0, 1.0]
+        ), r"direction for pair \(1, 2\) is not numeric"),
     ],
     ids=[
         "configuration-strings", "configuration-ragged", "lift-strings", "lift-ragged",
         "ambient-x-strings", "ambient-x-ragged", "ambient-u-strings", "ambient-d-strings",
         "simplicial-x-strings", "simplicial-u-strings", "framed-strings", "framed-ragged",
-        "framed-mapping-string", "framed-not-a-point",
+        "framed-mapping-string", "framed-not-a-point", "four-consistency-strings",
     ],
 )
 def test_readers_reject_numbers_written_as_strings(read, message):
     """Each reader names the field; every one of these was read or escaped
     as an unnamed error."""
+    with pytest.raises(ValueError, match=message):
+        read()
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: cs.framed_point(_B, 5), "'frames' must be a sequence or a mapping"),
+        (lambda: cs.framed_point(_B, None), "'frames' must be a sequence or a mapping"),
+        (lambda: cs.Configuration([[1 + 2j, 0.0], [0.0, 1.0]]), r"points must form an \(n, m\) array"),
+    ],
+    ids=["framed-int", "framed-none", "configuration-complex"],
+)
+def test_readers_name_the_field_of_other_bad_values(read, message):
+    """A frames argument that is not a collection escaped as a TypeError, and
+    complex points lost their imaginary part."""
     with pytest.raises(ValueError, match=message):
         read()
 

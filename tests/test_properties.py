@@ -1,6 +1,6 @@
 """Guarantees of the paper checked on drawn inputs: stratum classification
-commutes with relabelling the points, and a tree survives the round trip
-through its exclusion relation."""
+commutes with relabelling the points and with projecting onto a subset of
+them, and a tree survives the round trip through its exclusion relation."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -36,3 +36,18 @@ def test_stratum_tree_is_permutation_equivariant(case, m, seed, data):
     seen = cs.stratum_tree(a)
     back = {sigma[i - 1]: i for i in range(1, t.n + 1)}
     assert cs.stratum_tree(cs.permute(sigma, a)) == cs.relabel(seen, back)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(set_families(max_n=6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_pruning_commutes_with_projection(case, m, seed, data):
+    """At a chart point with all scales 0 and at one with the sampled scales,
+    the tree of the projected point is the pruned tree."""
+    t = _tree(case)
+    s = cs.stratum_sample(t, m, seed)
+    values = data.draw(st.lists(st.integers(1, t.n), min_size=1, max_size=t.n, unique=True))
+    sigma = cs.SetMap(len(values), t.n, tuple(values))
+    zero = cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in t.internal_vertices})
+    for point in (zero, s):
+        a = cs.expand_chart(point)
+        assert cs.stratum_tree(cs.project_indices(sigma, a)) == cs.prune(cs.stratum_tree(a), sigma)
