@@ -17,6 +17,7 @@ import numpy as np
 
 from . import trees
 from .canonical import AmbientPoint, StratumPoint, expand_chart
+from .numerics import _float_array
 
 MAX_ASSOC_INDEX = 8
 
@@ -86,7 +87,7 @@ def realize_face(
 
     def increasing(v: int, k: int) -> np.ndarray:
         if v in params:
-            vals = np.asarray(params[v], dtype=float).reshape(-1)
+            vals = _float_array(params[v], f"parameters at vertex {v} must be numbers").reshape(-1)
             if vals.shape != (k,):
                 raise ValueError(f"vertex {v} needs {k} parameters")
             if not (np.diff(vals) > 0).all():

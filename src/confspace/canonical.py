@@ -206,6 +206,9 @@ def _record(record, **fields):
 # -- configurations ----------------------------------------------------------
 
 
+_POINTS_SHAPE = "points must form an (n, m) array"
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration(_Frozen):
     """An ordered tuple of pairwise-distinct points in R^m."""
@@ -213,12 +216,9 @@ class Configuration(_Frozen):
     points: np.ndarray
 
     def __post_init__(self):
-        try:
-            pts = _float_array(self.points)
-        except (TypeError, ValueError):
-            raise ValueError("points must form an (n, m) array") from None
+        pts = _float_array(self.points, _POINTS_SHAPE)
         if pts.ndim != 2:
-            raise ValueError("points must form an (n, m) array")
+            raise ValueError(_POINTS_SHAPE)
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         i, j = np.nonzero(np.arange(len(pts))[:, None] < np.arange(len(pts)))
@@ -239,10 +239,7 @@ class Configuration(_Frozen):
 def as_configuration(c) -> Configuration:
     if isinstance(c, Configuration):
         return c
-    try:
-        pts = _float_array(c)
-    except (TypeError, ValueError):
-        raise ValueError("points must form an (n, m) array") from None
+    pts = _float_array(c, _POINTS_SHAPE)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     return Configuration(pts)
@@ -381,10 +378,7 @@ class AmbientPoint(_Record):
 
 
 def _positions(x) -> np.ndarray:
-    try:
-        pts = _float_array(x)
-    except (TypeError, ValueError):
-        raise ValueError("x must be an (n, m) array") from None
+    pts = _float_array(x, "x must be an (n, m) array")
     if pts.ndim != 2:
         raise ValueError("x must be an (n, m) array")
     return _finite(pts)
@@ -397,27 +391,37 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x.copy()
 
 
+def _cover(mapping: Mapping, n: int, field: str) -> tuple:
+    """The values of the direction mapping u or the ratio mapping d at every
+    ordered pair or triple of distinct labels in 1..n, looked up in one call.
+    The keys must be exactly those: the first missing one raises, then the
+    first key that is not one of them."""
+    t = _tables(n)
+    index, get, noun, tuple_ = (
+        (t.pair_index, t.get_pairs, "direction", "pair")
+        if field == "u"
+        else (t.triple_index, t.get_triples, "ratio", "triple")
+    )
+    try:
+        vals = get(mapping)
+    except KeyError:
+        key = next(key for key in index if key not in mapping)
+        raise ValueError(f"missing {noun} {field}[{','.join(map(str, key))}]") from None
+    if len(mapping) != len(index):
+        key = next(key for key in mapping if key not in index)
+        raise ValueError(f"{field} key {key!r} is not a {tuple_} of distinct labels in 1..{n}")
+    return vals
+
+
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
     """The direction mapping as a dense U, looked up in one call."""
-    t = _tables(n)
-    try:
-        vals = t.get_pairs(u)
-    except KeyError:
-        i, j = next(key for key in t.pair_index if key not in u)
-        raise ValueError(f"missing direction u[{i},{j}]") from None
-    rows = None
-    try:
-        rows = _float_array(vals) if vals else np.zeros((0, m))
-    except (TypeError, ValueError):
-        pass
-    if rows is None or rows.shape[1:] != (m,):
-        for i, j in t.pair_index:
-            if np.shape(u[(i, j)]) != (m,):
-                raise ValueError(f"direction u[{i},{j}] has wrong dimension")
-        raise ValueError("directions must be numeric vectors")
+    vals = _cover(u, n, "u")
+    for (i, j), row in zip(_tables(n).pair_index, vals):
+        if np.shape(row) != (m,):
+            raise ValueError(f"direction u[{i},{j}] has wrong dimension")
     U = np.zeros((n, n, m))
-    i, j = t.pairs.T
-    U[i, j] = rows
+    if vals:
+        U[tuple(_tables(n).pairs.T)] = _float_array(vals, "directions must be numeric vectors")
     return U
 
 
@@ -459,16 +463,8 @@ def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) ->
     pts = _positions(x)
     n, m = pts.shape
     U = _unit_directions(_gather_directions(u, n, m))
-    t = _tables(n)
-    try:
-        vals = _float_array(t.get_triples(d))
-    except KeyError:
-        i, j, k = next(key for key in t.triple_index if key not in d)
-        raise ValueError(f"missing ratio d[{i},{j},{k}]") from None
-    except (TypeError, ValueError):
-        raise ValueError("ratios must be numbers") from None
     D = np.full((n, n, n), np.nan)
-    D[tuple(t.triples.T)] = vals
+    D[tuple(_tables(n).triples.T)] = _float_array(_cover(d, n, "d"), "ratios must be numbers")
     return _record(AmbientPoint, x=pts, U=U, D=_ratios(D))
 
 
@@ -616,23 +612,34 @@ def _distances(x: np.ndarray) -> np.ndarray:
     return row_norms(x[:, None, :] - x[None, :, :])
 
 
+# c·u of the condition-1 bound tol + c·u·κ: c = 4 units of double rounding u = 2^-53
+_ROUNDING = 4.0 * 2.0**-53
+
+
 def _shared_blocks(
     prefixes: tuple[str, str],
     x: np.ndarray,
     U: np.ndarray,
     dist: np.ndarray,
-    near: float,
+    scale: float,
     tol: float,
 ) -> tuple[_Block, _Block, _Block]:
     """The checks both variants make: direction consistency where points
-    differ, antisymmetry, and triangle dependence, named with the variant's
+    differ (bounded by tol + c·u·X/|x_i - x_j|, X the configuration scale),
+    antisymmetry, and triangle dependence, named with the variant's
     condition prefixes."""
     t = _tables(x.shape[0])
     i, j = t.pairs.T
-    far = dist[i, j] > near
+    far = dist[i, j] > tol * scale
     i, j = i[far], j[far]
-    expected = (x[i] - x[j]) / dist[i, j][:, None]
-    direction = (f"{prefixes[0]}-direction", t.pairs[far], row_norms(U[i, j] - expected), None)
+    dij = dist[i, j]
+    expected = (x[i] - x[j]) / dij[:, None]
+    direction = (
+        f"{prefixes[0]}-direction",
+        t.pairs[far],
+        row_norms(U[i, j] - expected),
+        tol + _ROUNDING * scale / dij,
+    )
     i, j = t.upairs.T
     antisymmetry = (f"{prefixes[1]}-antisymmetry", t.upairs, row_norms(U[i, j] + U[j, i]), None)
     i, j, k = t.subsets3.T
@@ -665,6 +672,15 @@ def membership_canonical(
     extended-ratio product identities (condition 4), and the manifold's own
     clauses (condition 5: on-manifold and tangency for a sphere, none for R^m).
 
+    Condition 1 compares numbers that were rounded where they were computed,
+    so its rows are held to tol + c·u·κ instead of tol, with u = 2^-53, c = 4,
+    X = config_scale(x) and κ the condition number of the row's comparison
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 1-3):
+    κ = X / |x_i - x_j| for 1-direction (i, j), and, with
+    q = |x_i - x_j| / |x_i - x_k|, κ = X (1 + q) / (|x_i - x_k| max(1, q))
+    for 1-ratio and 1-ratio-vanishing (i, j, k).  Every other row is held to
+    tol, and max_residual is the largest residual of any row.
+
     Violations are reported in that order: 1-direction, then 1-ratio and
     1-ratio-vanishing interleaved by triple, 2-law-of-sines and
     2-cluster-zero interleaved by triple, 3-antisymmetry, 3-dependence,
@@ -684,18 +700,20 @@ def _canonical_blocks(a: AmbientPoint, manifold: ManifoldDescriptor, tol: float)
     i, j, k = t.triples.T
     d = D[i, j, k]
     dist = _distances(a.x)
-    near = tol * config_scale(a.x)
-    direction, antisymmetry, dependence = _shared_blocks(("1", "3"), a.x, U, dist, near, tol)
+    scale = config_scale(a.x)
+    near = tol * scale
+    direction, antisymmetry, dependence = _shared_blocks(("1", "3"), a.x, U, dist, scale, tol)
 
     # condition 1: ratios against positions where x_i and x_k differ
     keep = dist[i, k] > near
     dij, dik, dk = dist[i, j][keep], dist[i, k][keep], d[keep]
     apart = dij > near
+    q = dij / dik
     ratio = (
         np.where(apart, "1-ratio", "1-ratio-vanishing"),
         t.triples[keep],
-        np.where(apart, _rel_diffs(dk, dij / dik), np.abs(dk)),
-        None,
+        np.where(apart, _rel_diffs(dk, q), np.abs(dk)),
+        tol + _ROUNDING * scale * (1.0 + q) / (dik * np.maximum(1.0, q)),
     )
 
     # condition 2: directions determine ratios away from collinearity
@@ -985,10 +1003,7 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> np.ndarray:
     blocks before it are checked, so the first bad vertex decides, the root
     first."""
     k0 = plan.counts[0]
-    try:
-        root = _float_array(root)
-    except (TypeError, ValueError):
-        raise ValueError(_ROOT_SHAPE) from None
+    root = _float_array(root, _ROOT_SHAPE)
     if root.ndim and root.shape[0] != k0:
         raise ValueError("root configuration size does not match root valence")
     m = root.shape[1] if root.ndim == 2 else 0
@@ -996,29 +1011,22 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> np.ndarray:
         raise ValueError(_ROOT_SHAPE)
     if not isinstance(configs, Mapping):
         raise ValueError("configs must map internal vertices to configurations")
-    err = None
     body = []
-    for v, k in zip(t.internal_vertices, plan.counts[1:]):
-        if v not in configs:
-            err = f"missing configuration for vertex {v}"
-            break
-        try:
-            cfg = _float_array(configs[v])
-        except (TypeError, ValueError):
-            err = f"configuration at vertex {v} is not a numeric array"
-            break
-        if cfg.shape != (k, m):
-            err = f"configuration at vertex {v} has wrong shape"
-            break
-        body.append(cfg)
-    C = np.concatenate([root, *body])
-    if not err and len(configs) != len(plan.config_index):
-        key = next(key for key in configs if key not in plan.config_index)
-        err = f"configs key {key!r} is not an internal vertex"
-    if err:
-        _check_rows(plan, t, C, 1 + len(body))
-        raise ValueError(err)
-    return C
+    try:
+        for v, k in zip(t.internal_vertices, plan.counts[1:]):
+            if v not in configs:
+                raise ValueError(f"missing configuration for vertex {v}")
+            cfg = _float_array(configs[v], f"configuration at vertex {v} is not a numeric array")
+            if cfg.shape != (k, m):
+                raise ValueError(f"configuration at vertex {v} has wrong shape")
+            body.append(cfg)
+        if len(configs) != len(plan.config_index):
+            key = next(key for key in configs if key not in plan.config_index)
+            raise ValueError(f"configs key {key!r} is not an internal vertex")
+    except ValueError:
+        _check_rows(plan, t, np.concatenate([root, *body]), 1 + len(body))
+        raise
+    return np.concatenate([root, *body])
 
 
 _ROW_FAULTS = ("must be finite", "is not centered", "is not max-norm 1", "has coincident points")
@@ -1076,19 +1084,17 @@ def _scale_values(plan: _ChartPlan, t: trees.FTree, scales) -> tuple[np.ndarray,
         return S, "scales must map internal vertices to numbers"
     vals = []
     err = None
-    for v in t.internal_vertices:
-        if v not in scales:
-            err = f"missing scale for vertex {v}"
-            break
-        try:
-            vals.append(_float(scales[v]))
-        except (TypeError, ValueError):
-            err = f"scale at vertex {v} is not a number"
-            break
+    try:
+        for v in t.internal_vertices:
+            if v not in scales:
+                raise ValueError(f"missing scale for vertex {v}")
+            vals.append(_float(scales[v], f"scale at vertex {v} is not a number"))
+        if len(scales) != len(plan.scale_index):
+            key = next(key for key in scales if key not in plan.scale_index)
+            raise ValueError(f"scales key {key!r} is not an internal vertex")
+    except ValueError as exc:
+        err = str(exc)
     S[t.n + 1 : t.n + 1 + len(vals)] = vals
-    if not err and len(scales) != len(plan.scale_index):
-        key = next(key for key in scales if key not in plan.scale_index)
-        err = f"scales key {key!r} is not an internal vertex"
     return S, err
 
 

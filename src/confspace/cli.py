@@ -378,14 +378,14 @@ def main(argv=None) -> int:
         return 2
     try:
         result = args.handler(args)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        if args.out:
+            Path(args.out).write_text(text)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         err = jsonio.dumps({"error": type(exc).__name__, "message": str(exc)})
         print(err, file=sys.stderr, end="")
         return 1
-    text, code = result if isinstance(result, tuple) else (result, 0)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -180,28 +180,32 @@ def labels_from_text(text: str, field: str, arity: int | None = None) -> tuple[i
 def _positions(data: dict, field: str) -> np.ndarray:
     """A positions field: an (n, m) list, or a flat list of n points on a line."""
     pts = _floats(_field(data, field), field)
+    if not pts.ndim:
+        raise ValueError(f"field {field!r} must be a list of points")
     return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 def _floats(value, field: str) -> np.ndarray:
-    try:
-        return _float_array(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"field {field!r} is not numeric") from None
+    return _float_array(value, f"field {field!r} is not numeric")
 
 
 def _number(value, field: str) -> float:
     """A number field; of the strings, only the format's "inf" and "-inf"."""
-    try:
-        return _float(_revive(value))
-    except (TypeError, ValueError):
-        raise ValueError(f"field {field!r} is not a number") from None
+    return _float(_revive(value), f"field {field!r} is not a number")
 
 
 def _label_keyed(data, field: str, arity: int, read) -> dict:
-    """{labels: read(value, "field[key]")} of a JSON object keyed by `arity` labels."""
+    """{labels: read(value, "field[key]")} of a JSON object keyed by `arity`
+    labels; two keys may not name one index tuple."""
     data = _object(data, field)
-    return {labels_from_text(k, field, arity): read(v, f"{field}[{k}]") for k, v in data.items()}
+    out = {labels_from_text(k, field, arity): read(v, f"{field}[{k}]") for k, v in data.items()}
+    if len(out) != len(data):
+        seen = {}
+        for k in data:
+            first = seen.setdefault(labels_from_text(k, field, arity), k)
+            if first != k:
+                raise ValueError(f"field {field!r} names one index tuple twice, as {first!r} and {k!r}")
+    return out
 
 
 def ambient_to_json(a: AmbientPoint) -> dict:

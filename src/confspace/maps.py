@@ -91,6 +91,9 @@ def framed_point(point, frames) -> FramedPoint:
         if vec.shape != (point.m,):
             raise ValueError(f"frame at {i} has wrong dimension")
         F[i - 1] = vec
+    if len(frames) != point.n:
+        key = next(key for key in frames if key not in range(1, point.n + 1))
+        raise ValueError(f"frames key {key!r} is not a label in 1..{point.n}")
     return _record(FramedPoint, point=point, F=F)
 
 

@@ -19,24 +19,30 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
-def _float_array(value) -> np.ndarray:
-    """np.asarray(value, dtype=float), except that numbers written as
-    strings are not numbers and complex numbers are not real (TypeError)."""
-    raw = np.asarray(value)
-    if raw.dtype.kind in "SUc" or raw.dtype.kind == "O" and any(
-        isinstance(x, (str, bytes)) for x in raw.flat
-    ):
-        raise TypeError("numbers written as strings, or complex numbers")
-    return np.asarray(raw, dtype=float)
+def _float_array(value, what: str) -> np.ndarray:
+    """np.asarray(value, dtype=float) under the one rule of what numbers are:
+    numbers written as strings, complex numbers and whatever else numpy
+    cannot read as floats (a ragged array) are not, and raise
+    ValueError(what), so that the caller names the field."""
+    try:
+        raw = np.asarray(value)
+        if not (raw.dtype.kind in "SUc" or raw.dtype.kind == "O" and any(
+            isinstance(x, (str, bytes)) for x in raw.flat
+        )):
+            return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(what)
 
 
-def _float(value) -> float:
-    """float(value), except that a number written as a string is not a
-    number and a complex number is not real (TypeError): _float_array's rule
-    for one number."""
-    if isinstance(value, (str, bytes, complex)):
-        raise TypeError("a number written as a string, or a complex number")
-    return float(value)
+def _float(value, what: str) -> float:
+    """float(value) under _float_array's rule for one number."""
+    if not isinstance(value, (str, bytes, complex)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(what)
 
 
 _UNIT_SLACK = 1e-6  # how far from 1 a norm may be for a unit vector to be rescaled
@@ -44,10 +50,7 @@ _UNIT_EXACT = 1e-12  # how far from 1 a norm may be for a unit vector to be kept
 
 
 def require_unit(v: np.ndarray, where: str = "vector") -> np.ndarray:
-    try:
-        v = _float_array(v)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} is not a numeric vector") from None
+    v = _float_array(v, f"{where} is not a numeric vector")
     nrm = float(np.linalg.norm(v))
     # written so that a NaN norm fails the test
     if not abs(nrm - 1.0) <= _UNIT_SLACK:
@@ -70,7 +73,9 @@ def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
     smallest singular value for an independent triple, or the most negative
     normalized coefficient).
     """
-    a = np.stack([np.asarray(v, dtype=float) for v in vectors])
+    a = _float_array(list(vectors), "vectors must be numeric vectors of one length")
+    if a.ndim != 2:
+        raise ValueError("vectors must be numeric vectors of one length")
     ok, res = nonneg_dependent_rows(a[None], tol)
     return bool(ok[0]), float(res[0])
 

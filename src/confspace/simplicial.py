@@ -168,18 +168,18 @@ class Circuit3:
         )
 
 
-def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int]) -> np.ndarray:
+def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int], m: int) -> np.ndarray:
     """Stack u, where either orientation of a pair may stand, over the six
-    index pairs (smaller index first) in slot order."""
+    index pairs (smaller index first) in slot order; each must have m entries."""
     rows = []
     for a, b in itertools.combinations(idx, 2):
         pair, sign = ((a, b), 1.0) if (a, b) in u else ((b, a), -1.0)
         if pair not in u:
             raise ValueError(f"missing direction for pair ({a},{b})")
-        try:
-            rows.append(sign * _float_array(u[pair]))
-        except (TypeError, ValueError):
-            raise ValueError(f"direction for pair {pair} is not numeric") from None
+        row = _float_array(u[pair], f"direction for pair {pair} is not numeric")
+        if row.shape != (m,):
+            raise ValueError(f"direction for pair {pair} has wrong dimension")
+        rows.append(sign * row)
     return np.stack(rows)
 
 
@@ -210,7 +210,9 @@ def four_consistency_residual(u: Mapping[Pair, np.ndarray], v, w) -> float:
         raise ValueError("four-consistency needs exactly four indices")
     v = require_unit(v, "v")
     w = require_unit(w, "w")
-    rows = _direction_rows(u, idx)
+    if v.ndim != 1 or w.shape != v.shape:
+        raise ValueError("probes v and w must be vectors of one dimension")
+    rows = _direction_rows(u, idx, len(v))
     _, _, res, _ = _four_consistency((rows @ v)[None, :, None], (rows @ w)[None, :, None])
     return float(res[0, 0, 0])
 
@@ -282,7 +284,8 @@ def membership_simplicial(
     four-consistency entry is the sorted quad followed by the probe axes
     (v, w), with w varying fastest.  Each condition runs as one array kernel
     over the point's U, read through index tables cached per n; the first
-    three are the same kernels as in membership_canonical.
+    three are the same kernels as in membership_canonical, and S1-direction
+    rows are held to 1-direction's bound tol + c·u·κ.
     """
     return _verdict(_simplicial_blocks(p, _check_manifold(manifold, p.m), tol), tol)
 
@@ -293,11 +296,11 @@ def _simplicial_blocks(
     """membership_simplicial's check blocks, in its report order."""
     U = p.U
     dist = _distances(p.x)
-    near = tol * config_scale(p.x)
+    scale = config_scale(p.x)
     return [
-        *_shared_blocks(("S1", "S2"), p.x, U, dist, near, tol),
+        *_shared_blocks(("S1", "S2"), p.x, U, dist, scale, tol),
         _four_consistency_block(U, tol),
-        *manifold.blocks("S4", p.x, U, dist, near),
+        *manifold.blocks("S4", p.x, U, dist, tol * scale),
     ]
 
 

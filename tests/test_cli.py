@@ -444,12 +444,15 @@ def _loader_inputs():
         # numbers written as strings are not numbers ("inf" is revived first)
         (["chart", "expand"], "stratum", ("scales", {"1,2": "0.1"}), "scales[1,2]"),
         (["point", "membership"], "ambient", ("x", [["0.1", 0.0], [1.0, 0.0], [0.0, 1.0]]), "x"),
+        # positions that are no list
+        (["point", "alpha"], "cfg", ("points", None), "points"),
+        (["point", "alpha"], "cfg", ("points", 5), "points"),
     ],
     ids=[
         "alpha-array", "membership-array", "classify-array", "expand-array",
         "simplicial-membership-array", "maps-project-array", "config-m-list",
         "config-m-string", "diagonal-frames-int", "simplicial-project-frames-int",
-        "scale-string", "x-string",
+        "scale-string", "x-string", "points-null", "points-number",
     ],
 )
 def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, field):
@@ -508,6 +511,16 @@ def test_chart_expand_names_the_non_finite_stratum_field(tmp_path, capsys):
         assert code == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "ValueError" and payload["message"] == message
+
+
+def test_out_into_a_missing_directory_reports_json(tmp_path, capsys):
+    """The write escaped main as a FileNotFoundError."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(jsonio.dumps({"m": 2, "points": [[0, 0], [1, 0], [0, 1]]}))
+    out = tmp_path / "missing" / "pt.json"
+    code, stdout, err = run(capsys, "point", "alpha", "--in", str(cfg), "--out", str(out))
+    assert code == 1 and stdout == "" and not out.parent.exists()
+    assert json.loads(err)["error"] == "FileNotFoundError"
 
 
 def test_usage_error_exits_2(capsys):
@@ -952,6 +965,17 @@ def test_stratum_keys_naming_one_vertex_twice_are_an_error():
     data["configs"]["2,1"] = data["configs"]["1,2"]
     with pytest.raises(ValueError, match="field 'configs' names one vertex twice, as '1,2' and '2,1'"):
         jsonio.stratum_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "field, key, twin", [("u", "1,2", " 1,2"), ("d", "1,2,3", "1, 2,3")], ids=["u", "d"]
+)
+def test_point_keys_naming_one_index_tuple_twice_are_an_error(field, key, twin):
+    """The second key's value silently replaced the first's."""
+    data = jsonio.ambient_to_json(cs.lift_configuration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    data[field][twin] = data[field][key]
+    with pytest.raises(ValueError, match=f"field '{field}' names one index tuple twice, as '{key}' and '{twin}'"):
+        jsonio.ambient_from_json(data)
 
 
 def _caterpillar_parent(n):

@@ -202,12 +202,15 @@ _SQUARE = cs.lift_configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
         (lambda: cs.four_consistency_residual(
             {pair: [str(c) for c in vec] for pair, vec in _SQUARE.u.items()}, [1.0, 0.0], [0.0, 1.0]
         ), r"direction for pair \(1, 2\) is not numeric"),
+        (lambda: cs.realize_face(cs.corolla(3), {0: ["0", "0.5", "1"]}),
+         "parameters at vertex 0 must be numbers"),
     ],
     ids=[
         "configuration-strings", "configuration-ragged", "lift-strings", "lift-ragged",
         "ambient-x-strings", "ambient-x-ragged", "ambient-u-strings", "ambient-d-strings",
         "simplicial-x-strings", "simplicial-u-strings", "framed-strings", "framed-ragged",
         "framed-mapping-string", "framed-not-a-point", "four-consistency-strings",
+        "realize-strings",
     ],
 )
 def test_readers_reject_numbers_written_as_strings(read, message):
@@ -223,12 +226,36 @@ def test_readers_reject_numbers_written_as_strings(read, message):
         (lambda: cs.framed_point(_B, 5), "'frames' must be a sequence or a mapping"),
         (lambda: cs.framed_point(_B, None), "'frames' must be a sequence or a mapping"),
         (lambda: cs.Configuration([[1 + 2j, 0.0], [0.0, 1.0]]), r"points must form an \(n, m\) array"),
+        (lambda: cs.realize_face(cs.corolla(3), {0: [0.0, 0.5 + 1j, 1.0]}),
+         "parameters at vertex 0 must be numbers"),
+        (lambda: cs.ambient_point(_X, {**_U, (1, 3): [1.0, 0.0]}, {}),
+         r"u key \(1, 3\) is not a pair of distinct labels in 1..2"),
+        (lambda: cs.simplicial_point(_X, {**_U, (1, 1): [1.0, 0.0]}),
+         r"u key \(1, 1\) is not a pair of distinct labels in 1..2"),
+        (lambda: cs.ambient_point(_B.x, _B.u, {**_B.d, (1, 2, 4): 0.5}),
+         r"d key \(1, 2, 4\) is not a triple of distinct labels in 1..3"),
+        (lambda: cs.ambient_point(_B.x, _B.u, {**_B.d, (1, 1, 2): 0.5}),
+         r"d key \(1, 1, 2\) is not a triple of distinct labels in 1..3"),
+        (lambda: cs.framed_point(cs.lift_configuration(_X), [[1.0, 0.0]] * 3),
+         r"frames key 3 is not a label in 1..2"),
+        (lambda: cs.framed_point(cs.lift_configuration(_X), {0: [1.0, 0.0], 1: [1.0, 0.0], 2: [1.0, 0.0]}),
+         r"frames key 0 is not a label in 1..2"),
+        (lambda: cs.four_consistency_residual(
+            {**_SQUARE.u, (1, 2): [1.0, 0.0, 0.0]}, [1.0, 0.0], [0.0, 1.0]
+        ), r"direction for pair \(1, 2\) has wrong dimension"),
     ],
-    ids=["framed-int", "framed-none", "configuration-complex"],
+    ids=[
+        "framed-int", "framed-none", "configuration-complex", "realize-complex",
+        "ambient-u-outside", "simplicial-u-diagonal", "ambient-d-outside", "ambient-d-diagonal",
+        "framed-more-frames", "framed-key-0",
+        "four-consistency-wrong-dimension",
+    ],
 )
 def test_readers_name_the_field_of_other_bad_values(read, message):
-    """A frames argument that is not a collection escaped as a TypeError, and
-    complex points lost their imaginary part."""
+    """A frames argument that is not a collection escaped as a TypeError,
+    complex points lost their imaginary part, keys outside 1..n and extra
+    frames were dropped, and a direction of the wrong length escaped from
+    numpy unnamed."""
     with pytest.raises(ValueError, match=message):
         read()
 

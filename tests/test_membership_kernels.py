@@ -213,7 +213,7 @@ def test_nonneg_dependent_rows_matches_single_calls():
         assert nonneg_dependent(list(row)) == (bool(want_ok), float(want_res))
 
 
-# -- known false rejection -------------------------------------------------------------------
+# -- false rejections by the tolerance policy --------------------------------------------------
 
 
 @pytest.mark.xfail(
@@ -236,28 +236,16 @@ def test_near_cluster_lift_passes_canonical_membership():
 @pytest.mark.parametrize(
     "t, m, seed",
     [
-        pytest.param(
-            cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 3, 859126745,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="interior chart point of a 4-level tree, smallest scale 0.00196: "
-                "8 1-ratio residuals up to 1.03e-9 at tol 1e-9 (tolerance policy, "
-                "ROADMAP open item 3)",
-            ),
-        ),
-        pytest.param(
-            cs.FTree(5, (-1, 9, 7, 8, 6, 9, 0, 6, 7, 8)), 2, 64446293,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="cli-pipeline seed 42: leaves up to 5 levels deep, smallest scale "
-                "3.97e-4: 2 1-direction residuals of 2.02e-9 at tol 1e-9 (tolerance "
-                "policy, ROADMAP open item 3)",
-            ),
-        ),
+        # a 4-level tree, smallest scale 0.00196: 1-ratio residuals up to 1.03e-9
+        (cs.FTree(6, (-1, 10, 11, 11, 7, 8, 9, 0, 7, 8, 9, 10)), 3, 859126745),
+        # cli-pipeline seed 42, smallest scale 3.97e-4: 1-direction residuals of 2.02e-9
+        (cs.FTree(5, (-1, 9, 7, 8, 6, 9, 0, 6, 7, 8)), 2, 64446293),
+        (cs.FTree(6, (-1, 10, 10, 8, 9, 8, 7, 0, 7, 8, 9)), 2, 793348207),
+        (cs.FTree(6, (-1, 10, 8, 10, 9, 11, 11, 0, 7, 8, 9, 7)), 2, 475793087),
     ],
 )
 def test_deep_chart_point_passes_canonical_membership(t, m, seed):
+    """Interior chart points of deep trees: condition 1 at tol 1e-9 fails
+    them without its conditioning term."""
     a = cs.expand_chart(cs.stratum_sample(t, m, seed))
     assert cs.membership_canonical(a).passed
