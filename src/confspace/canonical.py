@@ -415,13 +415,14 @@ def _cover(mapping: Mapping, n: int, field: str) -> tuple:
 
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
     """The direction mapping as a dense U, looked up in one call."""
+    t = _tables(n)
     vals = _cover(u, n, "u")
-    for (i, j), row in zip(_tables(n).pair_index, vals):
+    for (i, j), row in zip(t.pair_index, vals):
         if np.shape(row) != (m,):
             raise ValueError(f"direction u[{i},{j}] has wrong dimension")
     U = np.zeros((n, n, m))
     if vals:
-        U[tuple(_tables(n).pairs.T)] = _float_array(vals, "directions must be numeric vectors")
+        U[tuple(t.pairs.T)] = _float_array(vals, "directions must be numeric vectors")
     return U
 
 

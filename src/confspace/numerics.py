@@ -73,9 +73,10 @@ def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
     smallest singular value for an independent triple, or the most negative
     normalized coefficient).
     """
-    a = _float_array(list(vectors), "vectors must be numeric vectors of one length")
+    what = "vectors must be numeric vectors of one length"
+    a = _float_array(list(vectors), what)
     if a.ndim != 2:
-        raise ValueError("vectors must be numeric vectors of one length")
+        raise ValueError(what)
     ok, res = nonneg_dependent_rows(a[None], tol)
     return bool(ok[0]), float(res[0])
 
