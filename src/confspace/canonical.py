@@ -37,6 +37,10 @@ table that depends only on a tree's shape (the row layout, sibling pairs,
 joins, expansion paths, and invert_chart's frames and centre groups) is
 built once into the tree's chart plan, held in a bounded cache: a chart
 round trip reads its tree's plan seven times in a row, so a small cache hits.
+The plan is read off per-vertex facts: each vertex's root path and its rows
+give the expansion paths, each block vertex's subtree and height number the
+states and group the centres, its leaf set gives the joins and frames, and
+each internal vertex's children give the spans.
 A record built from mappings and one that invert_chart or stratum_sample
 builds from the C and S arrays it has just computed pass the same check
 (_check_stratum): the rows in one array pass, then the scales against the
@@ -777,9 +781,21 @@ class _ChartPlan(NamedTuple):
     non-root edge, in blocks: the root's children, then the children of each
     internal vertex in numbering order, each block in children order.
     States: a pair (top, v) of a block vertex top (the root or an internal
-    vertex) and a vertex v of the subtree at top, numbered top by top.  State
-    (top, v) holds the position of v in the expansion of the subtree at top,
-    or the cluster centre of v in the frame of top.
+    vertex) and a vertex v of the subtree at top, numbered top by top, each
+    subtree children before parents.  State (top, v) holds the position of v
+    in the expansion of the subtree at top, or the cluster centre of v in the
+    frame of top.
+
+    Each table is read off one fact per vertex:
+    - each vertex's root path and the rows along it: a state's path_rows and
+      path_scales are v's path cut below top;
+    - each block vertex's subtree, which numbers its states, and its height,
+      which with the child count keys its centre group;
+    - each block vertex's leaf set: the pair join is the deepest block over
+      both leaves, the triple join of (x, y, z) the shallower of x's joins
+      with y and z, and the frames of v anchor at its lowest leaf i0 and the
+      lowest leaf k0 of its second child;
+    - each internal vertex's children: starts, counts, siblings and spans.
     """
 
     starts: np.ndarray  # (B,) first row of each block
@@ -822,93 +838,65 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
     trip (a sample, three expansions, two inversions and one record built
     from mappings) reads its tree's plan seven times in a row and then moves
     on, and a plan takes about 12 KB at n = 6 and 67 KB at n = 12."""
-    n, kids, nv = t.n, t.children, t.num_vertices
-    blocks = (0, *t.internal_vertices)
-    internal = blocks[1:]
+    n, kids, nv, parent = t.n, t.children, t.num_vertices, t.parent
+    internal = t.internal_vertices
+    blocks = (0, *internal)
     counts = [len(kids[v]) for v in blocks]
     starts = list(itertools.accumulate(counts[:-1], initial=0))
-    row = [0] * nv
-    height = [0] * nv
-    for b in reversed(range(len(blocks))):
-        v = blocks[b]
+    # top down: each vertex's path from below the root, and the rows along it
+    path, rows = [()] * nv, [()] * nv
+    for v, first in zip(blocks, starts):
+        for r, c in enumerate(kids[v], first):
+            path[c], rows[c] = path[v] + (c,), rows[v] + (r,)
+    # bottom up: each block vertex's height, and its subtree with itself last
+    height, sub = [0] * nv, [(v,) for v in range(nv)]
+    for v in reversed(blocks):
         height[v] = 1 + max(height[c] for c in kids[v])
-        for r, c in enumerate(kids[v], starts[b]):
-            row[c] = r
+        sub[v] = sum((sub[c] for c in kids[v]), ()) + (v,)
     zero, width = starts[-1] + counts[-1], height[0] + 1
-    row_pad = [(zero,) * k for k in range(width + 1)]
-    scale_pad = [(nv,) * k for k in range(width + 1)]
+    row_pad, scale_pad = (zero,) * width, (nv,) * width
+    rows = [r + row_pad for r in rows]  # padded, so a cut at any depth fills a table row
+    above = [p[:-1] + scale_pad for p in path]  # the vertices above each vertex, padded
 
-    # states top by top, breadth first, each with its path from top; each
-    # block vertex's centre grouped by height and child count; J[i-1][j-1]
-    # ends as the deepest block over leaves i and j.  Tables of several
-    # columns are built flat, row by row.
-    sid: list[list[int]] = []
-    path_rows: list[int] = []
-    path_scales: list[int] = []
-    frames: list[int] = []
+    # Each block vertex top numbers its subtree as its states (top, v).  The
+    # path of (top, v) is v's root path cut below top: the zero row, then the
+    # rows below top, each scale passed multiplying in from the third row on.
+    # J[i][j] ends as the deepest block over leaves i and j.
+    sid: dict[int, list[int]] = {}  # top -> the state (top, v) of each vertex v, or -1
     groups: dict[tuple[int, int], list[int]] = {}
-    own: list[int] = []
-    up: dict[int, list[int]] = {}
-    J = [[0] * n for _ in range(n)]
-    count = 0
+    path_rows, path_scales, frames = [], [], []
+    J = [[0] * (n + 1) for _ in range(n + 1)]
     for b, top in enumerate(blocks):
-        ids = [-1] * nv
-        sid.append(ids)
-        ids[top] = count
-        count += 1
-        path_rows += row_pad[width]
-        path_scales += scale_pad[width]
-        paths = {top: ((zero,), (nv,))}
-        if b:
+        ids = sid[top] = [-1] * nv
+        d = len(path[top])
+        for s, v in enumerate(sub[top], len(path_rows) // width):
+            ids[v] = s
+            path_rows += (zero, *rows[v][d : d + width - 1])
+            path_scales += (nv, nv, *above[v][d : d + width - 2])
+            if v > n:  # children come first; no output reads the root's own centre
+                groups.setdefault((height[v], len(kids[v])), []).extend(
+                    [ids[c] for c in (v, *kids[v])]
+                )
+        for i in t.leaves_over[top]:
+            joins = J[i]
+            for j in t.leaves_over[top]:
+                joins[j] = b
+        if top:
             i0, k0 = min(t.leaves_over[top]), min(t.leaves_over[kids[top][1]])
-        under = []
-        frontier = [top]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                rows, scales = paths[w]
-                scales += (nv if w == top else w,)
-                pad = width - len(scales)
-                for c in kids[w]:
-                    ids[c] = count
-                    rows_c = (*rows, row[c])
-                    path_rows += rows_c
-                    path_rows += row_pad[pad]
-                    path_scales += scales
-                    path_scales += scale_pad[pad]
-                    if c > n:
-                        nxt.append(c)
-                        paths[c] = rows_c, scales
-                    else:
-                        under.append(c - 1)
-                        if b and c != i0:
-                            frames += (count, i0 - 1, c - 1, k0 - 1, c == k0)
-                    count += 1
-                members = [ids[c] for c in kids[w]]
-                if w:  # no output reads the root's own centre
-                    groups.setdefault((height[w], len(members)), []).extend((ids[w], *members))
-                pairs = [x for c in members for x in (c, ids[w])]
-                if w == top and b:
-                    own += pairs
-                elif w != top and t.parent[w] == top:  # rows of w in its parent's frame
-                    up[w] = pairs
-            frontier = nxt
-        for i in under:
-            Ji = J[i]
-            for j in under:
-                Ji[j] = b
+            for j in sorted(t.leaves_over[top] - {i0}):
+                frames += (ids[j], i0 - 1, j - 1, k0 - 1, j == k0)
 
-    # the join of leaves is the deepest block over all of them; of three
-    # leaves, the shallowest of their pairwise joins
+    # of three leaves x, y, z the join is the shallower of x's joins with y and z
     tab = _tables(n)
-    J = np.array(J)
+    J = np.array(J)[1:, 1:]
+    S = np.array(list(sid.values()))[:, 1 : n + 1]
     x, y, z = tab.triples.T
-    pb = J[tuple(tab.upairs.T)]
-    tb = np.minimum(np.minimum(J[x, y], J[x, z]), J[y, z])
-    S = np.array(sid)[:, 1 : n + 1]
-    pi, pj = S[pb, tab.upairs.T]
-    ti, tj, tk = S[tb, tab.triples.T]
-    ids = np.array(blocks)
+    pb, tb = J[tuple(tab.upairs.T)], np.minimum(J[x, y], J[x, z])
+    legs = S[np.concatenate([pb, tb, tb]), np.concatenate([tab.upairs.T, (x, y), (x, z)], axis=1)]
+    tops = np.array(blocks)
+    # each internal vertex's rows in its own frame, then in its parent's
+    spans = [s for v in internal for c in kids[v] for s in (sid[v][c], sid[v][v])]
+    spans += [s for v in internal for c in kids[v] for s in (sid[parent[v]][c], sid[parent[v]][v])]
     return _ChartPlan(
         starts=_int_table(starts),
         counts=_int_table(counts),
@@ -918,25 +906,25 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
         ),
         scale_index=MappingProxyType({v: v for v in internal}),
         siblings=_int_table(
-            [r for q in range(len(blocks)) for x, y in itertools.combinations(range(counts[q]), 2)
-             for r in (starts[q] + x, starts[q] + y)],
+            [r for a, k in zip(starts, counts)
+             for pair in itertools.combinations(range(a, a + k), 2) for r in pair],
             2,
         ).T,
-        pair_join=_int_table(ids[pb]),
-        triple_join=_int_table(ids[tb]),
-        states=count,
+        pair_join=_int_table(tops[pb]),
+        triple_join=_int_table(tops[tb]),
+        states=len(path_rows) // width,
         path_rows=_int_table(path_rows, width),
         path_scales=_int_table(path_scales, width),
         leaf_states=_int_table(sid[0][1 : n + 1]),
-        legs=_int_table([np.concatenate([pi, ti, ti]), np.concatenate([pj, tj, tk])]),
+        legs=_int_table(legs),
         frames=_int_table(frames, 5).T,
         centres=tuple(
             (g[:, 0], g[:, 1:])
             for g in (_int_table(members, k + 1) for (_, k), members in sorted(groups.items()))
         ),
         root_states=_int_table([sid[0][c] for c in kids[0]]),
-        spans=_int_table(own + [x for v in internal for x in up[v]], 2).T,
-        parent_block=_int_table([t.parent[v] - n - 1 if t.parent[v] else -1 for v in internal]),
+        spans=_int_table(spans, 2).T,
+        parent_block=_int_table([parent[v] - n - 1 if parent[v] else -1 for v in internal]),
     )
 
 

@@ -75,20 +75,30 @@ def dumps(obj) -> str:
     return _fmt(obj, 0) + "\n"
 
 
+_INFINITIES = {"inf": math.inf, "-inf": -math.inf}
+
+
 def _revive(obj):
-    if isinstance(obj, dict):
-        return {k: _revive(v) for k, v in obj.items()}
+    """The strings "inf" and "-inf" as floats, in obj and in every list within
+    it; objects inside come revived by the parser (_pairs)."""
     if isinstance(obj, list):
         return [_revive(v) for v in obj]
-    if obj == "inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
-    return obj
+    return _INFINITIES.get(obj, obj) if isinstance(obj, str) else obj
+
+
+def _pairs(pairs: list) -> dict:
+    """One JSON object, its values revived; a repeated key is an error, not
+    a silent overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        out[key] = _revive(value)
+    return out
 
 
 def loads(text: str):
-    return _revive(json.loads(text))
+    return _revive(json.loads(text, object_pairs_hook=_pairs))
 
 
 # -- trees -----------------------------------------------------------------------
@@ -137,10 +147,7 @@ def config_to_json(c: Configuration) -> dict:
 
 def config_from_json(data: dict) -> Configuration:
     data = _object(data, "configuration")
-    pts = _positions(data, "points")
-    if "m" in data and _int(data["m"], "m") != pts.shape[1]:
-        raise ValueError("declared dimension does not match the points")
-    return Configuration(pts)
+    return Configuration(_positions(data, "points"))
 
 
 def _keyed(arr: np.ndarray, index: dict, table: np.ndarray) -> dict:
@@ -178,11 +185,17 @@ def labels_from_text(text: str, field: str, arity: int | None = None) -> tuple[i
 
 
 def _positions(data: dict, field: str) -> np.ndarray:
-    """A positions field: an (n, m) list, or a flat list of n points on a line."""
+    """A positions field: an (n, m) list, or a flat list of n points on a line,
+    with at least one coordinate; a declared "m" must match its dimension."""
     pts = _floats(_field(data, field), field)
     if not pts.ndim:
         raise ValueError(f"field {field!r} must be a list of points")
-    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+    if not pts.size:
+        raise ValueError(f"field {field!r} holds no coordinates")
+    pts = pts.reshape(-1, 1) if pts.ndim == 1 else pts
+    if "m" in data and _int(data["m"], "m") != pts.shape[1]:
+        raise ValueError("field 'm' does not match the dimension of the points")
+    return pts
 
 
 def _floats(value, field: str) -> np.ndarray:

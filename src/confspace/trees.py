@@ -37,7 +37,8 @@ Nested sets and exclusion relations reach that builder through one check,
 _laminar_tree: it builds the tree of a family of leaf-set bitmasks and
 compares the built tree's leaf sets with the family, which agree exactly
 when the family is laminar; only a family that is not laminar pays for a
-search, for its first pair that is not nested in label order.
+search, for its first pair that is not nested in label order, and only
+pairs with a set the built tree lacks can cross.
 tree_from_nested checks each set and hands over its bitmask.
 tree_from_exclusions reads the relation in one pass: each triple is checked
 (labels, mirror, conflict) and ORed into near[i, k], the bitmask of the j
@@ -288,19 +289,22 @@ def _laminar_tree(masks: Iterable[int], n: int) -> FTree:
     tree are laminar, and the builder reproduces every laminar family, so
     the built tree's leaf sets equal the family exactly when the family is
     laminar.  Otherwise the error names the first pair that is not nested,
-    with the sets ordered by their sorted labels.
+    with the sets ordered by their sorted labels; only pairs with a set the
+    built tree lacks can cross, so only those are searched.
     """
     if n < 1:
         raise ValueError("a tree needs at least one leaf")
     family = set(masks)
     tree = _from_family(sorted(family, key=int.bit_count), n)
-    if _clusters(tree) == family:
+    built = _clusters(tree)
+    if built == family:
         return tree
     ordered = sorted((_labels(m), m) for m in family)
+    lacking = [(la, a) for la, a in ordered if a not in built]
     la, lb = next(
         (la, lb)
         for pos, (la, a) in enumerate(ordered)
-        for lb, b in ordered[pos + 1 :]
+        for lb, b in (ordered[pos + 1 :] if a not in built else (x for x in lacking if x > (la, a)))
         if a & b not in (0, a, b)
     )
     raise ValueError(f"sets {la} and {lb} are not nested")

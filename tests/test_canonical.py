@@ -630,3 +630,36 @@ def test_permute_acts_on_stratum_trees():
     got = cs.stratum_tree(cs.permute(perm, a))
     inverse = {perm[i - 1]: i for i in (1, 2, 3)}
     assert got == cs.relabel(t, inverse)
+
+
+# -- input checks ------------------------------------------------------------------------
+
+
+def _bad_canonical_inputs():
+    """(call, message) pairs for checks of the canonical layer's public calls."""
+    a = lift([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    d = dict(a.d)
+    d[(1, 2, 3)] = -0.5
+    # clusters {1, 2} and {3, 4} whose centres coincide in the frame of
+    # {1, 2, 3, 4}: on a line with 1 leftmost, d[1,2,3] = 1 + d[1,4,3]
+    T = cs.tree_from_nested([{1, 2}, {3, 4}, {1, 2, 3, 4}], 5)
+    b = cs.expand_chart(cs.stratum_sample(T, 1, 1))
+    assert (b.U[1:4, 0, 0] > 0).all()
+    e = dict(b.d)
+    e[(1, 2, 3)] = 1.0 + e[(1, 4, 3)]
+    flat = cs.ambient_point(b.x, b.u, e)
+    return [
+        (lambda: cs.ambient_point(a.x, a.u, d), r"ratio d\[1,2,3\] must lie in \[0, inf\]"),
+        (lambda: cs.invert_chart(T, a), "tree and point have different index counts"),
+        (lambda: cs.invert_chart(T, flat), "cluster at vertex 6 is degenerate"),
+        (lambda: cs.ambient_distance(a, lift([[0.0, 0.0], [1.0, 0.0]])), "different index sets"),
+        (lambda: cs.Configuration([[0.0, 0.0], [math.inf, 1.0]]), "points must be finite"),
+        (lambda: cs.Configuration([0.0, 1.0]), r"points must form an \(n, m\) array"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_canonical_calls_reject_bad_input(case):
+    call, message = _bad_canonical_inputs()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

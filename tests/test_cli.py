@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -354,6 +355,51 @@ def test_missing_n_reports_json(capsys, argv):
     assert "--n" in payload["message"]
 
 
+def test_repeated_json_key_reports_json(tmp_path, capsys):
+    """A key written twice in one object is an error naming it, not a silent
+    choice of the last value."""
+    text = jsonio.dumps(_loader_inputs()["direction"])
+    bad = tmp_path / "twice.json"
+    bad.write_text(text.replace("{\n", '{\n  "u": {},\n', 1))
+    code, out, err = run(capsys, "simplicial", "membership", "--in", str(bad))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload == {"error": "ValueError", "message": "JSON object repeats key 'u'"}
+
+
+@pytest.mark.parametrize(
+    "key, infile, extra",
+    [
+        ("trees contract", None, ["--format", "dot"]),
+        ("trees prune", None, ["--format", "dot"]),
+        ("maps project", "pt.json", []),
+        ("maps project", "sp.json", []),
+    ],
+    ids=["contract-dot", "prune-dot", "project-ambient", "project-directions"],
+)
+def test_subcommand_output_variants(tmp_path, capsys, key, infile, extra):
+    """The DOT output of the tree subcommands, and maps project on points
+    without frames, which it returns as the same kind of point."""
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    if infile:
+        argv[argv.index("--in") + 1] = str(tmp_path / infile)
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 0 and err == ""
+    if extra:
+        assert out.startswith("digraph tree {")
+    else:
+        data = jsonio.loads(out)
+        assert ("d" in data) == (infile == "pt.json") and "frames" not in data
+        assert len(data["x"]) == 2
+
+
+def test_cosimplicial_without_target_level_reports_json(tmp_path, capsys):
+    argv = _one_call_per_subcommand(tmp_path)["maps cosimplicial"]
+    code, out, err = run(capsys, *argv[: argv.index("--m")])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "--m (the target level) is required"}
+
+
 def _tree_file(tmp_path):
     tree = tmp_path / "tree.json"
     tree.write_text(jsonio.dumps(jsonio.tree_to_json(cs.tree_from_nested([{1, 2}], 3))))
@@ -447,12 +493,18 @@ def _loader_inputs():
         # positions that are no list
         (["point", "alpha"], "cfg", ("points", None), "points"),
         (["point", "alpha"], "cfg", ("points", 5), "points"),
+        # no positions at all, and a declared dimension the positions do not have
+        (["point", "membership"], "ambient", ("x", []), "x"),
+        (["maps", "cosimplicial", "--map", "1,2", "--m", "2"], "fs", ("x", []), "x"),
+        (["point", "membership"], "ambient", ("m", 5), "m"),
+        (["point", "alpha"], "cfg", ("m", 3), "m"),
     ],
     ids=[
         "alpha-array", "membership-array", "classify-array", "expand-array",
         "simplicial-membership-array", "maps-project-array", "config-m-list",
         "config-m-string", "diagonal-frames-int", "simplicial-project-frames-int",
-        "scale-string", "x-string", "points-null", "points-number",
+        "scale-string", "x-string", "points-null", "points-number", "x-empty",
+        "cosimplicial-x-empty", "point-m-mismatch", "config-m-mismatch",
     ],
 )
 def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, field):
@@ -1028,3 +1080,27 @@ def test_infinite_ratios_serialize_as_strings(tmp_path, capsys):
     assert '"inf"' in text
     back = jsonio.ambient_from_json(jsonio.loads(text))
     assert cs.ambient_distance(a, back) == 0.0
+
+
+# -- JSON codec --------------------------------------------------------------------
+
+
+def test_json_reader_revives_infinities_and_rejects_repeated_keys():
+    text = '{"d": {"1,2,3": "inf", "l": ["-inf", ["inf"], {"e": "inf"}]}, "s": "inf"}'
+    inf = math.inf
+    assert jsonio.loads(text) == {"d": {"1,2,3": inf, "l": [-inf, [inf], {"e": inf}]}, "s": inf}
+    assert jsonio.loads('["inf", {"x": ["-inf"]}]') == [inf, {"x": [-inf]}]
+    assert jsonio.loads('"inf"') == inf
+    for text, key in [('{"u": 1, "u": 2}', "u"), ('{"x": [{"1,2": 0, "1,2": 1}]}', "1,2")]:
+        with pytest.raises(ValueError, match=f"JSON object repeats key '{key}'"):
+            jsonio.loads(text)
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [(math.nan, ValueError, "NaN is not serializable"), ({1, 2}, TypeError, "cannot serialize")],
+    ids=["nan", "set"],
+)
+def test_json_writer_rejects_what_it_cannot_write(value, error, message):
+    with pytest.raises(error, match=message):
+        jsonio.dumps({"x": [value]})

@@ -419,3 +419,42 @@ def test_membership_framed_sphere_tangency():
         res = abs(float(np.dot(oblique.frames[2], south)))
         verdict = cs.membership_framed(oblique, cs.Sphere(2))
         assert verdict == cs.Verdict((cs.Violation("frame-tangency", (2,), res),), res)
+
+
+# -- input checks ------------------------------------------------------------------------
+
+
+def _bad_maps_inputs():
+    """(call, message) pairs: each call breaks one precondition of an index map."""
+    rng = np.random.default_rng(31)
+    fs, fa = framed_directions(rng, 3, 2), framed_ambient(rng, 3, 2)
+    interval = interval_point([0.4])
+    wrong_ends = cs.framed_point(interval.point, [np.array([-1.0])] * 3)
+    increasing = lift([[0.1], [0.4], [0.9]])
+    d = dict(increasing.d)
+    d[(1, 2, 3)] *= 1.5
+    off_membership = cs.ambient_point(increasing.x, increasing.u, d)
+    return [
+        (lambda: cs.project_indices(cs.SetMap(2, 4, (1, 2)), fs.point), "codomain does not match"),
+        (lambda: cs.pullback(cs.SetMap(3, 3, (1, 2, 3)), fa), "acts on framed direction points"),
+        (lambda: cs.pullback(cs.SetMap(2, 4, (1, 2)), fs), "codomain does not match"),
+        (lambda: cs.doubling_map(4, 1, 3), "doubling needs"),
+        (lambda: cs.doubling_map(1, 0, 3), "doubling needs"),
+        (lambda: cs.diagonal_map(fa, 1, 2, lift([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]])),
+         "interval parameter must be one-dimensional"),
+        (lambda: cs.diagonal_map(fa, 1, 2, off_membership), "interval parameter fails membership"),
+        (lambda: cs.diagonal_map(fs, 1), "act on framed ambient points"),
+        (lambda: cs.monotone_dual([], 2), "at least one value"),
+        (lambda: cs.monotone_dual([0, 3], 2), r"must lie in 0\.\.2"),
+        (lambda: cs.cosimplicial_map(fs, [0, 1], 1), "interval points are one-dimensional"),
+        (lambda: cs.cosimplicial_map(wrong_ends, [0, 1], 1), "end frames"),
+        (lambda: cs.cosimplicial_map(fa, [0, 1], 1), "lives on direction points"),
+        (lambda: cs.cosimplicial_map(interval, [0, 1, 1], 1), "sigma length"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_index_maps_reject_bad_input(case):
+    call, message = _bad_maps_inputs()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

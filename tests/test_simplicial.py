@@ -432,3 +432,31 @@ def test_approx_family_eps_range():
         cs.approximating_configuration(p, 0.0)
     with pytest.raises(ValueError):
         cs.approximating_configuration(p, 1.5)
+
+
+# -- input checks ------------------------------------------------------------------------
+
+
+def _bad_simplicial_inputs():
+    """(call, message) pairs for checks of the direction-only public calls."""
+    u = dict(lift([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]).u)
+    missing = {k: v for k, v in u.items() if set(k) != {1, 2}}
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    # three labels on a line, each ahead of the next: a cycle, not an order
+    one = np.array([1.0])
+    cycle = {(1, 2): one, (2, 3): one, (3, 1): one, (2, 1): -one, (3, 2): -one, (1, 3): -one}
+    return [
+        (lambda: cs.Circuit3.all_on([1, 2, 3]), "four distinct indices"),
+        (lambda: cs.Circuit3.all_on([1, 2, 2, 3]), "four distinct indices"),
+        (lambda: cs.four_consistency_residual(missing, e1, e2), r"missing direction for pair \(1,2\)"),
+        (lambda: cs.four_consistency_residual(u, e1, np.array([0.0, 0.0, 1.0])),
+         "probes v and w must be vectors of one dimension"),
+        (lambda: cs.reconstruct_from_directions(cycle), "collinear directions do not totally order"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_direction_calls_reject_bad_input(case):
+    call, message = _bad_simplicial_inputs()[case]
+    with pytest.raises(ValueError, match=message):
+        call()

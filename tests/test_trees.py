@@ -350,3 +350,52 @@ def test_dot_outputs():
     assert dot.count("->") == t.num_vertices - 1
     hasse = cs.hasse_to_dot(cs.enumerate_trees(3))
     assert hasse.count("[label=") == 8
+
+
+# -- input checks ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cs.prune(cs.corolla(4), cs.SetMap(2, 5, (1, 2))), "codomain does not match the leaf count"),
+        (lambda: cs.SetMap(2, 3, (1, 3))(3), r"argument 3 outside 1\.\.2"),
+        (lambda: cs.SetMap(2, 3, (1, 3)).compose(cs.SetMap(2, 3, (1, 2))), "maps are not composable"),
+        (lambda: cs.tree_from_exclusions({((1, 1), 2)}, 3), r"bad exclusion triple \(\(1,1\),2\)"),
+        (lambda: cs.tree_from_nested([{1, 5}], 3), r"member set \[1, 5\] not within 1\.\.3"),
+    ],
+    ids=["prune-codomain", "setmap-argument", "setmap-compose", "exclusion-triple", "nested-range"],
+)
+def test_tree_calls_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_crossing_pair_search_tests_only_pairs_with_a_missing_set(monkeypatch):
+    """A family that is not laminar is named by the same first crossing pair,
+    but the search pairs a set the built tree has only with the sets it
+    lacks: on a 60-set caterpillar plus one crossing set it ANDs about one
+    pair per set, not every pair before the crossing one."""
+
+    class CountingMask(int):
+        calls = 0
+        on = False
+
+        def __and__(self, other):
+            CountingMask.calls += CountingMask.on
+            return int(self) & int(other)
+
+    clusters = cs.trees._clusters
+
+    def counting_clusters(tree):
+        out = clusters(tree)
+        CountingMask.on = True  # the search starts once the built tree is read
+        return out
+
+    monkeypatch.setattr(cs.trees, "_clusters", counting_clusters)
+    n = 60
+    family = [CountingMask(sum(1 << i for i in range(1, k + 1))) for k in range(2, n)]
+    family.append(CountingMask((1 << (n - 1)) | (1 << n)))
+    with pytest.raises(ValueError, match=rf"sets \[1, 2, .*, {n - 1}\] and \[{n - 1}, {n}\] are not nested"):
+        cs.trees._laminar_tree(family, n)
+    assert CountingMask.calls <= 2 * len(family)
