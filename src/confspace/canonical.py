@@ -53,10 +53,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,16 +102,6 @@ def _index_table(tuples, r: int) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, r)
 
 
-def _getter(keys: tuple) -> Callable[[Mapping], tuple]:
-    """Look up every key of a mapping in one C-level call."""
-    if len(keys) == 1:
-        (key,) = keys
-        return lambda mapping: (mapping[key],)
-    if not keys:
-        return lambda mapping: ()
-    return operator.itemgetter(*keys)
-
-
 class _Tables(NamedTuple):
     """0-based index tuples over n labels, each in itertools enumeration order."""
 
@@ -124,8 +113,6 @@ class _Tables(NamedTuple):
     cyclic: np.ndarray  # (i, j, k) and (i, k, j) for each i < j < k
     pair_index: dict[Pair, Pair]  # 1-based key -> 0-based index, ordered pairs
     triple_index: dict[Index3, Index3]  # the same for ordered triples
-    get_pairs: Callable[[Mapping], tuple]
-    get_triples: Callable[[Mapping], tuple]
 
 
 @functools.lru_cache(maxsize=32)
@@ -154,8 +141,6 @@ def _tables(n: int) -> _Tables:
         ),
         pair_index=pair_index,
         triple_index=triple_index,
-        get_pairs=_getter(tuple(pair_index)),
-        get_triples=_getter(tuple(triple_index)),
     )
 
 
@@ -395,19 +380,17 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x.copy()
 
 
-def _cover(mapping: Mapping, n: int, field: str) -> tuple:
+def _cover(mapping: Mapping, n: int, field: str) -> list:
     """The values of the direction mapping u or the ratio mapping d at every
-    ordered pair or triple of distinct labels in 1..n, looked up in one call.
-    The keys must be exactly those: the first missing one raises, then the
-    first key that is not one of them."""
+    ordered pair or triple of distinct labels in 1..n, in index order.  The
+    keys must be exactly those: the first missing one raises, then the first
+    key that is not one of them."""
     t = _tables(n)
-    index, get, noun, tuple_ = (
-        (t.pair_index, t.get_pairs, "direction", "pair")
-        if field == "u"
-        else (t.triple_index, t.get_triples, "ratio", "triple")
+    index, noun, tuple_ = (
+        (t.pair_index, "direction", "pair") if field == "u" else (t.triple_index, "ratio", "triple")
     )
     try:
-        vals = get(mapping)
+        vals = [mapping[key] for key in index]
     except KeyError:
         key = next(key for key in index if key not in mapping)
         raise ValueError(f"missing {noun} {field}[{','.join(map(str, key))}]") from None
@@ -418,7 +401,7 @@ def _cover(mapping: Mapping, n: int, field: str) -> tuple:
 
 
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
-    """The direction mapping as a dense U, looked up in one call."""
+    """The direction mapping as a dense U."""
     t = _tables(n)
     vals = _cover(u, n, "u")
     for (i, j), row in zip(t.pair_index, vals):
@@ -766,9 +749,7 @@ def stratum_tree(a: AmbientPoint, tol: float = DEFAULT_TOL) -> trees.FTree:
 
 def _is_trunk(x: np.ndarray, tol: float) -> bool:
     """Whether all positions coincide relative to the configuration scale."""
-    near = tol * config_scale(x)
-    i, j = _tables(len(x)).upairs.T
-    return bool((row_norms(x[i] - x[j]) <= near).all())
+    return bool((_distances(x) <= tol * config_scale(x)).all())
 
 
 # -- stratum data and charts ---------------------------------------------------
@@ -1103,17 +1084,19 @@ def _scale_bound(q: float) -> float:
     return third / (1.0 + third)
 
 
-def _expansion_positions(plan: _ChartPlan, s: StratumPoint, factors: np.ndarray) -> np.ndarray:
+def _expansion_positions(
+    plan: _ChartPlan, C: np.ndarray, S: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
     """pos[k, state (top, v)], the position of v in the expansion of the
-    subtree at top with the scale at top set to 1 and the others times
-    factors[k].  Every state sums its path from top at once: the scale
-    products and the offsets accumulate top down, in the rounding order of a
-    walk to the leaf; a zero row and unit scales pad the shorter paths and
-    leave their sums unchanged."""
-    scaled = np.ones((len(factors), len(s.S) + 1))
-    scaled[:, :-1] = factors[:, None] * s.S
-    rows = np.zeros((len(s.C) + 1, s.m))
-    rows[:-1] = s.C
+    subtree at top of the rows C and scales S, with the scale at top set to 1
+    and the others times factors[k].  Every state sums its path from top at
+    once: the scale products and the offsets accumulate top down, in the
+    rounding order of a walk to the leaf; a zero row and unit scales pad the
+    shorter paths and leave their sums unchanged."""
+    scaled = np.ones((len(factors), len(S) + 1))
+    scaled[:, :-1] = factors[:, None] * S
+    rows = np.zeros((len(C) + 1, C.shape[1]))
+    rows[:-1] = C
     terms = np.cumprod(scaled[:, plan.path_scales], axis=-1)[..., None] * rows[plan.path_rows]
     return np.cumsum(terms, axis=-2)[..., -1, :]
 
@@ -1123,7 +1106,7 @@ def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]
     (so still admissible): checked stacks x, U and D with a leading K axis."""
     n = s.tree.n
     plan = _chart_plan(s.tree)
-    pos = _expansion_positions(plan, s, np.asarray(factors, dtype=float))
+    pos = _expansion_positions(plan, s.C, s.S, np.asarray(factors, dtype=float))
     a, b = plan.legs
     diff = pos[:, a] - pos[:, b]
     nrm = row_norms(diff)
@@ -1215,7 +1198,7 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
             if top == 0.0:
                 continue
             pts = pts / top
-            if k == 1 or _min_gap(pts, *_tables(k).upairs.T) >= margin:
+            if _min_gap(pts, *_tables(k).upairs.T) >= margin:
                 return pts
         raise RuntimeError("sampling failed to reach the separation margin")
 

@@ -177,14 +177,9 @@ def _simplicial_residuals(args):
 
 
 def _maps_project(args):
-    data = _read_json(args.infile)
-    point = jsonio.point_from_json(data)
+    point = jsonio.point_from_json(_read_json(args.infile))
     out = maps.project_indices(_setmap_arg(args.map, codomain=point.n), point)
-    if isinstance(out, maps.FramedPoint):
-        return jsonio.dumps(jsonio.framed_to_json(out))
-    if isinstance(out, canonical.AmbientPoint):
-        return jsonio.dumps(jsonio.ambient_to_json(out))
-    return jsonio.dumps(jsonio.simplicial_to_json(out))
+    return jsonio.dumps(jsonio.point_to_json(out))
 
 
 def _maps_diagonal(args):

@@ -6,6 +6,10 @@ bytes.  Infinite ratio values appear as the strings "inf" / "-inf".
 
 `labels_from_text` is the one reader of label text (comma-separated leaf
 labels), and `vertices_from_keys` reads it as the leaf set of a tree vertex.
+`point_to_json` is the one writer of ambient, simplicial and framed points
+(the kind-named writers call it), and `point_from_json` the one schema
+dispatch of their readers: a "d" field makes a point ambient, and a "frames"
+field makes it framed.
 """
 
 from __future__ import annotations
@@ -155,8 +159,11 @@ def _keyed(arr: np.ndarray, index: dict, table: np.ndarray) -> dict:
     return dict(zip((",".join(map(str, key)) for key in index), arr[tuple(table.T)].tolist()))
 
 
-def _point_to_json(p) -> dict:
-    """m, x, u and, for an ambient point, d."""
+def point_to_json(p) -> dict:
+    """The one point writer: m, x and u, then d for an ambient point, and
+    for a framed point its point's fields and frames."""
+    if isinstance(p, FramedPoint):
+        return {**point_to_json(p.point), "frames": p.F.tolist()}
     t = _tables(p.n)
     out = {"m": p.m, "x": p.x.tolist(), "u": _keyed(p.U, t.pair_index, t.pairs)}
     if isinstance(p, AmbientPoint):
@@ -188,7 +195,7 @@ def _positions(data: dict, field: str) -> np.ndarray:
     """A positions field: an (n, m) list, or a flat list of n points on a line,
     with at least one coordinate; a declared "m" must match its dimension."""
     pts = _floats(_field(data, field), field)
-    if not pts.ndim:
+    if pts.ndim not in (1, 2):
         raise ValueError(f"field {field!r} must be a list of points")
     if not pts.size:
         raise ValueError(f"field {field!r} holds no coordinates")
@@ -222,7 +229,7 @@ def _label_keyed(data, field: str, arity: int, read) -> dict:
 
 
 def ambient_to_json(a: AmbientPoint) -> dict:
-    return _point_to_json(a)
+    return point_to_json(a)
 
 
 def ambient_from_json(data: dict) -> AmbientPoint:
@@ -233,7 +240,7 @@ def ambient_from_json(data: dict) -> AmbientPoint:
 
 
 def simplicial_to_json(p: SimplicialPoint) -> dict:
-    return _point_to_json(p)
+    return point_to_json(p)
 
 
 def simplicial_from_json(data: dict) -> SimplicialPoint:
@@ -242,26 +249,20 @@ def simplicial_from_json(data: dict) -> SimplicialPoint:
 
 
 def framed_to_json(fp: FramedPoint) -> dict:
-    out = _point_to_json(fp.point)
-    out["frames"] = fp.F.tolist()
-    return out
+    return point_to_json(fp)
 
 
 def framed_from_json(data: dict) -> FramedPoint:
-    data = _object(data, "point")
-    frames = _field(data, "frames")
-    point = ambient_from_json(data) if "d" in data else simplicial_from_json(data)
-    return framed_point(point, frames)
+    _field(_object(data, "point"), "frames")
+    return point_from_json(data)
 
 
 def point_from_json(data: dict):
-    """Dispatch on the schema: framed, ambient, or simplicial."""
+    """The one schema dispatch: ambient with a "d" field, else simplicial,
+    and framed with a "frames" field."""
     data = _object(data, "point")
-    if "frames" in data:
-        return framed_from_json(data)
-    if "d" in data:
-        return ambient_from_json(data)
-    return simplicial_from_json(data)
+    point = ambient_from_json(data) if "d" in data else simplicial_from_json(data)
+    return framed_point(point, data["frames"]) if "frames" in data else point
 
 
 # -- stratum data ---------------------------------------------------------------------

@@ -7,7 +7,11 @@ along the frame), and framed ratio points admit doubling maps whose ratio
 data on the new cluster come from a compactified-interval parameter.
 A framed point keeps its frames as one frozen (n, m) array F.  framed_point
 is the only way to make one, and the one place frames are checked; every
-map selects rows of F and does not check them again.
+map selects rows of F and does not check them again.  Projections of framed
+points, pullback and the diagonal maps share one pullback (_pullback): it
+checks the map's codomain against the point before it gathers anything, then
+gathers x, U and D, gathers F, and sets the directions within each collapsed
+fiber to plus or minus its frame.
 
 Orientation convention for a collapsed pair created by a non-injective map:
 u_ij is plus the inherited frame when i < j.  This is the unique
@@ -120,8 +124,8 @@ def project_indices(sigma: trees.SetMap, p):
     if not sigma.is_injective:
         raise ValueError("projection requires an injective index map")
     if isinstance(p, FramedPoint):
-        F = p.F[np.subtract(sigma.values, 1)]
-        return _record(FramedPoint, point=project_indices(sigma, p.point), F=F)
+        fields, F = _pullback(sigma, p)
+        return _record(FramedPoint, point=_record(type(p.point), **fields), F=F)
     if sigma.n != p.n:
         raise ValueError("index map codomain does not match the point")
     return _record(type(p), **_relabel(p, sigma.values))
@@ -139,22 +143,23 @@ def pullback(sigma: trees.SetMap, fp: FramedPoint) -> FramedPoint:
     """
     if fp.is_ambient:
         raise ValueError("pullback acts on framed direction points")
-    p: SimplicialPoint = fp.point
-    if sigma.n != p.n:
-        raise ValueError("index map codomain does not match the point")
-    fields = _relabel(p, sigma.values)
-    F = fp.F[np.subtract(sigma.values, 1)]
-    _frame_collapsed(fields["U"], sigma.values, F)
+    fields, F = _pullback(sigma, fp)
     return _record(FramedPoint, point=_record(SimplicialPoint, **fields), F=F)
 
 
-def _frame_collapsed(U: np.ndarray, values, F: np.ndarray):
-    """Where 0-based labels a < b share a target in values, set u_ab to
-    +F[a] and u_ba to -F[a], the frame of that common target."""
-    values = np.asarray(values)
+def _pullback(sigma: trees.SetMap, fp: FramedPoint) -> tuple[dict, np.ndarray]:
+    """The fields x, U (and D) of fp's point and its frames F, index j
+    carrying the data of sigma(j), after the codomain check.  Where indices
+    a < b share a target, u_ab is +F[a] and u_ba is -F[a], the frame of that
+    target."""
+    if sigma.n != fp.n:
+        raise ValueError("index map codomain does not match the point")
+    values = np.asarray(sigma.values, dtype=np.intp)
+    fields, F = _relabel(fp.point, values), fp.F[values - 1]
     a, b = np.nonzero(np.triu(values[:, None] == values[None, :], 1))
-    U[a, b] = F[a]
-    U[b, a] = -F[a]
+    fields["U"][a, b] = F[a]
+    fields["U"][b, a] = -F[a]
+    return fields, F
 
 
 # -- doubling maps -----------------------------------------------------------------
@@ -214,16 +219,14 @@ def diagonal_map(
     """
     if not fp.is_ambient:
         raise ValueError("diagonal maps act on framed ambient points")
-    p: AmbientPoint = fp.point
-    n = p.n
+    n = fp.n
     sigma = doubling_map(i, k, n)
     if k >= 2:
         if assoc is None:
             raise ValueError("k >= 2 needs an interval parameter")
         _check_assoc_parameter(assoc, k, tol)
-    fields = _relabel(p, sigma.values)
-    D, F = fields["D"], fp.F[np.subtract(sigma.values, 1)]
-    _frame_collapsed(fields["U"], sigma.values, F)
+    fields, F = _pullback(sigma, fp)
+    D = fields["D"]
     # triples with two indices in the new cluster i..i+k; the gather left
     # NaN there, and the cluster block itself is the interval parameter's
     cluster = slice(i - 1, i + k)

@@ -6,7 +6,10 @@ non-negative dependence condition on direction triangles, and a 12-term
 consistency identity over four-index subsets; those checks, the tree
 classification readable from direction coincidences, the discontinuous
 inverse that rebuilds positions by intersecting rays, and the one-parameter
-families that approximate boundary points all live here.
+families that approximate boundary points all live here.  Such a family is
+the chart map at scale eps: the inverse rebuilds each vertex's configuration
+from the point's directions, and the chart layer's expansion kernel places
+the leaves with every internal scale set to eps.
 
 The consistency identity sums, over the straight 3-circuits of a sorted
 four-index set modulo reversal, the signed product of the circuit's three
@@ -46,10 +49,13 @@ from .canonical import (
     SimplicialPoint,
     Verdict,
     _Block,
+    _chart_plan,
     _check_manifold,
     _distances,
+    _expansion_positions,
     _gather_directions,
     _is_trunk,
+    _min_gap,
     _positions,
     _quads,
     _shared_blocks,
@@ -58,6 +64,7 @@ from .canonical import (
     _unit_directions,
     _verdict,
     config_scale,
+    lift_configuration,
     normalize,
 )
 from .numerics import (
@@ -232,16 +239,9 @@ def calibrate_circuit_signs(
     dv, dw = [], []
     for _ in range(samples):
         pts = rng.uniform(-1.0, 1.0, size=(4, 2))
-        while min(
-            np.linalg.norm(pts[a] - pts[b])
-            for a in range(4)
-            for b in range(a + 1, 4)
-        ) < 0.1:
+        while _min_gap(pts, *_tables(4).upairs.T) < 0.1:
             pts = rng.uniform(-1.0, 1.0, size=(4, 2))
-        urows = np.stack([
-            (pts[a] - pts[b]) / np.linalg.norm(pts[a] - pts[b])
-            for a, b in itertools.combinations(range(4), 2)
-        ])
+        urows = lift_configuration(pts).U[_QUAD_PAIRS[:, 0], _QUAD_PAIRS[:, 1]]
         v = rng.normal(size=2)
         v /= np.linalg.norm(v)
         w = rng.normal(size=2)
@@ -420,25 +420,25 @@ def approximating_configuration(
 ) -> Configuration:
     """An open configuration whose directions approach the point as eps -> 0.
 
-    Classifies the point, rebuilds one representative offset per edge of each
-    vertex from the restricted directions, and superposes the offsets along
-    each leaf's root path with weight eps^depth.
+    The family is the chart map at scale eps on stratum data rebuilt from
+    the point: classify it, rebuild each vertex's configuration from the
+    directions among one representative leaf per child (a trunk's one root
+    row is 0), and expand these rows with every internal scale set to eps,
+    so each leaf sums the offsets along its root path with weight eps^depth.
+    eps may exceed the rows' scale bound: no stratum record is made.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
     t = stratum_tree_of_directions(p, tol)
-    offsets: dict[int, np.ndarray] = {}
+    rows = []
     for v in (0, *t.internal_vertices):
-        kids = t.children[v]
-        if len(kids) == 1:
-            offsets[v] = np.zeros((1, p.m))
-            continue
-        reps = [min(t.leaves_over[c]) - 1 for c in kids]
-        offsets[v] = _reconstruct(p.U[np.ix_(reps, reps)], tol).points
-    pos = np.zeros((t.n, p.m))
-    for leaf in range(1, t.n + 1):
-        path = t.root_path(leaf)
-        for depth, (w, c) in enumerate(zip(path, path[1:])):
-            idx = t.children[w].index(c)
-            pos[leaf - 1] += (eps ** depth) * offsets[w][idx]
-    return Configuration(pos)
+        reps = [min(t.leaves_over[c]) - 1 for c in t.children[v]]
+        if len(reps) == 1:
+            rows.append(np.zeros((1, p.m)))
+        else:
+            rows.append(_reconstruct(p.U[np.ix_(reps, reps)], tol).points)
+    S = np.zeros(t.num_vertices)
+    S[t.n + 1 :] = eps
+    plan = _chart_plan(t)
+    pos = _expansion_positions(plan, np.concatenate(rows), S, np.ones(1))
+    return Configuration(pos[0, plan.leaf_states])

@@ -130,6 +130,8 @@ def test_realize_rejects_bad_input():
         cs.realize_face(cs.tree_from_nested([{1, 2, 3}], 3))  # univalent root
     with pytest.raises(ValueError, match="increase"):
         cs.realize_face(cs.corolla(3), {0: (0.0, 0.7, 0.4)})
+    with pytest.raises(ValueError, match="vertex 0 needs 3 parameters"):
+        cs.realize_face(cs.corolla(3), {0: (0.0, 1.0)})
 
 
 def test_face_poset_range():

@@ -52,6 +52,8 @@ def test_normalize_examples():
     assert np.array_equal(out.points, [[-1.0], [1.0]])
     again = cs.normalize(out)
     assert np.array_equal(again.points, out.points)
+    # a flat list holds points on a line
+    assert np.array_equal(cs.normalize([0.0, 4.0]).points, out.points)
 
 
 def test_normalize_preserves_directions_and_ratios():
@@ -591,6 +593,12 @@ def test_stratum_sample_deterministic_and_valid():
     assert a.scales == b.scales
 
 
+def test_stratum_sample_reports_an_unreachable_margin():
+    """Thirty points on a line of length 2 cannot keep gaps of 0.1."""
+    with pytest.raises(RuntimeError, match="sampling failed to reach the separation margin"):
+        cs.stratum_sample(cs.corolla(30), 1, 0)
+
+
 def test_degeneration_trajectory_cauchy():
     t = cs.tree_from_nested([{1, 2}, {1, 2, 3}], 4)
     s = cs.stratum_sample(t, 2, seed=5)
@@ -648,6 +656,12 @@ def _bad_canonical_inputs():
     e = dict(b.d)
     e[(1, 2, 3)] = 1.0 + e[(1, 4, 3)]
     flat = cs.ambient_point(b.x, b.u, e)
+    # a non-member whose d[1,3,2] is infinite while no ratio vanishes, so the
+    # point still classifies into the chart region of {1, 2, 3}
+    V = cs.tree_from_nested([{1, 2, 3}], 4)
+    c = cs.expand_chart(cs.stratum_sample(V, 2, 0))
+    far = cs.ambient_point(c.x, c.u, {**c.d, (1, 3, 2): math.inf})
+    assert cs.leq(V, cs.stratum_tree(far))
     return [
         (lambda: cs.ambient_point(a.x, a.u, d), r"ratio d\[1,2,3\] must lie in \[0, inf\]"),
         (lambda: cs.invert_chart(T, a), "tree and point have different index counts"),
@@ -655,11 +669,28 @@ def _bad_canonical_inputs():
         (lambda: cs.ambient_distance(a, lift([[0.0, 0.0], [1.0, 0.0]])), "different index sets"),
         (lambda: cs.Configuration([[0.0, 0.0], [math.inf, 1.0]]), "points must be finite"),
         (lambda: cs.Configuration([0.0, 1.0]), r"points must form an \(n, m\) array"),
+        (lambda: cs.ambient_point([0.0, 1.0], a.u, a.d), r"x must be an \(n, m\) array"),
+        # distinct points whose squared distance underflows to 0
+        (lambda: cs.lift_configuration([[0.0], [5e-324]]), "points 1 and 2 coincide"),
+        (lambda: cs.invert_chart(V, far), "outside the chart region"),
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(9))
 def test_canonical_calls_reject_bad_input(case):
     call, message = _bad_canonical_inputs()[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the scale check's absolute slack of 1e-12 admits scales far above a tiny "
+    "bound; expand_chart then fails with 'cannot normalize a zero vector'",
+)
+def test_scale_check_rejects_a_folding_scale():
+    # the root gap of 1e-160 bounds the scale at vertex 4 by 3.3e-161; scale
+    # 1e-160 folds leaf 2 onto leaf 1
+    R = cs.tree_from_nested([{2, 3}], 3)
+    with pytest.raises(ValueError, match=r"scale 1e-160 at vertex 4 outside \[0, "):
+        cs.StratumPoint(R, [[0.0], [1e-160]], {4: [[-1.0], [1.0]]}, {4: 1e-160})

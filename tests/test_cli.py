@@ -393,6 +393,33 @@ def test_subcommand_output_variants(tmp_path, capsys, key, infile, extra):
         assert len(data["x"]) == 2
 
 
+@pytest.mark.parametrize("infile", ["fp.json", "fs.json"])
+def test_maps_project_past_the_framed_point_reports_json(tmp_path, capsys, infile):
+    """A map file whose values lie past the framed point escaped main as an IndexError."""
+    argv = _one_call_per_subcommand(tmp_path)["maps project"]
+    argv[argv.index("--in") + 1] = str(tmp_path / infile)
+    sm = tmp_path / "map.json"
+    sm.write_text(jsonio.dumps({"m": 2, "n": 5, "map": [4, 5]}))
+    argv[argv.index("--map") + 1] = str(sm)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    message = "index map codomain does not match the point"
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("key", ["maps project", "simplicial project"])
+def test_empty_map_file_leaves_an_empty_framed_point(tmp_path, capsys, key):
+    """Both escaped main as an IndexError."""
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    argv[argv.index("--in") + 1] = str(tmp_path / "fs.json")
+    sm = tmp_path / "map.json"
+    sm.write_text(jsonio.dumps({"m": 0, "n": 4, "map": []}))
+    argv[argv.index("--map") + 1] = str(sm)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert jsonio.loads(out) == {"frames": [], "m": 2, "u": {}, "x": []}
+
+
 def test_cosimplicial_without_target_level_reports_json(tmp_path, capsys):
     argv = _one_call_per_subcommand(tmp_path)["maps cosimplicial"]
     code, out, err = run(capsys, *argv[: argv.index("--m")])
@@ -498,13 +525,16 @@ def _loader_inputs():
         (["maps", "cosimplicial", "--map", "1,2", "--m", "2"], "fs", ("x", []), "x"),
         (["point", "membership"], "ambient", ("m", 5), "m"),
         (["point", "alpha"], "cfg", ("m", 3), "m"),
+        # positions with a third axis were blamed on a matching "m"
+        (["point", "membership"], "ambient", ("x", [[[0, 0]], [[1, 0]], [[0, 1]]]), "x"),
+        (["point", "alpha"], "cfg", ("points", [[[0, 0]], [[1, 0]], [[0, 1]]]), "points"),
     ],
     ids=[
         "alpha-array", "membership-array", "classify-array", "expand-array",
         "simplicial-membership-array", "maps-project-array", "config-m-list",
         "config-m-string", "diagonal-frames-int", "simplicial-project-frames-int",
         "scale-string", "x-string", "points-null", "points-number", "x-empty",
-        "cosimplicial-x-empty", "point-m-mismatch", "config-m-mismatch",
+        "cosimplicial-x-empty", "point-m-mismatch", "config-m-mismatch", "x-3d", "points-3d",
     ],
 )
 def test_point_loaders_name_the_bad_field(tmp_path, capsys, argv, source, edit, field):

@@ -44,6 +44,7 @@ def test_views_match_the_old_dicts():
     assert all(type(v) is float for v in a.d.values())
     assert [k for k, _ in a.u.items()] == list(a.u)
     assert a.u.keys() == u.keys() and a.d.keys() == d.keys()
+    assert repr(a.u) == repr(dict(a.u)) and repr(a.d) == repr(d)
     p = cs.to_simplicial(a)
     assert list(p.u) == list(a.u) and not hasattr(p, "d")
     assert cs.lift_configuration([[0.0], [1.0]]).d == {}

@@ -93,6 +93,19 @@ def test_project_framed_points_and_simplicial():
     assert cs.membership_simplicial(out.point).passed
 
 
+def test_empty_index_map_leaves_an_empty_framed_point():
+    """As for a point without frames; the frames were gathered along an
+    empty float index, an IndexError."""
+    rng = np.random.default_rng(5)
+    empty = cs.SetMap(0, 3, ())
+    directions, ambient = framed_directions(rng, 3, 2), framed_ambient(rng, 3, 2)
+    for fp in (directions, ambient):
+        out = cs.project_indices(empty, fp)
+        assert (out.n, out.m, out.F.shape) == (0, 2, (0, 2))
+        assert out.point.x.shape == cs.project_indices(empty, fp.point).x.shape
+    assert cs.pullback(empty, directions).n == 0
+
+
 # -- frame storage ------------------------------------------------------------------------
 
 
@@ -450,10 +463,12 @@ def _bad_maps_inputs():
         (lambda: cs.cosimplicial_map(wrong_ends, [0, 1], 1), "end frames"),
         (lambda: cs.cosimplicial_map(fa, [0, 1], 1), "lives on direction points"),
         (lambda: cs.cosimplicial_map(interval, [0, 1, 1], 1), "sigma length"),
+        # a codomain past the point: the frames were gathered first, an IndexError
+        (lambda: cs.project_indices(cs.SetMap(2, 5, (4, 5)), fs), "codomain does not match"),
     ]
 
 
-@pytest.mark.parametrize("case", range(14))
+@pytest.mark.parametrize("case", range(15))
 def test_index_maps_reject_bad_input(case):
     call, message = _bad_maps_inputs()[case]
     with pytest.raises(ValueError, match=message):

@@ -211,6 +211,8 @@ def test_nonneg_dependent_rows_matches_single_calls():
     ok, res = nonneg_dependent_rows(stack, 1e-9)
     for row, want_ok, want_res in zip(stack, ok, res):
         assert nonneg_dependent(list(row)) == (bool(want_ok), float(want_res))
+    with pytest.raises(ValueError, match="vectors must be numeric vectors of one length"):
+        nonneg_dependent(stack[:2])  # a stack is for nonneg_dependent_rows
 
 
 # -- false rejections by the tolerance policy --------------------------------------------------

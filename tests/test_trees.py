@@ -322,6 +322,7 @@ def test_tree_json_rejects_bivalent():
                      id="repeated-label"),
         pytest.param(3, [-1, 0, 0], [0, 1, 2], "not a bijection", id="missing-label"),
         pytest.param(2, [-1, 0, 0], [0, 1, 2, 0], "equal length", id="length-mismatch"),
+        pytest.param(0, [-1], None, "a tree needs at least one leaf", id="no-leaves"),
     ],
 )
 def test_malformed_parent_arrays_rejected(n, parents, labels, message):
@@ -363,8 +364,12 @@ def test_dot_outputs():
         (lambda: cs.SetMap(2, 3, (1, 3)).compose(cs.SetMap(2, 3, (1, 2))), "maps are not composable"),
         (lambda: cs.tree_from_exclusions({((1, 1), 2)}, 3), r"bad exclusion triple \(\(1,1\),2\)"),
         (lambda: cs.tree_from_nested([{1, 5}], 3), r"member set \[1, 5\] not within 1\.\.3"),
+        (lambda: cs.tree_from_nested([], 0), "a tree needs at least one leaf"),
     ],
-    ids=["prune-codomain", "setmap-argument", "setmap-compose", "exclusion-triple", "nested-range"],
+    ids=[
+        "prune-codomain", "setmap-argument", "setmap-compose", "exclusion-triple", "nested-range",
+        "nested-no-leaves",
+    ],
 )
 def test_tree_calls_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
