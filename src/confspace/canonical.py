@@ -41,11 +41,15 @@ The plan is read off per-vertex facts: each vertex's root path and its rows
 give the expansion paths, each block vertex's subtree and height number the
 states and group the centres, its leaf set gives the joins and frames, and
 each internal vertex's children give the spans.
-A record built from mappings and one that invert_chart or stratum_sample
-builds from the C and S arrays it has just computed pass the same check
-(_check_stratum): the rows in one array pass, then the scales against the
-bound of the rows' smallest sibling gap.  scale_bound checks the rows the
-same way.
+Each fact about stratum data is checked once, where the data comes in.  A
+record built from mappings and one that invert_chart computes from a point
+pass the same check (_check_stratum): the rows in one array pass, then the
+scales against the bound of the rows' smallest sibling gap.  scale_bound
+checks the rows the same way.  stratum_sample draws data that meets every
+condition by construction, so it only computes the bound for its scales.
+The chart kernels do not check their own output again: of ambient_point's
+checks, only the unit check of the directions can fire on the image of
+checked data, and it runs (_expand says why the others cannot).
 """
 
 from __future__ import annotations
@@ -370,14 +374,9 @@ def _positions(x) -> np.ndarray:
     pts = _float_array(x, "x must be an (n, m) array")
     if pts.ndim != 2:
         raise ValueError("x must be an (n, m) array")
-    return _finite(pts)
-
-
-def _finite(x: np.ndarray) -> np.ndarray:
-    """A copy of the positions of one point or a stack, checked finite."""
-    if not np.isfinite(x).all():
+    if not np.isfinite(pts).all():
         raise ValueError("x must be finite")
-    return x.copy()
+    return pts.copy()
 
 
 def _cover(mapping: Mapping, n: int, field: str) -> list:
@@ -417,7 +416,9 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
     """Check and renormalize every u_ij of one U or a stack."""
     t = _tables(U.shape[-2])
     i, j = t.pairs.T
-    nrm = row_norms(U[..., i, j, :])
+    # a huge entry overflows its norm to inf, which fails the unit check
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = row_norms(U[..., i, j, :])
     dev = np.abs(nrm - 1.0)
     bad = np.flatnonzero(~(dev <= _UNIT_SLACK))
     if bad.size:
@@ -431,19 +432,13 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
 
 
 def _ratios(D: np.ndarray) -> np.ndarray:
-    """Check that every d_ijk of one D or a stack lies in [0, inf]."""
-    t = _tables(D.shape[-1])
-    bad = np.flatnonzero(~(D[(..., *t.triples.T)] >= 0.0))
+    """Check that every d_ijk of D lies in [0, inf]."""
+    t = _tables(len(D))
+    bad = np.flatnonzero(~(D[tuple(t.triples.T)] >= 0.0))
     if bad.size:
-        i, j, k = t.triples[bad[0] % len(t.triples)] + 1
+        i, j, k = t.triples[bad[0]] + 1
         raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
     return D
-
-
-def _checked(x: np.ndarray, U: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, ...]:
-    """ambient_point's array check of one point or a stack, for coordinates
-    computed here: x copied, U renormalized in place."""
-    return _finite(x), _unit_directions(U), _ratios(D)
 
 
 def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) -> AmbientPoint:
@@ -461,7 +456,8 @@ def lift_configuration(c) -> AmbientPoint:
     cfg = as_configuration(c)
     pts, n = cfg.points, cfg.n
     i, j = _tables(n).upairs.T
-    # huge coordinates overflow to inf and NaN here; _checked rejects them
+    # huge coordinates overflow to inf and NaN here; _unit_directions rejects
+    # them, and otherwise every ratio is of two positive finite norms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diff = pts[i] - pts[j]
         nrm = row_norms(diff)
@@ -474,8 +470,7 @@ def lift_configuration(c) -> AmbientPoint:
         D = np.full((n, n, n), np.nan)
         i, j, k = _tables(n).triples.T
         D[i, j, k] = dist[i, j] / dist[i, k]
-    x, U, D = _checked(pts, U, D)
-    return _record(AmbientPoint, x=x, U=U, D=D)
+    return _record(AmbientPoint, x=pts, U=_unit_directions(U), D=D)
 
 
 def _pair_directions(diff: np.ndarray, nrm: np.ndarray, n: int) -> np.ndarray:
@@ -937,10 +932,8 @@ class StratumPoint(_Frozen):
     def __post_init__(self):
         plan = _chart_plan(self.tree)
         C = _config_rows(plan, self.tree, self.root_config, self.configs)
-        S, err = _scale_values(plan, self.tree, self.scales)
-        _check_stratum(plan, self.tree, C, lambda bound: S)
-        if err:
-            raise ValueError(err)
+        S = _scale_values(plan, self.tree, C, self.scales)
+        _check_stratum(plan, self.tree, C, S)
         _record(self, tree=self.tree, C=C, S=S)
 
     @property
@@ -948,20 +941,22 @@ class StratumPoint(_Frozen):
         return self.C.shape[1]
 
 
-def _check_stratum(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, scales) -> np.ndarray:
-    """The one check path of a StratumPoint: the rows C in one array pass,
-    then the scales S = scales(bound) against the bound of C's smallest
-    sibling gap, in vertex order.  Returns S.  invert_chart and
-    stratum_sample check the rows and scales they compute here, without
-    StratumPoint's mapping loops."""
-    bound = _scale_bound(_check_rows(plan, t, C, len(plan.starts)))
-    S = scales(bound)
+def _check_stratum(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, S: np.ndarray) -> None:
+    """The one check of stratum data: the rows C in one array pass, then the
+    scales S against the bound of C's smallest sibling gap, in vertex order.
+    StratumPoint runs it on the arrays it reads from mappings, and
+    invert_chart on the arrays it computes from a point, which is outside
+    input too.  stratum_sample does not run it: its draws meet every
+    condition by construction.  The bound has a relative slack of 1e-12, so
+    a scale that rounded up to the bound of the data it was computed from
+    (an inverted chart point) still passes, but none that folds two rows
+    together does."""
+    bound = _scale_bound(_check_rows(plan, t, C))
     vals = S[t.n + 1 :]
-    inside = (vals >= 0.0) & (vals < bound + 1e-12)
+    inside = (vals >= 0.0) & (vals < bound * (1 + 1e-12))
     if not inside.all():
         p = np.flatnonzero(~inside)[0]
         raise ValueError(f"scale {float(vals[p])} at vertex {t.n + 1 + p} outside [0, {bound})")
-    return S
 
 
 _ROOT_SHAPE = "root configuration must be an (#v0, m) array"
@@ -994,7 +989,7 @@ def _config_rows(plan: _ChartPlan, t: trees.FTree, root, configs) -> np.ndarray:
             key = next(key for key in configs if key not in plan.config_index)
             raise ValueError(f"configs key {key!r} is not an internal vertex")
     except ValueError:
-        _check_rows(plan, t, np.concatenate([root, *body]), 1 + len(body))
+        _check_rows(plan, t, np.concatenate([root, *body]))
         raise
     return np.concatenate([root, *body])
 
@@ -1014,10 +1009,11 @@ def _min_gap(rows: np.ndarray, i: np.ndarray, j: np.ndarray) -> float:
     return float(np.fmin.reduce(row_norms(rows[i] - rows[j]), initial=math.inf))
 
 
-def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, blocks: int) -> float:
-    """Check the first `blocks` blocks of C: every row finite, each internal
-    block centred with max norm 1, and no two sibling rows equal.  Returns the
-    smallest sibling gap."""
+def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray) -> float:
+    """Check the blocks C holds, the first ones of the plan's layout: every
+    row finite, each internal block centred with max norm 1, and no two
+    sibling rows equal.  Returns the smallest sibling gap."""
+    blocks = int(np.searchsorted(plan.starts, len(C)))
     finite = np.isfinite(C).all()
     i, j = plan.siblings
     if blocks < len(plan.starts):
@@ -1044,28 +1040,27 @@ def _check_rows(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, blocks: int) ->
     raise ValueError(f"configuration at vertex {t.n + b} {fault}")
 
 
-def _scale_values(plan: _ChartPlan, t: trees.FTree, scales) -> tuple[np.ndarray, str | None]:
-    """The (V,) scale array of a scales mapping, and the message of its first
-    fault: not a mapping, a missing scale or one that is not a number (a
-    number written as a string is not one), or a stray key.  Scales after a
-    fault stay 0, so a range check of the array covers the ones before it."""
+def _scale_values(plan: _ChartPlan, t: trees.FTree, C: np.ndarray, scales) -> np.ndarray:
+    """The (V,) scale array of a scales mapping for the rows C.  The first
+    fault (not a mapping, a missing scale or one that is not a number, where
+    a number written as a string is not one, or a stray key) raises after
+    _check_stratum has checked the rows and the scales before it, so the
+    first bad datum decides, the rows first."""
     S = np.zeros(t.num_vertices)
-    if not isinstance(scales, Mapping):
-        return S, "scales must map internal vertices to numbers"
-    vals = []
-    err = None
     try:
+        if not isinstance(scales, Mapping):
+            raise ValueError("scales must map internal vertices to numbers")
         for v in t.internal_vertices:
             if v not in scales:
                 raise ValueError(f"missing scale for vertex {v}")
-            vals.append(_float(scales[v], f"scale at vertex {v} is not a number"))
+            S[v] = _float(scales[v], f"scale at vertex {v} is not a number")
         if len(scales) != len(plan.scale_index):
             key = next(key for key in scales if key not in plan.scale_index)
             raise ValueError(f"scales key {key!r} is not an internal vertex")
-    except ValueError as exc:
-        err = str(exc)
-    S[t.n + 1 : t.n + 1 + len(vals)] = vals
-    return S, err
+    except ValueError:
+        _check_stratum(plan, t, C, S)
+        raise
+    return S
 
 
 def scale_bound(tree: trees.FTree, root_config, configs) -> float:
@@ -1073,7 +1068,7 @@ def scale_bound(tree: trees.FTree, root_config, configs) -> float:
     is checked as StratumPoint checks it, with the same messages."""
     plan = _chart_plan(tree)
     C = _config_rows(plan, tree, root_config, configs)
-    return _scale_bound(_check_rows(plan, tree, C, len(plan.starts)))
+    return _scale_bound(_check_rows(plan, tree, C))
 
 
 def _scale_bound(q: float) -> float:
@@ -1103,23 +1098,33 @@ def _expansion_positions(
 
 def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The chart images of s with every scale times each of K factors in [0, 1]
-    (so still admissible): checked stacks x, U and D with a leading K axis."""
+    (so still admissible): stacks x, U and D with a leading K axis.
+
+    s was checked when it was read, so of ambient_point's checks only the
+    unit check of U runs here: the chart points of huge root rows overflow
+    to a NaN or zero norm, and tiny differences can need renormalising.  The
+    other two cannot fire.  x is finite: a finite root row plus terms of
+    total norm below 1 cannot overflow.  Every D entry is a ratio of norms
+    in [0, inf], unless a pair norm is NaN or inf, and the unit check
+    rejects that first."""
     n = s.tree.n
     plan = _chart_plan(s.tree)
     pos = _expansion_positions(plan, s.C, s.S, np.asarray(factors, dtype=float))
     a, b = plan.legs
-    diff = pos[:, a] - pos[:, b]
-    nrm = row_norms(diff)
     P, T = len(plan.pair_join), len(plan.triple_join)
-    if (nrm[:, :P] == 0.0).any():
-        raise ValueError("cannot normalize a zero vector")
-    U = _pair_directions(diff[:, :P], nrm[:, :P], n)
-    num, den = nrm[:, P : P + T], nrm[:, P + T :]
-    D = np.full((len(pos), n, n, n), np.nan)
-    D[(slice(None), *_tables(n).triples.T)] = np.divide(
-        num, den, out=np.full(num.shape, math.inf), where=den > 0.0
-    )
-    return _checked(pos[:, plan.leaf_states], U, D)
+    # huge root rows overflow to inf and NaN here; _unit_directions rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pos[:, a] - pos[:, b]
+        nrm = row_norms(diff)
+        if (nrm[:, :P] == 0.0).any():
+            raise ValueError("cannot normalize a zero vector")
+        U = _pair_directions(diff[:, :P], nrm[:, :P], n)
+        num, den = nrm[:, P : P + T], nrm[:, P + T :]
+        D = np.full((len(pos), n, n, n), np.nan)
+        D[(slice(None), *_tables(n).triples.T)] = np.divide(
+            num, den, out=np.full(num.shape, math.inf), where=den > 0.0
+        )
+    return pos[:, plan.leaf_states], _unit_directions(U), D
 
 
 def expand_chart(s: StratumPoint) -> AmbientPoint:
@@ -1180,11 +1185,17 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     C = np.concatenate([Z[plan.root_states], rows / np.repeat(extent, plan.counts[1:])[:, None]])
     S = np.zeros(T.num_vertices)
     S[T.n + 1 :] = d_v / d_p
-    return _record(StratumPoint, tree=T, C=C, S=_check_stratum(plan, T, C, lambda bound: S))
+    _check_stratum(plan, T, C, S)
+    return _record(StratumPoint, tree=T, C=C, S=S)
 
 
 def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
-    """Deterministic pseudo-random stratum data with comfortable margins."""
+    """Deterministic pseudo-random stratum data with comfortable margins.
+
+    The draws are not checked again: each internal block is centred with
+    max norm 1 and its rows at least 0.1 apart, the root rows are apart
+    too, and each scale is drawn from [0, bound), with bound computed from
+    the rows as _check_stratum computes it."""
     if m < 1:
         raise ValueError("ambient dimension must be at least 1")
     rng = np.random.default_rng(seed)
@@ -1205,13 +1216,10 @@ def stratum_sample(T: trees.FTree, m: int, seed: int) -> StratumPoint:
     k0 = len(T.children[0])
     root = rng.normal(size=(1, m)) if k0 == 1 else draw(k0)
     C = np.concatenate([root, *(draw(len(T.children[v])) for v in T.internal_vertices)])
-
-    def scales(bound: float) -> np.ndarray:
-        S = np.zeros(T.num_vertices)
-        S[T.n + 1 :] = [float(rng.uniform(0.0, bound)) for _ in T.internal_vertices]
-        return S
-
-    return _record(StratumPoint, tree=T, C=C, S=_check_stratum(_chart_plan(T), T, C, scales))
+    bound = _scale_bound(_min_gap(C, *_chart_plan(T).siblings))
+    S = np.zeros(T.num_vertices)
+    S[T.n + 1 :] = [float(rng.uniform(0.0, bound)) for _ in T.internal_vertices]
+    return _record(StratumPoint, tree=T, C=C, S=S)
 
 
 # -- comparison helpers --------------------------------------------------------

@@ -233,8 +233,13 @@ def calibrate_circuit_signs(
     configurations at random probes and extracts the null space of the
     sample matrix; a unique one-dimensional null space with entries of equal
     magnitude is required.  The global sign is fixed so the identity-order
-    circuit gets +1.  Raises if the data do not pin the table down.
+    circuit gets +1.  Raises if the data do not pin the table down; fewer
+    samples than circuits never do, as the reduced SVD then has no null vector.
     """
+    if samples < len(_CIRCUITS):
+        raise ValueError(
+            f"fewer than {len(_CIRCUITS)} samples cannot pin the sign table (got {samples})"
+        )
     rng = np.random.default_rng(seed)
     dv, dw = [], []
     for _ in range(samples):

@@ -593,6 +593,39 @@ def test_stratum_sample_deterministic_and_valid():
     assert a.scales == b.scales
 
 
+def _sampled_strata():
+    """stratum_sample on every tree with n <= 4 and every 5th with n = 5, at m = 1, 2, 3."""
+    shapes = [t for n in range(1, 5) for t in cs.enumerate_trees(n)] + cs.enumerate_trees(5)[::5]
+    return [cs.stratum_sample(t, m, 10 * q + m) for q, t in enumerate(shapes) for m in (1, 2, 3)]
+
+
+def _bytes(record, fields):
+    return [getattr(record, f).tobytes() for f in fields]
+
+
+def test_stratum_sample_draws_what_stratum_point_accepts():
+    """stratum_sample does not check its draws: the public reader takes them
+    back unchanged."""
+    for s in _sampled_strata():
+        again = cs.StratumPoint(s.tree, s.root_config, s.configs, s.scales)
+        assert _bytes(again, "CS") == _bytes(s, "CS")
+
+
+def test_chart_and_lift_output_reads_back_unchanged():
+    """expand_chart and lift_configuration check only the directions of their
+    output: ambient_point takes the whole point back unchanged."""
+    def reread(a):
+        assert _bytes(cs.ambient_point(a.x, a.u, a.d), "xUD") == _bytes(a, "xUD")
+
+    for s in _sampled_strata():
+        zero = cs.StratumPoint(s.tree, s.root_config, s.configs, dict.fromkeys(s.scales, 0.0))
+        reread(cs.expand_chart(s))
+        reread(cs.expand_chart(zero))
+    rng = np.random.default_rng(17)
+    for n, m, scale in itertools.product(range(2, 7), (1, 2, 3), (1e-6, 1e-3, 1.0, 1e3)):
+        reread(lift(rng.normal(size=(n, m)) * scale))
+
+
 def test_stratum_sample_reports_an_unreachable_margin():
     """Thirty points on a line of length 2 cannot keep gaps of 0.1."""
     with pytest.raises(RuntimeError, match="sampling failed to reach the separation margin"):
@@ -683,11 +716,6 @@ def test_canonical_calls_reject_bad_input(case):
         call()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the scale check's absolute slack of 1e-12 admits scales far above a tiny "
-    "bound; expand_chart then fails with 'cannot normalize a zero vector'",
-)
 def test_scale_check_rejects_a_folding_scale():
     # the root gap of 1e-160 bounds the scale at vertex 4 by 3.3e-161; scale
     # 1e-160 folds leaf 2 onto leaf 1

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,6 +594,35 @@ def test_chart_expand_names_the_non_finite_stratum_field(tmp_path, capsys):
         assert code == 1 and out == ""
         payload = json.loads(err)
         assert payload["error"] == "ValueError" and payload["message"] == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "key",
+    [
+        "point classify", "point membership", "point project", "point permute",
+        "chart invert", "simplicial project", "simplicial membership", "simplicial reconstruct",
+        "simplicial approx", "simplicial residuals", "maps project", "maps diagonal",
+        "maps cosimplicial", "chart expand", "degenerate",
+    ],
+)
+def test_an_overflowing_entry_reports_json(tmp_path, capsys, key):
+    """A point whose u[1,2] has entries of 1e308, or a stratum whose root rows
+    are +-1e308, overflowed a norm, and with warnings as errors the warning
+    escaped main."""
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    path = Path(argv[argv.index("--in") + 1])
+    data = jsonio.loads(path.read_text())
+    if "root" in data:
+        data["root"] = [[(-1) ** r * 1e308, *row[1:]] for r, row in enumerate(data["root"])]
+        message = "u[1,4] is not a unit vector (norm nan)"
+    else:
+        data["u"]["1,2"] = [1e308] * len(data["u"]["1,2"])
+        message = "u[1,2] is not a unit vector (norm inf)"
+    path.write_text(jsonio.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 def test_out_into_a_missing_directory_reports_json(tmp_path, capsys):

@@ -221,7 +221,7 @@ def test_nonneg_dependent_rows_matches_single_calls():
 @pytest.mark.xfail(
     strict=True,
     reason="ill-conditioned law of sines: one far point, five within ~3e-5 "
-    "(tolerance policy, ROADMAP open item 3)",
+    "(tolerance policy, ROADMAP open item 1 a)",
 )
 def test_near_cluster_lift_passes_canonical_membership():
     x = [
@@ -233,6 +233,19 @@ def test_near_cluster_lift_passes_canonical_membership():
         [0.6856575448079565, -0.7279086382941143],
     ]
     assert cs.membership_canonical(lift(x)).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="config_scale squares 1e308 to inf, so near = tol * inf counts every pair as "
+    "coincident and condition 1 checks nothing (the large-scale twin of the vacuous "
+    "trunk case, ROADMAP open item 1)",
+)
+def test_huge_positions_still_check_condition_1():
+    # u[1,2] is perpendicular to x_1 - x_2
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = cs.ambient_point([[1e308, 0], [-1e308, 0]], {(1, 2): [0, 1], (2, 1): [0, -1]}, {})
+        assert not cs.membership_canonical(a).passed
 
 
 @pytest.mark.parametrize(

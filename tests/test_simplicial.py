@@ -473,12 +473,6 @@ def test_direction_calls_reject_bad_input(case):
         call()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the reduced SVD of fewer than 12 samples has no null vector; the call "
-    "reports 'no vanishing sign combination found' or 'null vector entries are "
-    "not of equal magnitude' instead",
-)
 @pytest.mark.parametrize("samples, tol", [(3, 1e-8), (11, 5e-3)])
 def test_calibration_names_too_few_samples(samples, tol):
     with pytest.raises(ValueError, match="fewer than 12 samples"):
