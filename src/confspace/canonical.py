@@ -76,18 +76,20 @@ DEFAULT_TOL = 1e-9
 # -- extended ratio arithmetic ----------------------------------------------
 
 
-def _extended_residuals(values: np.ndarray) -> np.ndarray:
-    """How far the product of each row of a (T, k) array of extended ratios is from 1.
+def _extended_residuals(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """How far the entrywise product of k length-T arrays of extended ratios is from 1.
 
-    For all-finite nonzero entries this is |prod - 1|.  Degenerate entries
-    are limits of telescoping products that are identically 1, so the only
-    checkable constraint is that a zero entry is accompanied by an infinite
-    one and vice versa.
+    For all-finite nonzero entries this is |prod - 1|, multiplied left to
+    right.  Degenerate entries are limits of telescoping products that are
+    identically 1, so the only checkable constraint is that a zero entry is
+    accompanied by an infinite one and vice versa.  The factors come as
+    separate arrays because reducing a (T, k) array over its short rows
+    costs several times more.
     """
-    zeros = (values == 0.0).any(axis=1)
-    infs = np.isinf(values).any(axis=1)
+    zeros = functools.reduce(np.logical_or, [f == 0.0 for f in factors])
+    infs = functools.reduce(np.logical_or, [np.isinf(f) for f in factors])
     with np.errstate(invalid="ignore", over="ignore"):
-        finite = np.abs(values.prod(axis=1) - 1.0)
+        finite = np.abs(functools.reduce(np.multiply, factors) - 1.0)
     return np.where(zeros | infs, np.where(zeros & infs, 0.0, np.inf), finite)
 
 
@@ -148,12 +150,29 @@ def _tables(n: int) -> _Tables:
     )
 
 
+# The tables below grow as n^4, and one check reads each.
+
+
 @functools.lru_cache(maxsize=32)
-def _quads(n: int, ordered: bool) -> np.ndarray:
-    """Ordered 4-tuples or 4-subsets of n labels, 0-based: they grow as n^4
-    and only the cocycle and four-consistency checks read them."""
-    tuples = itertools.permutations if ordered else itertools.combinations
-    return _index_table(tuples(range(n), 4), 4)
+def _cocycles(n: int) -> np.ndarray:
+    """(i, j, k, l) with j < k and j < l, all != i: the 4-cocycle rows."""
+    idx = range(n)
+    return _index_table(
+        (
+            (i, j, k, l)
+            for i in idx
+            for j in idx
+            if j != i
+            for k, l in itertools.permutations([t for t in idx if t > j and t != i], 2)
+        ),
+        4,
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _quads(n: int) -> np.ndarray:
+    """4-subsets i < j < k < l: the four-consistency rows."""
+    return _index_table(itertools.combinations(range(n), 4), 4)
 
 
 # -- records -----------------------------------------------------------------
@@ -241,8 +260,11 @@ def as_configuration(c) -> Configuration:
 def normalize(c) -> Configuration:
     """Translate the centroid to the origin and scale the largest norm to 1."""
     cfg = as_configuration(c)
-    pts = cfg.points - cfg.points.mean(axis=0)
-    top = float(np.linalg.norm(pts, axis=1).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = cfg.points - cfg.points.mean(axis=0)
+        top = float(np.linalg.norm(pts, axis=1).max())
+    if not math.isfinite(top):
+        raise ValueError("the configuration's centroid or scale overflows")
     if top > 0.0:
         pts = pts / top
     return Configuration(pts)
@@ -669,9 +691,14 @@ def membership_canonical(
     2-cluster-zero interleaved by triple, 3-antisymmetry, 3-dependence,
     4-reciprocal, 4-cyclic, 4-cocycle, 5-on-manifold, 5-tangency.  Within a
     condition, indices follow itertools enumeration order (permutations for
-    ordered tuples, combinations for subsets).  Each condition runs as one
-    array kernel over the point's U and D, read through index tables cached
-    per n.
+    ordered tuples, combinations for subsets).  4-reciprocal rows are the
+    (i, j, k) with j < k, and 4-cocycle rows the (i, j, k, l) with j < k
+    and j < l: both cycles of (j, k, l) about each base i, each once, since
+    the rotations of a cycle multiply the same three ratios.  The reversed
+    cycle multiplies the reciprocal ratios, but 4-reciprocal only bounds
+    those within tol, so it is checked in its own right.  Each condition
+    runs as one array kernel over the point's U and D, read through index
+    tables cached per n.
     """
     return _verdict(_canonical_blocks(a, _check_manifold(manifold, a.m), tol), tol)
 
@@ -711,17 +738,16 @@ def _canonical_blocks(a: AmbientPoint, manifold: ManifoldDescriptor, tol: float)
     )
 
     # condition 4: product identities for extended ratios
-    perms4 = _quads(a.n, True)
+    cocycles = _cocycles(a.n)
 
     def products(table: np.ndarray, *slots: tuple[int, int, int]) -> np.ndarray:
-        factors = [D[tuple(table[:, s] for s in slot)] for slot in slots]
-        return _extended_residuals(np.stack(factors, axis=1))
+        return _extended_residuals([D[tuple(table[:, s] for s in slot)] for slot in slots])
 
     return [
         direction, ratio, sines, antisymmetry, dependence,
         ("4-reciprocal", t.reciprocal, products(t.reciprocal, (0, 1, 2), (0, 2, 1)), None),
         ("4-cyclic", t.cyclic, products(t.cyclic, (0, 1, 2), (1, 2, 0), (2, 0, 1)), None),
-        ("4-cocycle", perms4, products(perms4, (0, 1, 2), (0, 2, 3), (0, 3, 1)), None),
+        ("4-cocycle", cocycles, products(cocycles, (0, 1, 2), (0, 2, 3), (0, 3, 1)), None),
         # condition 5: submanifold clauses
         *manifold.blocks("5", a.x, U, dist, near),
     ]

@@ -312,7 +312,7 @@ def _simplicial_blocks(
 def _basis_residuals(U: np.ndarray):
     """The 4-subsets of U's labels (0-based, combinations order) and the
     identity's signed and absolute sums at every basis probe pair, (Q, m, m)."""
-    quads = _quads(U.shape[0], False)
+    quads = _quads(U.shape[0])
     rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
     _, _, res, scale = _four_consistency(rows, rows)
     return quads, res, scale

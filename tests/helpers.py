@@ -501,7 +501,8 @@ def reference_membership(point, tol=1e-9):
     """Membership by per-tuple loops, in the documented condition order.
 
     A point with ratio coordinates gets the canonical conditions, one
-    without them the direction-only ones; Euclidean space only.  Returns
+    without them the direction-only ones; Euclidean space only.  The
+    4-cocycle rows are the (i, j, k, l) with j < k and j < l.  Returns
     ([(condition, indices, residual) for each violation], max residual).
     """
     n, m, x, u = point.n, point.m, point.x, point.u
@@ -548,8 +549,9 @@ def reference_membership(point, tol=1e-9):
                 res = _product_gap([d[(a, b, c)], d[(b, c, a)], d[(c, a, b)]])
                 checks.append(("4-cyclic", (a, b, c), res, tol))
         for i, j, k, l in itertools.permutations(labels, 4):
-            res = _product_gap([d[(i, j, k)], d[(i, k, l)], d[(i, l, j)]])
-            checks.append(("4-cocycle", (i, j, k, l), res, tol))
+            if j < min(k, l):
+                res = _product_gap([d[(i, j, k)], d[(i, k, l)], d[(i, l, j)]])
+                checks.append(("4-cocycle", (i, j, k, l), res, tol))
     else:
         for quad in itertools.combinations(labels, 4):
             circuits = cs.Circuit3.all_on(quad)

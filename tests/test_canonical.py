@@ -56,6 +56,19 @@ def test_normalize_examples():
     assert np.array_equal(cs.normalize([0.0, 4.0]).points, out.points)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[1e308, 0.0], [-1e308, 0.0], [0.2, 0.9]],  # the norms overflow
+        [[s * (1.0 + k / 10) * 1e308] for s in (1, -1) for k in range(4)],  # the centroid overflows
+    ],
+)
+def test_normalize_names_an_overflowing_centroid_or_scale(points):
+    with pytest.raises(ValueError, match="the configuration's centroid or scale overflows"):
+        cs.normalize(points)
+
+
 def test_normalize_preserves_directions_and_ratios():
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -119,7 +132,7 @@ def test_extended_product_patterns():
     from confspace.canonical import _extended_residuals
 
     def residual(values):
-        return float(_extended_residuals(np.array([values]))[0])
+        return float(_extended_residuals([np.array([v]) for v in values])[0])
 
     assert residual([0.5, 2.0]) == 0.0
     assert residual([0.0, math.inf, 1.0]) == 0.0

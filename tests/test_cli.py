@@ -603,17 +603,20 @@ def test_chart_expand_names_the_non_finite_stratum_field(tmp_path, capsys):
         "point classify", "point membership", "point project", "point permute",
         "chart invert", "simplicial project", "simplicial membership", "simplicial reconstruct",
         "simplicial approx", "simplicial residuals", "maps project", "maps diagonal",
-        "maps cosimplicial", "chart expand", "degenerate",
+        "maps cosimplicial", "chart expand", "degenerate", "point alpha",
     ],
 )
 def test_an_overflowing_entry_reports_json(tmp_path, capsys, key):
-    """A point whose u[1,2] has entries of 1e308, or a stratum whose root rows
-    are +-1e308, overflowed a norm, and with warnings as errors the warning
-    escaped main."""
+    """A point whose u[1,2] has entries of 1e308, a stratum whose root rows
+    are +-1e308, or a configuration with points at +-1e308 to normalize,
+    overflowed a norm, and with warnings as errors the warning escaped main."""
     argv = _one_call_per_subcommand(tmp_path)[key]
     path = Path(argv[argv.index("--in") + 1])
     data = jsonio.loads(path.read_text())
-    if "root" in data:
+    if "points" in data:
+        data["points"][:2] = [[1e308, 0], [-1e308, 0]]
+        message = "the configuration's centroid or scale overflows"
+    elif "root" in data:
         data["root"] = [[(-1) ** r * 1e308, *row[1:]] for r, row in enumerate(data["root"])]
         message = "u[1,4] is not a unit vector (norm nan)"
     else:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import confspace as cs
 from confspace.numerics import nonneg_dependent, nonneg_dependent_rows
-from helpers import reference_membership, sample_config
+from helpers import _product_gap, random_frames, reference_membership, sample_config
 
 
 def lift(pts):
@@ -26,7 +26,7 @@ def _key(condition, indices):
     """Label-independent form of a violation's indices."""
     if condition in _SET_KEYED:
         return condition, frozenset(indices)
-    if condition == "4-reciprocal":
+    if condition in ("4-reciprocal", "4-cocycle"):
         return condition, (indices[0], frozenset(indices[1:]))
     if condition == "4-cyclic":
         start = indices.index(min(indices))
@@ -78,6 +78,12 @@ def _perturbed(rng, a, kind):
     return cs.ambient_point(a.x, u, d)
 
 
+def _at_boundary(t, m, seed):
+    """The chart point of sampled stratum data with every scale set to 0."""
+    s = cs.stratum_sample(t, m, seed)
+    return cs.expand_chart(cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales}))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -124,14 +130,112 @@ def test_kernels_agree_with_per_tuple_reference():
         kind = ("lifted", "direction", "ratio")[trial % 3] if n >= 3 else "lifted"
         points.append(_perturbed(rng, lift(sample_config(rng, n, m)), kind))
     for nested, n in (([{1, 2}], 4), ([{1, 2}, {3, 4, 5}], 5), ([{2, 3}, {1, 2, 3}], 6)):
-        t = cs.tree_from_nested(nested, n)
-        s = cs.stratum_sample(t, 2, n)
-        points.append(cs.expand_chart(cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales})))
+        points.append(_at_boundary(cs.tree_from_nested(nested, n), 2, n))
     for a in points:
         for tol in (1e-9, 1e-6):
             _agrees(cs.membership_canonical(a, tol=tol), reference_membership(a, tol))
             p = cs.to_simplicial(a)
             _agrees(cs.membership_simplicial(p, tol=tol), reference_membership(p, tol))
+
+
+# -- the 4-cocycle on both cycles per base of each 4-subset -------------------------------
+
+
+def _every_cocycle_holds(a, tol):
+    """Whether all 24 orderings of every 4-subset pass the 4-cocycle."""
+    return all(
+        _product_gap([a.d[(i, j, k)], a.d[(i, k, l)], a.d[(i, l, j)]]) <= tol
+        for i, j, k, l in itertools.permutations(range(1, a.n + 1), 4)
+    )
+
+
+def test_cocycle_rows_keep_the_verdict_of_every_ordering():
+    """Checking (i, j, k, l) with j < k and j < l keeps the verdict of all
+    24 orderings of each 4-subset."""
+    rng = np.random.default_rng(27)
+    points = [
+        _perturbed(rng, lift(sample_config(rng, n, m)), kind)
+        for n in range(4, 8) for m in (1, 2, 3) for kind in ("lifted", "direction", "ratio")
+    ]
+    for nested, n in (([{1, 2, 3, 4}], 5), ([{1, 2}, {3, 4, 5}], 6), ([{2, 3}, {2, 3, 4, 5}, {6, 7}], 7)):
+        t = cs.tree_from_nested(nested, n)
+        for m in (1, 2, 3):
+            points += [_at_boundary(t, m, n + m), cs.expand_chart(cs.stratum_sample(t, m, n + m))]
+    for a in points:
+        for tol in (1e-9, 1e-6):
+            verdict = cs.membership_canonical(a, tol=tol)
+            reference = reference_membership(a, tol)
+            _agrees(verdict, reference)
+            others = [c for c, _, _ in reference[0] if c != "4-cocycle"]
+            assert verdict.passed == (not others and _every_cocycle_holds(a, tol))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_cocycle_within_tol_one_way_is_rejected_under_every_relabelling(tol):
+    """Three ratios of base 1 in a collinear cluster scaled by 1 - 0.9 tol:
+    every 4-reciprocal and 4-cyclic row and the cycle (1, 2, 3, 4) stay
+    within tol, while the reversed cycle (1, 2, 4, 3) is off by about
+    2.7 tol, whichever labels the point carries."""
+    a = _at_boundary(cs.tree_from_nested([{1, 2, 3, 4}], 5), 1, 5)
+    d = dict(a.d)
+    for key in ((1, 3, 2), (1, 4, 3), (1, 2, 4)):
+        d[key] *= 1.0 - 0.9 * tol
+    a = cs.ambient_point(a.x, a.u, d)
+    assert not _every_cocycle_holds(a, tol)
+    verdict = cs.membership_canonical(a, tol=tol)
+    assert [(v.condition, v.indices) for v in verdict.violations] == [("4-cocycle", (1, 2, 4, 3))]
+    assert 2.5 * tol < verdict.max_residual < 3 * tol
+    for sigma in itertools.permutations(range(1, 6)):
+        verdict = cs.membership_canonical(cs.permute(sigma, a), tol=tol)
+        assert _mapped(verdict, sigma) == {("4-cocycle", (1, frozenset({2, 3, 4})))}
+
+
+def _cocycle_only(a, triple):
+    """a with the ratios of (i, j, k) changed by factors of 2 so that every
+    4-reciprocal and 4-cyclic product keeps its bits, while the cocycles of
+    bases i and j over each 4-subset holding the triple double or halve."""
+    i, j, k = triple
+    d = dict(a.d)
+    for key, factor in (((i, j, k), 2.0), ((j, i, k), 2.0), ((i, k, j), 0.5), ((j, k, i), 0.5)):
+        d[key] *= factor
+    return cs.ambient_point(a.x, a.u, d)
+
+
+@pytest.mark.parametrize(
+    "nested, n, triple",
+    [
+        ([{1, 2, 3, 4}], 5, (1, 2, 3)),
+        ([{2, 3, 4, 5, 6}], 6, (5, 3, 6)),
+        ([{1, 2}, {1, 2, 3, 4}, {5, 6, 7, 8}], 8, (8, 6, 5)),
+    ],
+)
+def test_collinear_cluster_failing_only_the_cocycle_is_rejected(nested, n, triple):
+    """On a line 1-ratio skips the rows inside a coincident cluster and
+    2-law-of-sines skips every row, so 4-cocycle alone sees these ratios."""
+    t = cs.tree_from_nested(nested, n)
+    cluster = next(c for c in nested if set(triple) <= c)
+    i, j, k = triple
+    a = _at_boundary(t, 1, n)
+    assert cs.membership_canonical(a).passed
+    verdict = cs.membership_canonical(_cocycle_only(a, triple))
+    assert {v.condition for v in verdict.violations} == {"4-cocycle"}
+    # the bases i and j of every 4-subset of the cluster that holds the triple
+    assert _keys(verdict) == {
+        ("4-cocycle", (base, frozenset(triple) - {base} | {other}))
+        for base in (i, j) for other in cluster - set(triple)
+    }
+
+
+def test_interval_parameter_failing_only_the_cocycle_is_refused():
+    t = cs.tree_from_nested([{1, 2, 3, 4}], 5)
+    assoc = cs.realize_face(t, {6: [0.0, 0.1, 0.5, 1.0]})
+    bad = _cocycle_only(assoc, (1, 2, 3))
+    assert {v.condition for v in cs.membership_canonical(bad).violations} == {"4-cocycle"}
+    rng = np.random.default_rng(4)
+    fp = cs.framed_point(lift(sample_config(rng, 3, 2)), random_frames(rng, 3, 2))
+    assert cs.diagonal_map(fp, 2, 4, assoc).n == 7
+    with pytest.raises(ValueError, match="interval parameter fails membership"):
+        cs.diagonal_map(fp, 2, 4, bad)
 
 
 # -- documented violation order ------------------------------------------------------
@@ -140,9 +244,7 @@ def test_kernels_agree_with_per_tuple_reference():
 def test_canonical_violation_order_is_pinned():
     # boundary point where labels 1 and 2 coincide; one vanishing ratio made
     # positive and one ordinary ratio scaled
-    t = cs.tree_from_nested([{1, 2}], 4)
-    s = cs.stratum_sample(t, 2, 1)
-    a = cs.expand_chart(cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales}))
+    a = _at_boundary(cs.tree_from_nested([{1, 2}], 4), 2, 1)
     d = dict(a.d)
     d[(1, 2, 3)] = 0.25
     d[(3, 1, 4)] *= 1.5
@@ -157,11 +259,7 @@ def test_canonical_violation_order_is_pinned():
         ("4-cyclic", (1, 2, 3)),
         ("4-cyclic", (1, 4, 3)),
         ("4-cocycle", (1, 2, 3, 4)),
-        ("4-cocycle", (1, 3, 4, 2)),
-        ("4-cocycle", (1, 4, 2, 3)),
         ("4-cocycle", (3, 1, 4, 2)),
-        ("4-cocycle", (3, 2, 1, 4)),
-        ("4-cocycle", (3, 4, 2, 1)),
     ]
     assert verdict.max_residual == math.inf
 
