@@ -478,14 +478,16 @@ def lift_configuration(c) -> AmbientPoint:
     cfg = as_configuration(c)
     pts, n = cfg.points, cfg.n
     i, j = _tables(n).upairs.T
-    # huge coordinates overflow to inf and NaN here; _unit_directions rejects
-    # them, and otherwise every ratio is of two positive finite norms
+    # huge coordinates overflow the norms to inf here, which is refused;
+    # otherwise every ratio is of two positive finite norms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diff = pts[i] - pts[j]
         nrm = row_norms(diff)
         zero = np.flatnonzero(nrm == 0.0)
         if zero.size:
             raise ValueError(f"points {i[zero[0]] + 1} and {j[zero[0]] + 1} coincide")
+        if not np.isfinite(nrm).all():
+            raise ValueError("the configuration's pairwise distances overflow")
         U = _pair_directions(diff, nrm, n)
         dist = np.zeros((n, n))
         dist[i, j] = dist[j, i] = nrm

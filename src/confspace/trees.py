@@ -22,10 +22,12 @@ exclusion relation takes an explicit trunk flag.
 Tree structure: beyond its parent array, a canonical tree is read through one
 pass.  Canonical numbering puts every internal vertex after its parent, so
 leaf sets (bitmasks with bit i for leaf i, or frozensets) are collected from
-the last vertex up and depths from the first down.  join, vertex_over,
-children, leaves_over and covering_pairs read the result; only children and
-leaves_over are cached on a tree, and the chart layer builds its per-tree
-plan (joins included) from those two.
+the last vertex up.  children, leaves_over and covering_pairs read the
+result; only children and leaves_over are cached on a tree, and the chart
+layer builds its per-tree plan (joins included) from those two.  join walks
+one root path, up from the smallest named leaf until the cached leaves_over
+holds every label; vertex_over is that join when its leaf set equals the
+labels, and a depth is the length of a root path.
 
 A parent array from outside the library, through FTree(n, parent) or tree
 JSON, is read by one function, _from_parents: it accepts any vertex
@@ -39,7 +41,13 @@ compares the built tree's leaf sets with the family, which agree exactly
 when the family is laminar; only a family that is not laminar pays for a
 search, for its first pair that is not nested in label order, and only
 pairs with a set the built tree lacks can cross.
-tree_from_nested checks each set and hands over its bitmask.
+tree_from_nested checks each set and hands over its bitmask.  relabel and
+prune skip the check and call the canonical builder directly (through
+_family_tree): the image of a laminar family under a bijection is laminar,
+and so is one cut by an injection's image and renumbered.  contract keeps
+its rebuild through nested_collection and tree_from_nested, because the
+trees contract command is the nested-set encoding's one route from the
+command line.
 tree_from_exclusions reads the relation in one pass: each triple is checked
 (labels, mirror, conflict) and ORed into near[i, k], the bitmask of the j
 with ((i, j), k) in the relation.  With every mirror present, transitivity
@@ -113,11 +121,7 @@ class FTree:
         return tuple(_unions(self, lambda i: frozenset((i,)), frozenset()))
 
     def depth(self, v: int) -> int:
-        d = 0
-        while v != 0:
-            v = self.parent[v]
-            d += 1
-        return d
+        return len(self.root_path(v)) - 1
 
     def root_path(self, v: int) -> tuple[int, ...]:
         """Vertices from the root down to v, inclusive."""
@@ -137,11 +141,13 @@ class FTree:
         return len(self.children[0]) == 1
 
     def vertex_over(self, labels: Iterable[int]) -> int | None:
-        """The deepest vertex whose leaf set equals `labels`, if any."""
+        """The deepest vertex whose leaf set equals `labels`, if any: the
+        join of the labels when its leaf set is exactly them."""
         target = set(labels)
-        if not target <= set(range(1, self.n + 1)):
+        if not target or not target <= set(range(1, self.n + 1)):
             return None
-        return _deepest(self, _mask(target).__eq__)
+        v = join(self, target)
+        return v if self.leaves_over[v] == target else None
 
     def __repr__(self):
         sets = sorted(
@@ -258,7 +264,7 @@ def _from_parents(n: int, parent: Sequence[int], labels: Sequence[int]) -> FTree
                 )
             masks.append(over[v])
         over[parent[v]] |= over[v]
-    return _from_family(sorted(masks, key=int.bit_count), n)
+    return _family_tree(masks, n)
 
 
 def _mask(labels: Iterable[int]) -> int:
@@ -292,10 +298,8 @@ def _laminar_tree(masks: Iterable[int], n: int) -> FTree:
     with the sets ordered by their sorted labels; only pairs with a set the
     built tree lacks can cross, so only those are searched.
     """
-    if n < 1:
-        raise ValueError("a tree needs at least one leaf")
     family = set(masks)
-    tree = _from_family(sorted(family, key=int.bit_count), n)
+    tree = _family_tree(family, n)
     built = _clusters(tree)
     if built == family:
         return tree
@@ -308,6 +312,14 @@ def _laminar_tree(masks: Iterable[int], n: int) -> FTree:
         if a & b not in (0, a, b)
     )
     raise ValueError(f"sets {la} and {lb} are not nested")
+
+
+def _family_tree(masks: Iterable[int], n: int) -> FTree:
+    """The tree of a laminar family of distinct leaf-set bitmasks over 1..n,
+    in any order: the canonical builder on the family sorted by size."""
+    if n < 1:
+        raise ValueError("a tree needs at least one leaf")
+    return _from_family(sorted(masks, key=int.bit_count), n)
 
 
 def _labels(mask: int) -> list[int]:
@@ -339,22 +351,6 @@ def _unions(tree: FTree, leaf, empty) -> list:
 def _clusters(tree: FTree) -> set[int]:
     """The leaf-set bitmasks of the internal vertices: the nested collection."""
     return set(_unions(tree, _bit, 0)[tree.n + 1 :])
-
-
-def _structure(tree: FTree) -> tuple[list[int], list[int]]:
-    """Leaf-set bitmask (bit i for leaf i) and depth of every vertex."""
-    n, parent = tree.n, tree.parent
-    depth = [0] * len(parent)
-    for v in itertools.chain(range(n + 1, len(parent)), range(1, n + 1)):
-        depth[v] = depth[parent[v]] + 1
-    return _unions(tree, _bit, 0), depth
-
-
-def _deepest(tree: FTree, test) -> int | None:
-    """The deepest vertex whose leaf-set bitmask passes `test`, if any."""
-    masks, depth = _structure(tree)
-    hits = [v for v, mask in enumerate(masks) if test(mask)]
-    return max(hits, key=depth.__getitem__, default=None)
 
 
 def nested_collection(tree: FTree) -> frozenset[frozenset[int]]:
@@ -447,15 +443,21 @@ def codim(tree: FTree) -> int:
 
 
 def join(tree: FTree, labels: Iterable[int]) -> int:
-    """The deepest vertex lying below all the named leaves."""
+    """The deepest vertex with all the named leaves lying over it.
+
+    Those vertices are the root path of any named leaf, so the join is the
+    first vertex up from the smallest named leaf whose leaf set holds them all.
+    """
     labs = sorted(set(labels))
     if not labs:
         raise ValueError("join of an empty label set")
     for i in labs:
         if not 1 <= i <= tree.n:
             raise ValueError(f"unknown leaf label {i}")
-    target = _mask(labs)
-    return _deepest(tree, lambda mask: mask & target == target)
+    v = labs[0]
+    while not tree.leaves_over[v].issuperset(labs):
+        v = tree.parent[v]
+    return v
 
 
 def relabel(tree: FTree, mapping: dict[int, int]) -> FTree:
@@ -463,8 +465,8 @@ def relabel(tree: FTree, mapping: dict[int, int]) -> FTree:
     labels = set(range(1, tree.n + 1))
     if set(mapping) != labels or set(mapping.values()) != labels:
         raise ValueError("relabelling is not a bijection on the leaf labels")
-    sets = [frozenset(mapping[x] for x in a) for a in nested_collection(tree)]
-    return tree_from_nested(sets, tree.n)
+    # the image of a laminar family under a bijection is laminar
+    return _family_tree([_mask(mapping[x] for x in a) for a in nested_collection(tree)], tree.n)
 
 
 def prune(tree: FTree, sigma: "SetMap") -> FTree:
@@ -477,14 +479,10 @@ def prune(tree: FTree, sigma: "SetMap") -> FTree:
         raise ValueError("pruning requires an injective index map")
     if sigma.n != tree.n:
         raise ValueError("index map codomain does not match the leaf count")
-    image = set(sigma.values)
     back = {v: j + 1 for j, v in enumerate(sigma.values)}
-    kept: set[frozenset[int]] = set()
-    for a in nested_collection(tree):
-        cut = a & image
-        if len(cut) >= 2:
-            kept.add(frozenset(back[x] for x in cut))
-    return tree_from_nested(kept, sigma.m)
+    # a laminar family cut by a set and renumbered injectively stays laminar
+    cuts = {_mask(back[x] for x in a if x in back) for a in nested_collection(tree)}
+    return _family_tree([c for c in cuts if c.bit_count() >= 2], sigma.m)
 
 
 def covering_pairs(trees: Sequence[FTree]) -> list[tuple[int, int]]:

@@ -25,7 +25,14 @@ from confspace.simplicial import _direction_exclusions
 
 
 def sample_config(rng, n, m, min_sep=0.25):
-    """Uniform points in a box with a pairwise separation margin."""
+    """Uniform points in a box with a pairwise separation margin.
+
+    On a line, n points pairwise min_sep apart span (n - 1) * min_sep, which
+    must stay below the width 2 of [-1, 1); a margin that cannot fit raises
+    before any draw, since no number of draws would meet it.
+    """
+    if m == 1 and (n - 1) * min_sep >= 2:
+        raise ValueError(f"no {n} points on a line in [-1, 1) are {min_sep} apart (m = {m})")
     i, j = np.triu_indices(n, 1)
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(n, m))

@@ -47,6 +47,17 @@ def test_lift_permutation_equivariance_exact():
         assert cs.ambient_distance(left, right) == 0.0
 
 
+def test_sample_config_refuses_a_margin_that_cannot_fit():
+    """At m = 1, ten points 0.25 apart cannot fit in [-1, 1): the sampler
+    drew forever.  It now raises without touching the generator."""
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no 10 points on a line in \\[-1, 1\\) are 0.25 apart"):
+        sample_config(rng, 10, 1)
+    assert rng.bit_generator.state == state
+    assert sample_config(rng, 4, 1).shape == (4, 1)
+
+
 def test_normalize_examples():
     out = cs.normalize(np.array([[0.0], [4.0]]))
     assert np.array_equal(out.points, [[-1.0], [1.0]])
@@ -67,6 +78,28 @@ def test_normalize_examples():
 def test_normalize_names_an_overflowing_centroid_or_scale(points):
     with pytest.raises(ValueError, match="the configuration's centroid or scale overflows"):
         cs.normalize(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[1e200, 0.0], [0.0, 1e200], [0.0, 0.0]],
+        [[1e154, 0.0], [-1e154, 0.0], [0.0, 1.0]],
+        [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]],
+    ],
+)
+def test_lift_names_overflowing_distances(points):
+    """Finite distinct points whose pair norms overflow were refused as
+    "u[1,2] is not a unit vector", a coordinate the caller never gave."""
+    with pytest.raises(ValueError, match="^the configuration's pairwise distances overflow$"):
+        lift(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lift_just_below_the_overflow_is_a_member():
+    a = lift([[1e153, 0.0], [-1e153, 0.0], [0.0, 1.0]])
+    assert cs.membership_canonical(a).passed
 
 
 def test_normalize_preserves_directions_and_ratios():

@@ -628,6 +628,19 @@ def test_an_overflowing_entry_reports_json(tmp_path, capsys, key):
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_point_alpha_names_overflowing_distances(tmp_path, capsys):
+    """Without --normalize, points at 1e200 were refused as "u[1,2] is not a
+    unit vector (norm 0.0)", naming a coordinate the file does not hold."""
+    cfg = tmp_path / "far.json"
+    cfg.write_text(jsonio.dumps({"m": 2, "points": [[1e200, 0], [0, 1e200], [0, 0]]}))
+    code, out, err = run(capsys, "point", "alpha", "--in", str(cfg))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "the configuration's pairwise distances overflow"
+    }
+
+
 def test_out_into_a_missing_directory_reports_json(tmp_path, capsys):
     """The write escaped main as a FileNotFoundError."""
     cfg = tmp_path / "cfg.json"

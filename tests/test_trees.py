@@ -365,10 +365,11 @@ def test_dot_outputs():
         (lambda: cs.tree_from_exclusions({((1, 1), 2)}, 3), r"bad exclusion triple \(\(1,1\),2\)"),
         (lambda: cs.tree_from_nested([{1, 5}], 3), r"member set \[1, 5\] not within 1\.\.3"),
         (lambda: cs.tree_from_nested([], 0), "a tree needs at least one leaf"),
+        (lambda: cs.prune(cs.corolla(3), cs.SetMap(0, 3, ())), "a tree needs at least one leaf"),
     ],
     ids=[
         "prune-codomain", "setmap-argument", "setmap-compose", "exclusion-triple", "nested-range",
-        "nested-no-leaves",
+        "nested-no-leaves", "prune-empty-map",
     ],
 )
 def test_tree_calls_reject_bad_input(call, message):
