@@ -1130,7 +1130,8 @@ def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]
 
     s was checked when it was read, so of ambient_point's checks only the
     unit check of U runs here: the chart points of huge root rows overflow
-    to a NaN or zero norm, and tiny differences can need renormalising.  The
+    to a NaN or zero norm, which is named as the overflow of a pair norm
+    when the check fails, and tiny differences can need renormalising.  The
     other two cannot fire.  x is finite: a finite root row plus terms of
     total norm below 1 cannot overflow.  Every D entry is a ratio of norms
     in [0, inf], unless a pair norm is NaN or inf, and the unit check
@@ -1140,7 +1141,7 @@ def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]
     pos = _expansion_positions(plan, s.C, s.S, np.asarray(factors, dtype=float))
     a, b = plan.legs
     P, T = len(plan.pair_join), len(plan.triple_join)
-    # huge root rows overflow to inf and NaN here; _unit_directions rejects them
+    # huge root rows overflow to inf and NaN here; the unit check below rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         diff = pos[:, a] - pos[:, b]
         nrm = row_norms(diff)
@@ -1152,7 +1153,13 @@ def _expand(s: StratumPoint, factors: Sequence[float]) -> tuple[np.ndarray, ...]
         D[(slice(None), *_tables(n).triples.T)] = np.divide(
             num, den, out=np.full(num.shape, math.inf), where=den > 0.0
         )
-    return pos[:, plan.leaf_states], _unit_directions(U), D
+    try:
+        U = _unit_directions(U)
+    except ValueError:
+        if not np.isfinite(nrm[:, :P]).all():
+            raise ValueError("the stratum's pairwise distances overflow") from None
+        raise
+    return pos[:, plan.leaf_states], U, D
 
 
 def expand_chart(s: StratumPoint) -> AmbientPoint:

@@ -231,8 +231,7 @@ def _degenerate(args):
     x, U, D = canonical._expand(s, factors)
     (i, j), (a, b, c) = t.pairs.T, t.triples.T
     coords = np.hstack([x.reshape(len(x), -1), U[:, i, j].reshape(len(x), -1), D[:, a, b, c]])
-    rows = [[k, factor, *row] for k, (factor, row) in enumerate(zip(factors, coords.tolist()))]
-    return jsonio.trajectory_csv(header, rows)
+    return jsonio.trajectory_csv(header, factors, coords)
 
 
 # -- the registry ---------------------------------------------------------------

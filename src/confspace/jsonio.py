@@ -4,6 +4,15 @@ Output is deterministic: dictionary keys are sorted and floats are printed
 with 17 significant digits, so identical data always serializes to identical
 bytes.  Infinite ratio values appear as the strings "inf" / "-inf".
 
+Coordinate blocks are written and read a block at a time, not a scalar at
+a time: the floats of a list, of a block of rows of one length, or of an
+object's values (a point's "x", "u" and "d") are formatted in one pass; a
+CSV column whose bits are the same in every row is formatted once; and a
+label-keyed object ("u", "d") has its keys read in one pass and its values
+in another.  When a pass meets an entry it cannot read, the entries are
+read one at a time, so the first bad entry is still the one named, with
+the same message.
+
 `labels_from_text` is the one reader of label text (comma-separated leaf
 labels), and `vertices_from_keys` reads it as the leaf set of a tree vertex.
 `point_to_json` is the one writer of ambient, simplicial and framed points
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,26 +47,71 @@ from .associahedron import FacePoset
 # -- deterministic writer -------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps(str) writes
+
+
+def _real(v: float) -> str:
+    if math.isnan(v):
+        raise ValueError("NaN is not serializable")
+    if math.isinf(v):
+        return '"inf"' if v > 0 else '"-inf"'
+    return format(v, ".17g")
+
+
+def _reals(values: list) -> list[str]:
+    """_real of every float in values, in one formatting pass when all are finite."""
+    if all(map(math.isfinite, values)):
+        return list(map(format, values, repeat(".17g")))
+    return list(map(_real, values))
+
+
+def _float_rows(rows: list) -> list[str] | None:
+    """The one-line text of every row of a block of float lists of one
+    length, formatted in one pass; None when rows is no such block."""
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {float}:
+        return None
+    return list(map("[%s]".__mod__, map(", ".join, zip(*[iter(_reals(cells))] * width))))
+
+
+def _texts(values, indent: int, kinds: set) -> list[str]:
+    """_fmt of every item of values, whose item types are kinds; a block of
+    floats or of float rows in one pass."""
+    if kinds == {float}:
+        return _reals(values)
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {list}:
+        rows = _float_rows(values)
+        if rows is not None:
+            return rows
+    return [_fmt(v, indent) for v in values]
+
+
 def _fmt(value, indent: int) -> str:
+    if type(value) is float:
+        return _real(value)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f'{inner}{json.dumps(str(k))}: {_fmt(v, indent + 1)}'
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        keys = sorted(value, key=str)
+        values = list(map(value.__getitem__, keys))
+        texts = _texts(values, indent + 1, set(map(type, values)))
+        items = map("%s: %s".__mod__, zip(map(_quote, map(str, keys)), texts))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
+        if not value:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_fmt(v, indent) for v in seq) + "]"
-        items = [f"{inner}{_fmt(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        kinds = set(map(type, value))
+        if any(issubclass(k, (dict, list, tuple)) for k in kinds):
+            items = _texts(value, indent + 1, kinds)
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return "[" + ", ".join(_texts(value, indent, kinds)) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -64,14 +119,9 @@ def _fmt(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            raise ValueError("NaN is not serializable")
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return format(v, ".17g")
+        return _real(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     raise TypeError(f"cannot serialize {type(value)}")
 
 
@@ -80,24 +130,32 @@ def dumps(obj) -> str:
 
 
 _INFINITIES = {"inf": math.inf, "-inf": -math.inf}
+_REVIVED = {list, str}  # the JSON values that can hold "inf" or "-inf"
 
 
 def _revive(obj):
     """The strings "inf" and "-inf" as floats, in obj and in every list within
-    it; objects inside come revived by the parser (_pairs)."""
+    it; objects inside come revived by the parser (_pairs).  A list holding
+    no string and no list comes back as it is."""
     if isinstance(obj, list):
-        return [_revive(v) for v in obj]
+        return obj if _REVIVED.isdisjoint(map(type, obj)) else [_revive(v) for v in obj]
     return _INFINITIES.get(obj, obj) if isinstance(obj, str) else obj
 
 
 def _pairs(pairs: list) -> dict:
     """One JSON object, its values revived; a repeated key is an error, not
     a silent overwrite."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"JSON object repeats key {key!r}")
-        out[key] = _revive(value)
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object repeats key {key!r}")
+            seen.add(key)
+    if not _REVIVED.isdisjoint(map(type, out.values())):
+        for key, value in out.items():
+            if type(value) in _REVIVED:
+                out[key] = _revive(value)
     return out
 
 
@@ -156,7 +214,8 @@ def config_from_json(data: dict) -> Configuration:
 
 def _keyed(arr: np.ndarray, index: dict, table: np.ndarray) -> dict:
     """{"i,j": u_ij} or {"i,j,k": d_ijk}, read from U or D along an index table."""
-    return dict(zip((",".join(map(str, key)) for key in index), arr[tuple(table.T)].tolist()))
+    key = ",".join(["%d"] * table.shape[1])
+    return dict(zip(map(key.__mod__, index), arr[tuple(table.T)].tolist()))
 
 
 def point_to_json(p) -> dict:
@@ -216,8 +275,45 @@ def _number(value, field: str) -> float:
 
 def _label_keyed(data, field: str, arity: int, read) -> dict:
     """{labels: read(value, "field[key]")} of a JSON object keyed by `arity`
-    labels; two keys may not name one index tuple."""
+    labels; two keys may not name one index tuple.  Keys and values are read
+    in one pass each; when a pass fails, the entries are read one by one, so
+    that the first bad one is named."""
     data = _object(data, field)
+    out = _label_keyed_block(data, field, arity, read) if data else {}
+    return _label_keyed_entries(data, field, arity, read) if out is None else out
+
+
+def _label_keyed_block(data: dict, field: str, arity: int, read) -> dict | None:
+    """_label_keyed in one pass over the keys and one over the values, for
+    `_number` over floats and non-bool ints and `_floats` over rows of one
+    length; None where a pass fails."""
+    keys = list(data)
+    try:
+        parts = ",".join(keys).split(",")
+    except TypeError:
+        return None
+    if set(map(str.count, keys, repeat(","))) != {arity - 1} or not all(
+        map(str.isdecimal, map(str.strip, parts))
+    ):
+        return None
+    values = list(data.values())
+    try:
+        if read is _number and set(map(type, values)) <= {float, int}:
+            values = list(map(float, values))
+        elif read is _floats:
+            values = _floats(values, field)
+            if values.ndim < 2:
+                return None
+        else:
+            return None
+    except (ValueError, OverflowError):
+        return None
+    out = dict(zip(zip(*[map(int, parts)] * arity), values))
+    return out if len(out) == len(data) else None
+
+
+def _label_keyed_entries(data: dict, field: str, arity: int, read) -> dict:
+    """_label_keyed one entry at a time."""
     out = {labels_from_text(k, field, arity): read(v, f"{field}[{k}]") for k, v in data.items()}
     if len(out) != len(data):
         seen = {}
@@ -364,12 +460,20 @@ def residuals_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v) for v in row
-            )
-        )
+def trajectory_csv(header, factors, coords: np.ndarray) -> str:
+    """Rows k, factors[k], coords[k] of a (K, C) float block, K >= 1, as CSV.
+    A column whose bits are the same in every row is formatted once; -0.0
+    and 0.0 differ in their bits, so each keeps its spelling."""
+    block = np.ascontiguousarray(coords, dtype=float)
+    bits = block.view(np.uint64)
+    const = (bits == bits[0]).all(axis=0)
+    first = block[0].tolist()
+    varying = iter(block[:, ~const].T.tolist())
+    k = len(block)
+    columns = [map(str, range(k)), map(format, factors, repeat(".17g"))]
+    columns += [
+        repeat(format(v, ".17g"), k) if c else map(format, next(varying), repeat(".17g"))
+        for v, c in zip(first, const.tolist())
+    ]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"

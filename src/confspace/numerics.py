@@ -21,16 +21,16 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 def _float_array(value, what: str) -> np.ndarray:
     """np.asarray(value, dtype=float) under the one rule of what numbers are:
-    numbers written as strings, complex numbers and whatever else numpy
-    cannot read as floats (a ragged array) are not, and raise
-    ValueError(what), so that the caller names the field."""
+    numbers written as strings, complex numbers, integers too large for a
+    float and whatever else numpy cannot read as floats (a ragged array) are
+    not, and raise ValueError(what), so that the caller names the field."""
     try:
         raw = np.asarray(value)
         if not (raw.dtype.kind in "SUc" or raw.dtype.kind == "O" and any(
             isinstance(x, (str, bytes)) for x in raw.flat
         )):
             return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(what)
 
@@ -40,7 +40,7 @@ def _float(value, what: str) -> float:
     if not isinstance(value, (str, bytes, complex)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ValueError(what)
 

@@ -8,6 +8,7 @@ and direct distance ratios.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -596,8 +597,85 @@ def degenerate_csv(s, kmax):
         row = [k, factor, *(float(v) for v in a.x.ravel())]
         row += [float(v) for key in pairs for v in a.u[key]]
         row += [a.d[key] for key in triples]
-        rows.append(row)
-    return jsonio.trajectory_csv(header, rows)
+        rows.append(",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in row))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+# -- the JSON codec as first written, one scalar at a time ------------------------------------
+
+
+def reference_fmt(value, indent: int = 0) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f'{inner}{json.dumps(str(k))}: {reference_fmt(v, indent + 1)}'
+            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
+        if flat:
+            return "[" + ", ".join(reference_fmt(v, indent) for v in seq) + "]"
+        items = [f"{inner}{reference_fmt(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v):
+            raise ValueError("NaN is not serializable")
+        if math.isinf(v):
+            return '"inf"' if v > 0 else '"-inf"'
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)}")
+
+
+def _reference_revive(obj):
+    if isinstance(obj, list):
+        return [_reference_revive(v) for v in obj]
+    return {"inf": math.inf, "-inf": -math.inf}.get(obj, obj) if isinstance(obj, str) else obj
+
+
+def _reference_pairs(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        out[key] = _reference_revive(value)
+    return out
+
+
+def reference_loads(text: str):
+    return _reference_revive(json.loads(text, object_pairs_hook=_reference_pairs))
+
+
+def reference_label_keyed(data, field: str, arity: int, read) -> dict:
+    """jsonio's label-keyed reader one entry at a time; `read` is a jsonio
+    per-entry reader (`_number` or `_floats`)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"field {field!r} must be a JSON object")
+    out = {
+        jsonio.labels_from_text(k, field, arity): read(v, f"{field}[{k}]") for k, v in data.items()
+    }
+    if len(out) != len(data):
+        seen = {}
+        for k in data:
+            first = seen.setdefault(jsonio.labels_from_text(k, field, arity), k)
+            if first != k:
+                raise ValueError(f"field {field!r} names one index tuple twice, as {first!r} and {k!r}")
+    return out
 
 
 # -- dict-based coordinate references -------------------------------------------------------

@@ -360,6 +360,27 @@ def test_expand_chart_trunk_example():
     assert out.u[(1, 2)][0] == -1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e154, 1e308])
+def test_expand_names_overflowing_distances(big):
+    """Root rows at +-1e154 were refused as "u[1,3] is not a unit vector
+    (norm 0.0)", and at +-1e308 as "(norm nan)"."""
+    t = cs.tree_from_nested([{1, 2}], 4)
+    s = cs.stratum_sample(t, 2, 3)
+    root = [[(-1) ** r * big, *row[1:]] for r, row in enumerate(s.root_config)]
+    with pytest.raises(ValueError, match="^the stratum's pairwise distances overflow$"):
+        cs.expand_chart(cs.StratumPoint(t, root, s.configs, s.scales))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_expand_just_below_the_overflow():
+    t = cs.tree_from_nested([{1, 2}], 4)
+    s = cs.stratum_sample(t, 2, 3)
+    root = [[(-1) ** r * 1e153, *row[1:]] for r, row in enumerate(s.root_config)]
+    a = cs.expand_chart(cs.StratumPoint(t, root, s.configs, s.scales))
+    assert np.isfinite(a.x).all() and np.abs(a.x).max() >= 1e153
+
+
 def test_expand_chart_boundary_point():
     out = cs.expand_chart(trunk_stratum(0.0))
     assert np.array_equal(out.x, np.zeros((2, 1)))

@@ -609,7 +609,8 @@ def test_chart_expand_names_the_non_finite_stratum_field(tmp_path, capsys):
 def test_an_overflowing_entry_reports_json(tmp_path, capsys, key):
     """A point whose u[1,2] has entries of 1e308, a stratum whose root rows
     are +-1e308, or a configuration with points at +-1e308 to normalize,
-    overflowed a norm, and with warnings as errors the warning escaped main."""
+    overflowed a norm, and with warnings as errors the warning escaped main.
+    The stratum was refused as "u[1,4] is not a unit vector (norm nan)"."""
     argv = _one_call_per_subcommand(tmp_path)[key]
     path = Path(argv[argv.index("--in") + 1])
     data = jsonio.loads(path.read_text())
@@ -618,11 +619,48 @@ def test_an_overflowing_entry_reports_json(tmp_path, capsys, key):
         message = "the configuration's centroid or scale overflows"
     elif "root" in data:
         data["root"] = [[(-1) ** r * 1e308, *row[1:]] for r, row in enumerate(data["root"])]
-        message = "u[1,4] is not a unit vector (norm nan)"
+        message = "the stratum's pairwise distances overflow"
     else:
         data["u"]["1,2"] = [1e308] * len(data["u"]["1,2"])
         message = "u[1,2] is not a unit vector (norm inf)"
     path.write_text(jsonio.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+def _put(data, path, value):
+    *head, last = path
+    for step in head:
+        data = data[step]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "key, path, message",
+    [
+        ("point membership", ("x", 0, 0), "field 'x' is not numeric"),
+        ("point membership", ("u", "1,2", 0), "field 'u[1,2]' is not numeric"),
+        ("point membership", ("d", "1,2,3"), "field 'd[1,2,3]' is not a number"),
+        ("simplicial membership", ("x", 1, 0), "field 'x' is not numeric"),
+        ("simplicial membership", ("u", "2,1", 1), "field 'u[2,1]' is not numeric"),
+        ("point alpha", ("points", 2, 1), "field 'points' is not numeric"),
+        ("chart expand", ("root", 0, 0), "field 'root' is not numeric"),
+        ("chart expand", ("configs", "1,2", 0, 1), "field 'configs[1,2]' is not numeric"),
+        ("chart expand", ("scales", "1,2,3"), "field 'scales[1,2,3]' is not a number"),
+    ],
+    ids=["x", "u", "d", "simplicial-x", "simplicial-u", "points", "root", "configs", "scales"],
+)
+def test_an_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, key, path, message):
+    """An integer literal such as 1 followed by 400 zeros escaped main as an OverflowError."""
+    argv = _one_call_per_subcommand(tmp_path)[key]
+    file = Path(argv[argv.index("--in") + 1])
+    data = jsonio.loads(file.read_text())
+    _put(data, path, "HUGE")
+    file.write_text(jsonio.dumps(data).replace('"HUGE"', _HUGE))
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": message}
