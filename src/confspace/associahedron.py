@@ -48,6 +48,7 @@ class FacePoset:
 
 def face_poset(n: int) -> FacePoset:
     """The complete face poset of the n-th associahedron."""
+    n = trees._integer(n)
     if not 0 <= n <= MAX_ASSOC_INDEX:
         raise ValueError(f"face poset supports 0 <= n <= {MAX_ASSOC_INDEX}")
     faces = tuple(trees.enumerate_trees(n + 2, "planar"))
@@ -62,6 +63,7 @@ def f_vector(n: int) -> tuple[int, ...]:
     A face of dimension d is a dissection of the (n+3)-gon by n-d
     non-crossing diagonals, counted by the Kirkman-Cayley formula.
     """
+    n = trees._integer(n)
     if not 0 <= n <= MAX_ASSOC_INDEX:
         raise ValueError(f"face poset supports 0 <= n <= {MAX_ASSOC_INDEX}")
     return tuple(

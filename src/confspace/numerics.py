@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -21,23 +23,42 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 def _float_array(value, what: str) -> np.ndarray:
     """np.asarray(value, dtype=float) under the one rule of what numbers are:
-    numbers written as strings, complex numbers, integers too large for a
-    float and whatever else numpy cannot read as floats (a ragged array) are
-    not, and raise ValueError(what), so that the caller names the field."""
+    booleans, numbers written as strings, complex numbers, integers too
+    large for a float and whatever else numpy cannot read as floats (a
+    ragged array) are not, and raise ValueError(what), so that the caller
+    names the field."""
     try:
         raw = np.asarray(value)
-        if not (raw.dtype.kind in "SUc" or raw.dtype.kind == "O" and any(
-            isinstance(x, (str, bytes)) for x in raw.flat
-        )):
+        kind = raw.dtype.kind
+        if kind == "O":
+            ok = not any(isinstance(x, (str, bytes, bool, np.bool_)) for x in raw.flat)
+        else:
+            ok = kind not in "SUcb" and not (isinstance(value, (list, tuple)) and _holds_bool(value))
+        if ok:
             return np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(what)
 
 
+def _holds_bool(items) -> bool:
+    """Whether nested lists or tuples hold a bool at any depth.  numpy reads
+    [True, 0.5] as floats, so a list that mixes booleans with numbers is
+    found here, one level at a time, without a Python loop per item."""
+    while True:
+        kinds = set(map(type, items))
+        if bool in kinds or np.bool_ in kinds:
+            return True
+        if not kinds or not kinds <= {list, tuple}:
+            return False
+        items = list(itertools.chain.from_iterable(items))
+
+
 def _float(value, what: str) -> float:
     """float(value) under _float_array's rule for one number."""
-    if not isinstance(value, (str, bytes, complex)):
+    if not isinstance(value, (str, bytes, complex, bool, np.bool_)) and not (
+        isinstance(value, np.ndarray) and value.dtype.kind == "b"
+    ):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):

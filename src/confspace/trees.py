@@ -33,7 +33,16 @@ A parent array from outside the library, through FTree(n, parent) or tree
 JSON, is read by one function, _from_parents: it accepts any vertex
 numbering, checks the array, collects leaf-set bitmasks deepest vertex first
 without recursion and builds the tree through _from_family, the canonical
-builder every other tree comes from.
+builder.
+
+Two builders make the canonical tree of a laminar family, and agree tree for
+tree.  _from_family builds one tree in plain Python; every caller that
+builds one tree at a time uses it: _from_parents, _laminar_tree (so
+tree_from_nested, tree_from_exclusions and contract), relabel and prune.
+_family_trees builds many in array form, a length-bucketed numpy pass per
+chunk of families, and only enumerate_trees (so face_poset) calls it: there
+thousands of families share each array call, while one tree through numpy
+would cost more than the whole Python build of a small tree.
 
 Nested sets and exclusion relations reach that builder through one check,
 _laminar_tree: it builds the tree of a family of leaf-set bitmasks and
@@ -58,9 +67,12 @@ clusters are the sets near[i, k] plus i.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Triple = tuple[tuple[int, int], int]
 
@@ -507,6 +519,62 @@ def covering_pairs(trees: Sequence[FTree]) -> list[tuple[int, int]]:
 # -- enumeration -------------------------------------------------------------
 
 
+# Families per batch in enumerate_trees; one chunk's arrays are alive at a
+# time.  It is below 2,752, the number of trunk trees with n = 6, so the
+# enumeration tests cross chunk boundaries.
+_CHUNK = 2048
+
+
+def _family_trees(families: Iterable[tuple[int, ...]], n: int) -> list[FTree]:
+    """_from_family on each of many laminar families, in array form.
+
+    The families are read in one pass into an int16 stream with a 0 (no
+    leaf set's bitmask) after each, and each parent tuple is cut from one
+    flat list, so that no family and no per-row list is held while trees
+    are built.  The families of one length k form a (b, k) array of
+    leaf-set bitmasks, each row by size, with a last column for the root,
+    which holds every leaf.  A set hangs below the first later column
+    containing it, and so does each leaf; the later columns containing a
+    set are its root path.  A set's key spells the lowest labels along
+    that path, from the root down, one four-bit digit a level and zeros
+    below the set, so sorting a row's keys gives the depth-first numbering
+    _from_family reads off its path tuples.  Digits and int16 bitmasks hold
+    labels up to 14.  The trees come back in input order.
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(f + (0,) for f in families), np.int16)
+    ends = np.flatnonzero(flat == 0)
+    lens = np.diff(ends, prepend=-1) - 1
+    by_len = np.argsort(lens, kind="stable")
+    lowest = np.zeros(2 << n, np.int64)  # lowest[m & -m]: the lowest label of m
+    lowest[1 << np.arange(n + 1)] = np.arange(n + 1)
+    labels = np.arange(1, n + 1, dtype=np.int16)
+    built: list[FTree] = []
+    for k in sorted(set(lens.tolist())):
+        where = by_len[lens[by_len] == k]
+        rows = np.arange(len(where))[:, None]
+        masks = flat[ends[where, None] - k + np.arange(k)]
+        with_root = np.concatenate([masks, np.full((len(where), 1), (2 << n) - 2, np.int16)], axis=1)
+        # within[r, a, c]: column c comes after set a and holds it
+        within = (with_root[:, None, :] & masks[:, :, None]) == masks[:, :, None]
+        within &= np.arange(k)[:, None] < np.arange(k + 1)
+        up = within.argmax(2)
+        home = ((with_root[:, :, None] >> labels) & 1).argmax(1)
+        # a set's depth is the number of columns holding it
+        digit = lowest[masks & -masks] << 4 * (k - within.sum(2))
+        key = (within[:, :, :k] * digit[:, None, :]).sum(2) + digit
+        order = np.argsort(key, axis=1, kind="stable")
+        ids = np.zeros((len(where), k + 1), np.int16)
+        ids[rows, order] = np.arange(n + 1, n + 1 + k, dtype=np.int16)
+        parent = np.empty((len(where), n + 1 + k), np.int16)
+        parent[:, 0] = -1
+        parent[:, 1 : n + 1] = ids[rows, home]
+        parent[:, n + 1 :] = np.take_along_axis(ids[rows, up], order, axis=1)
+        built += [_trusted(n, row) for row in zip(*[iter(parent.ravel().tolist())] * (n + 1 + k))]
+    back = np.empty(len(lens), np.intp)
+    back[by_len] = np.arange(len(lens))
+    return [built[i] for i in back.tolist()]
+
+
 def _laminar_families(candidates: list[int]) -> Iterator[tuple[int, ...]]:
     """Every pairwise nested or disjoint subfamily of the candidate bitmasks.
 
@@ -547,11 +615,15 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
     Candidate leaf sets are bitmasks ordered by size, then by their sorted
     labels.  Families of them come out of a depth-first backtrack (the empty
     family first, each family followed by its extensions by later
-    candidates), and each goes straight into the canonical builder.  This
-    order is part of the contract: callers and tests index into the list.
+    candidates).  This order is part of the contract: callers and tests
+    index into the list.  Up to _CHUNK families at a time go to the batch
+    builder, _family_trees, which builds in array form the trees the
+    one-tree builder _from_family builds; most of an enumeration's time went
+    to building its trees one at a time.  n must be an integer, not a bool.
     """
     if variant not in ("full", "trunk", "planar"):
         raise ValueError(f"unknown variant {variant!r}")
+    n = _integer(n)
     if variant == "planar":
         if not 2 <= n <= MAX_PLANAR_LEAVES:
             raise ValueError(
@@ -576,11 +648,23 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
         if n == 1:
             return [corolla(1)]
         full = candidates.pop()  # the full leaf set, last by size, joins every family
-        return [
-            _from_family(family + (full,), n)
-            for family in _laminar_families(candidates)
-        ]
-    return [_from_family(family, n) for family in _laminar_families(candidates)]
+        families = (family + (full,) for family in _laminar_families(candidates))
+    else:
+        families = _laminar_families(candidates)
+    out: list[FTree] = []
+    while chunk := _family_trees(itertools.islice(families, _CHUNK), n):
+        out += chunk
+    return out
+
+
+def _integer(n) -> int:
+    """A leaf count or an index: an int, not a bool, else ValueError naming n."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"n must be an integer, not {n!r}")
 
 
 # -- index maps ---------------------------------------------------------------

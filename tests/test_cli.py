@@ -666,6 +666,18 @@ def test_an_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, key,
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+def test_a_boolean_ratio_names_its_field(tmp_path, capsys):
+    """JSON true read as the ratio 1.0."""
+    argv = _one_call_per_subcommand(tmp_path)["point membership"]
+    file = Path(argv[argv.index("--in") + 1])
+    data = jsonio.loads(file.read_text())
+    _put(data, ("d", "1,2,3"), True)
+    file.write_text(jsonio.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "field 'd[1,2,3]' is not a number"}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_point_alpha_names_overflowing_distances(tmp_path, capsys):
     """Without --normalize, points at 1e200 were refused as "u[1,2] is not a

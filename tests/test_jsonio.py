@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace import jsonio
+from confspace import jsonio, numerics
 from helpers import reference_fmt, reference_label_keyed, reference_loads
 
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
@@ -125,6 +125,38 @@ def test_label_keyed_readers_agree_on_malformed_input(field, data):
         assert _bits(new[1]) == _bits(old[1])
     else:
         assert new == old
+
+
+@pytest.mark.parametrize(
+    "field, data, message",
+    [
+        ("d", {**_D, "2,1,3": True}, "field 'd[2,1,3]' is not a number"),
+        ("u", {**_U, "1,3": [True, False]}, "field 'u[1,3]' is not numeric"),
+        ("u", {**_U, "1,3": [True, 0.0]}, "field 'u[1,3]' is not numeric"),
+        ("u", {"1,3": [False, 1.0]}, "field 'u[1,3]' is not numeric"),
+    ],
+    ids=["bool", "bool-row", "mixed-row", "mixed-only-row"],
+)
+def test_booleans_are_not_numbers(field, data, message):
+    """JSON true and false read as 1.0 and 0.0, alone or in a row of numbers;
+    the bool and bool-row inputs of the test above now raise through both
+    readers."""
+    arity, read = (2, jsonio._floats) if field == "u" else (3, jsonio._number)
+    assert _outcome(jsonio._label_keyed, data, field, arity, read) == ("ValueError", message)
+    assert _outcome(reference_label_keyed, data, field, arity, read) == ("ValueError", message)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, [True, False], np.array([True, False]), np.array(True), [[0.0, 1.0], [True, False]], (0.5, np.False_)],
+    ids=["bool", "np-bool", "bool-list", "bool-array", "bool-0d", "mixed-rows", "mixed-tuple"],
+)
+def test_the_number_rule_refuses_booleans(value):
+    with pytest.raises(ValueError, match="^field$"):
+        numerics._float_array(value, "field")
+    if np.ndim(value) == 0:
+        with pytest.raises(ValueError, match="^field$"):
+            numerics._float(value, "field")
 
 
 def test_trajectory_csv_formats_every_cell_as_written():

@@ -6,10 +6,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import confspace as cs
-from confspace import canonical, cli, jsonio
+from confspace import canonical, cli, jsonio, trees
 from helpers import (
     laminar_part,
     reference_check_nested,
@@ -40,6 +40,22 @@ def test_enumeration_matches_reference_in_order():
             got = [t.parent for t in cs.enumerate_trees(n, variant)]
             want = [t.parent for t in reference_enumerate_trees(n, variant)]
             assert got == want, (variant, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(set_families(), min_size=1, max_size=12))
+def test_batch_builder_matches_the_one_tree_builder(batch):
+    """The array builder against _from_family on drawn batches of laminar
+    families of mixed lengths, each family over labels up to the batch's
+    largest n and ordered by size: the same tree for each, in input order."""
+    n = max(size for size, _ in batch)
+    families = [
+        tuple(sorted((trees._mask(a) for a in laminar_part(raw)), key=int.bit_count))
+        for _, raw in batch
+    ]
+    got = trees._family_trees(iter(families), n)
+    assert [t.parent for t in got] == [trees._from_family(f, n).parent for f in families]
+    assert all(t.n == n for t in got)
 
 
 def test_enumerated_trees_pass_the_public_check():

@@ -1,6 +1,7 @@
 """Tree combinatorics: encodings, poset structure, enumeration."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ def test_enumeration_range_errors():
         cs.enumerate_trees(1, "planar")
     with pytest.raises(ValueError):
         cs.enumerate_trees(3, "weird")
+
+
+@pytest.mark.parametrize("call", [cs.enumerate_trees, cs.face_poset, cs.f_vector])
+@pytest.mark.parametrize("n", [3.0, "3", True, np.True_, None], ids=["float", "str", "bool", "np-bool", "none"])
+def test_sizes_must_be_integers(call, n):
+    """A float or a string raised a TypeError from range(), and True
+    enumerated the trees with one leaf."""
+    with pytest.raises(ValueError, match=f"^n must be an integer, not {re.escape(repr(n))}$"):
+        call(n)
+
+
+def test_numpy_integer_sizes_are_sizes():
+    assert cs.enumerate_trees(np.int64(4), "planar") == cs.enumerate_trees(4, "planar")
+    assert cs.face_poset(np.int32(2)) == cs.face_poset(2)
+    assert cs.f_vector(np.uint8(3)) == cs.f_vector(3)
 
 
 # -- pruning -----------------------------------------------------------------------------
