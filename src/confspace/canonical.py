@@ -34,13 +34,16 @@ non-root edge (the root's rows first, then each internal vertex's children)
 and a (V,) array S of scales; root_config is a view of C, and configs and
 scales are read-only mappings over C and S keyed by internal vertex.  Every
 table that depends only on a tree's shape (the row layout, sibling pairs,
-joins, expansion paths, and invert_chart's frames and centre groups) is
-built once into the tree's chart plan, held in a bounded cache: a chart
-round trip reads its tree's plan seven times in a row, so a small cache hits.
-The plan is read off per-vertex facts: each vertex's root path and its rows
-give the expansion paths, each block vertex's subtree and height number the
-states and group the centres, its leaf set gives the joins and frames, and
-each internal vertex's children give the spans.
+joins, expansion paths, and invert_chart's frames, centre groups and
+cluster masks) is built once into the tree's chart plan, held in a bounded
+cache: a chart round trip reads its tree's plan seven times in a row, so a
+small cache hits.  The plan is read off per-vertex facts: each vertex's root
+path and its rows give the expansion paths, each block vertex's subtree and
+height number the states and group the centres, its leaf set gives the
+joins, frames and cluster masks, and each internal vertex's children give
+the spans.  invert_chart decides whether a point lies in the tree's chart
+region on those masks and the point's vanishing ratios; only a point it
+refuses is classified, for stratum_tree's error message.
 Each fact about stratum data is checked once, where the data comes in.  A
 record built from mappings and one that invert_chart computes from a point
 pass the same check (_check_stratum): the rows in one array pass, then the
@@ -771,7 +774,20 @@ def stratum_tree(a: AmbientPoint, tol: float = DEFAULT_TOL) -> trees.FTree:
 
 
 def _is_trunk(x: np.ndarray, tol: float) -> bool:
-    """Whether all positions coincide relative to the configuration scale."""
+    """Whether all positions coincide relative to the configuration scale:
+    every distance at most tol * config_scale(x).
+
+    Most points answer no, and the first position tells in Python: with r
+    the largest distance from x_1, the scale is at most max(1, |x_1| + r),
+    so r beyond tol times that bound, with a relative margin of 1e-12 over
+    the rounding of either computation, means some distance is beyond the
+    threshold.  Otherwise every distance is compared."""
+    rows = x.tolist()
+    if rows:
+        r = max(math.dist(rows[0], p) for p in rows)
+        bound = max(1.0, (math.hypot(*rows[0]) + r) * (1 + 1e-12))
+        if r * (1 - 1e-12) > tol * bound * (1 + 1e-12):
+            return False
     return bool((_distances(x) <= tol * config_scale(x)).all())
 
 
@@ -791,15 +807,20 @@ class _ChartPlan(NamedTuple):
     frame of top.
 
     Each table is read off one fact per vertex:
-    - each vertex's root path and the rows along it: a state's path_rows and
-      path_scales are v's path cut below top;
+    - each vertex's root path and the rows along it: a state's path_rows are
+      v's path cut below top, and its path_scales the block vertex over each
+      of those rows but the first, whose scale (top's) counts as 1;
     - each block vertex's subtree, which numbers its states, and its height,
       which with the child count keys its centre group;
     - each block vertex's leaf set: the pair join is the deepest block over
       both leaves, the triple join of (x, y, z) the shallower of x's joins
-      with y and z, and the frames of v anchor at its lowest leaf i0 and the
-      lowest leaf k0 of its second child;
+      with y and z, the frames of v anchor at its lowest leaf i0 and the
+      lowest leaf k0 of its second child, and the leaf sets of the internal
+      vertices are the cluster masks invert_chart decides its region with;
     - each internal vertex's children: starts, counts, siblings and spans.
+    The integer tables are views of one read-only buffer, filled from Python
+    lists in one conversion; the joins and legs are gathered from its pair
+    and state tables, and path_scales from path_rows.
     """
 
     starts: np.ndarray  # (B,) first row of each block
@@ -825,15 +846,38 @@ class _ChartPlan(NamedTuple):
     spans: np.ndarray  # (2, 2(E - k0)) states whose differences invert_chart measures: (v, c)
     #   and (v, v) of each internal row, then (p, c) and (p, v), p the parent of v
     parent_block: np.ndarray  # (B - 1,) internal block of each parent; -1 for the root
+    clusters: np.ndarray  # (n + B - 1, W) leaf-set masks (see _label_bits) of each leaf, then
+    #   of each internal vertex
 
 
-def _int_table(values, width: int = 0) -> np.ndarray:
-    """A read-only integer table: a vector, or (L, width) rows of a flat list."""
-    arr = np.array(values, dtype=np.intp)
-    if width:
-        arr = arr.reshape(-1, width)
-    arr.flags.writeable = False
-    return arr
+# A cluster mask holds one bit per label in words of _WORD bits, so that no
+# sum of distinct bits overflows a word.
+_WORD = np.iinfo(np.intp).bits - 1
+
+
+@functools.lru_cache(maxsize=32)
+def _label_bits(n: int) -> np.ndarray:
+    """(n, W) the cluster mask of each single label: label i + 1 sets bit
+    i % _WORD of word i // _WORD, W = ceil(n / _WORD)."""
+    i = np.arange(n)
+    bits = np.zeros((n, -(-n // _WORD)), dtype=np.intp)
+    bits[i, i // _WORD] = np.left_shift(1, i % _WORD)
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.lru_cache(maxsize=32)
+def _join_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the plan's joins are read: the flat positions in an (n, n)
+    table of (i, j) for each leaf pair i < j, then (x, y) and (x, z) for
+    each ordered triple (x, y, z); and the leaves of the legs, (2, P + 2T)."""
+    tab = _tables(n)
+    (i, j), (x, y, z) = tab.upairs.T, tab.triples.T
+    at = np.concatenate([i * n + j, x * n + y, x * n + z])
+    leaves = np.concatenate([tab.upairs.T, (x, y), (x, z)], axis=1)
+    for arr in (at, leaves):
+        arr.flags.writeable = False
+    return at, leaves
 
 
 @functools.lru_cache(maxsize=16)
@@ -841,94 +885,125 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
     """The chart plan of a tree shape.  The cache is small: a chart round
     trip (a sample, three expansions, two inversions and one record built
     from mappings) reads its tree's plan seven times in a row and then moves
-    on, and a plan takes about 12 KB at n = 6 and 67 KB at n = 12."""
-    n, kids, nv, parent = t.n, t.children, t.num_vertices, t.parent
+    on, and a plan takes about 12 KB at n = 6 and 67 KB at n = 12.  A round
+    trip over many trees still builds one plan each, so the build walks each
+    block's states once in Python and converts every list it makes in one
+    call; per-call numpy overhead, not arithmetic, is its cost."""
+    n, kids, nv, parent, over = t.n, t.children, t.num_vertices, t.parent, t.leaves_over
     internal = t.internal_vertices
     blocks = (0, *internal)
     counts = [len(kids[v]) for v in blocks]
     starts = list(itertools.accumulate(counts[:-1], initial=0))
-    # top down: each vertex's path from below the root, and the rows along it
-    path, rows = [()] * nv, [()] * nv
+    zero = starts[-1] + counts[-1]
+    # top down: each vertex's depth and the rows along its root path, and
+    # the block vertex over each row
+    depth, rows, owner = [0] * nv, [()] * nv, []
     for v, first in zip(blocks, starts):
-        for r, c in enumerate(kids[v], first):
-            path[c], rows[c] = path[v] + (c,), rows[v] + (r,)
+        d, above, below = depth[v] + 1, rows[v], kids[v]
+        for r, c in enumerate(below, first):
+            depth[c], rows[c] = d, above + (r,)
+        owner += (v,) * len(below)
     # bottom up: each block vertex's height, and its subtree with itself last
     height, sub = [0] * nv, [(v,) for v in range(nv)]
     for v in reversed(blocks):
-        height[v] = 1 + max(height[c] for c in kids[v])
-        sub[v] = sum((sub[c] for c in kids[v]), ()) + (v,)
-    zero, width = starts[-1] + counts[-1], height[0] + 1
-    row_pad, scale_pad = (zero,) * width, (nv,) * width
-    rows = [r + row_pad for r in rows]  # padded, so a cut at any depth fills a table row
-    above = [p[:-1] + scale_pad for p in path]  # the vertices above each vertex, padded
+        below = kids[v]
+        height[v] = 1 + max(map(height.__getitem__, below))
+        sub[v] = sum(map(sub.__getitem__, below), ()) + (v,)
+    width = height[0] + 1
+    pad = (zero,) * width
+    rows = [r + pad for r in rows]  # padded, so a cut at any depth fills a table row
 
     # Each block vertex top numbers its subtree as its states (top, v).  The
     # path of (top, v) is v's root path cut below top: the zero row, then the
-    # rows below top, each scale passed multiplying in from the third row on.
-    # J[i][j] ends as the deepest block over leaves i and j.
+    # rows below top.  J[i, j] ends as the deepest block over leaves i and j,
+    # and S[b, i] is the state of leaf i in block b.
     sid: dict[int, list[int]] = {}  # top -> the state (top, v) of each vertex v, or -1
     groups: dict[tuple[int, int], list[int]] = {}
-    path_rows, path_scales, frames = [], [], []
-    J = [[0] * (n + 1) for _ in range(n + 1)]
+    family = {v: (v, *kids[v]) for v in internal}
+    key = {v: (height[v], len(kids[v])) for v in internal}
+    path_rows, frames, S = [], [], []
+    J = [0] * (n * n)
+    masks = [1 << i for i in range(n)]
     for b, top in enumerate(blocks):
         ids = sid[top] = [-1] * nv
-        d = len(path[top])
+        d = depth[top]
         for s, v in enumerate(sub[top], len(path_rows) // width):
             ids[v] = s
             path_rows += (zero, *rows[v][d : d + width - 1])
-            path_scales += (nv, nv, *above[v][d : d + width - 2])
             if v > n:  # children come first; no output reads the root's own centre
-                groups.setdefault((height[v], len(kids[v])), []).extend(
-                    [ids[c] for c in (v, *kids[v])]
-                )
-        for i in t.leaves_over[top]:
-            joins = J[i]
-            for j in t.leaves_over[top]:
-                joins[j] = b
+                groups.setdefault(key[v], []).extend(map(ids.__getitem__, family[v]))
+        S += ids[1 : n + 1]
+        leaves = sorted(over[top])
+        for i in leaves:
+            for j in leaves:
+                J[i * n + j - n - 1] = b
         if top:
-            i0, k0 = min(t.leaves_over[top]), min(t.leaves_over[kids[top][1]])
-            for j in sorted(t.leaves_over[top] - {i0}):
+            masks.append(sum(masks[i - 1] for i in leaves))
+            i0, k0 = leaves[0], min(over[kids[top][1]])
+            for j in leaves[1:]:
                 frames += (ids[j], i0 - 1, j - 1, k0 - 1, j == k0)
-
-    # of three leaves x, y, z the join is the shallower of x's joins with y and z
-    tab = _tables(n)
-    J = np.array(J)[1:, 1:]
-    S = np.array(list(sid.values()))[:, 1 : n + 1]
-    x, y, z = tab.triples.T
-    pb, tb = J[tuple(tab.upairs.T)], np.minimum(J[x, y], J[x, z])
-    legs = S[np.concatenate([pb, tb, tb]), np.concatenate([tab.upairs.T, (x, y), (x, z)], axis=1)]
-    tops = np.array(blocks)
-    # each internal vertex's rows in its own frame, then in its parent's
     spans = [s for v in internal for c in kids[v] for s in (sid[v][c], sid[v][v])]
     spans += [s for v in internal for c in kids[v] for s in (sid[parent[v]][c], sid[parent[v]][v])]
+    siblings = [
+        r for a, k in zip(starts, counts) for pair in itertools.combinations(range(a, a + k), 2)
+        for r in pair
+    ]
+    keys = sorted(groups)
+    config_index = MappingProxyType(
+        {v: slice(starts[q], starts[q] + counts[q]) for q, v in enumerate(internal, 1)}
+    )
+    words = range(0, n, _WORD)
+    parts = (
+        starts, counts, [x - starts[1] for x in starts[1:]], siblings, path_rows, owner + [nv],
+        sid[0][1 : n + 1], frames, [sid[0][c] for c in kids[0]], spans,
+        [parent[v] - n - 1 if parent[v] else -1 for v in internal], blocks, J, S,
+        [(m >> w) & ((1 << _WORD) - 1) for m in masks for w in words],
+        *map(groups.__getitem__, keys),
+    )
+    ends = list(itertools.accumulate(map(len, parts)))
+    flat = np.fromiter(itertools.chain(*parts), np.intp, ends[-1])
+    flat.flags.writeable = False
+    (
+        starts, counts, inner, siblings, path_rows, owner, leaf_states, frames, root_states,
+        spans, parent_block, tops, J, S, masks, *groups,
+    ) = (flat[a:b] for a, b in zip([0, *ends], ends))
+
+    # the scale before each row but the first is that of the block vertex
+    # over it, and V (scale 1) pads
+    path_rows = path_rows.reshape(-1, width)
+    path_scales = owner[path_rows]
+    path_scales[:, 1] = nv
+    # of three leaves x, y, z the join is the shallower of x's joins with y and z
+    at, leaves = _join_slots(n)
+    P, T = n * (n - 1) // 2, n * (n - 1) * (n - 2)
+    joins = J[at]
+    pb, tb = joins[:P], np.minimum(joins[P : P + T], joins[P + T :])
+    legs = S.reshape(-1, n)[np.concatenate([pb, tb, tb]), leaves]
+    pair_join, triple_join = tops[pb], tops[tb]
+    for arr in (path_scales, pair_join, triple_join, legs):
+        arr.flags.writeable = False
     return _ChartPlan(
-        starts=_int_table(starts),
-        counts=_int_table(counts),
-        inner=_int_table([x - starts[1] for x in starts[1:]]),
-        config_index=MappingProxyType(
-            {v: slice(starts[q], starts[q] + counts[q]) for q, v in enumerate(internal, 1)}
-        ),
+        starts=starts,
+        counts=counts,
+        inner=inner,
+        config_index=config_index,
         scale_index=MappingProxyType({v: v for v in internal}),
-        siblings=_int_table(
-            [r for a, k in zip(starts, counts)
-             for pair in itertools.combinations(range(a, a + k), 2) for r in pair],
-            2,
-        ).T,
-        pair_join=_int_table(tops[pb]),
-        triple_join=_int_table(tops[tb]),
-        states=len(path_rows) // width,
-        path_rows=_int_table(path_rows, width),
-        path_scales=_int_table(path_scales, width),
-        leaf_states=_int_table(sid[0][1 : n + 1]),
-        legs=_int_table(legs),
-        frames=_int_table(frames, 5).T,
+        siblings=siblings.reshape(-1, 2).T,
+        pair_join=pair_join,
+        triple_join=triple_join,
+        states=len(path_rows),
+        path_rows=path_rows,
+        path_scales=path_scales,
+        leaf_states=leaf_states,
+        legs=legs,
+        frames=frames.reshape(-1, 5).T,
         centres=tuple(
-            (g[:, 0], g[:, 1:])
-            for g in (_int_table(members, k + 1) for (_, k), members in sorted(groups.items()))
+            (g[:, 0], g[:, 1:]) for g in (g.reshape(-1, k + 1) for (_, k), g in zip(keys, groups))
         ),
-        root_states=_int_table([sid[0][c] for c in kids[0]]),
-        spans=_int_table(spans, 2).T,
-        parent_block=_int_table([parent[v] - n - 1 if parent[v] else -1 for v in internal]),
+        root_states=root_states,
+        spans=spans.reshape(-1, 2).T,
+        parent_block=parent_block,
+        clusters=masks.reshape(-1, len(words)),
     )
 
 
@@ -1175,6 +1250,38 @@ def expand_chart(s: StratumPoint) -> AmbientPoint:
     return _record(AmbientPoint, x=x[0], U=U[0], D=D[0])
 
 
+def _in_region(plan: _ChartPlan, T: trees.FTree, a: AmbientPoint, tol: float) -> bool:
+    """Whether the stratum tree of a at tol is a contraction of T, decided
+    on arrays: True exactly when stratum_tree(a, tol) returns a tree t with
+    leq(T, t), and builds no tree.
+
+    V = D <= tol is the exclusion relation, V[i, j, k] for ((i, j), k); D is
+    NaN off distinct triples, so no triple repeats a label.  The set of (i,
+    k) is {i} + {j : V[i, j, k]}, a mask computed for every pair at once.
+    The test: every mirror is present, and every set is one of T's clusters
+    or a singleton.  It implies the other exclusion axioms, because two sets
+    that hold i are then nested, as T's clusters are:
+    - a conflict, ((i, j), k) with ((i, k), j), would give a set over i
+      holding j but not k and one holding k but not j;
+    - a break of transitivity, ((x, y), z) and ((w, x), y) without ((w, x),
+      z), would give the set of (x, y), which holds w but not y, outside
+      the set of (x, z), which holds y.
+    So when the test passes, the sets of more than one label are exactly the
+    clusters stratum_tree builds, and they are all T's; when it fails, one
+    of them is not, or an axiom breaks and stratum_tree raises.  The trunk
+    stratum_tree adds when all positions coincide is T's only if T has one,
+    so that coincidence is computed only when T has none."""
+    V = a.D <= tol
+    if V.any():
+        if (V != V.transpose(1, 0, 2)).any():
+            return False
+        bits = _label_bits(a.n)
+        near = np.matmul(V.transpose(0, 2, 1), bits) | bits[:, None, :]  # the set of (i, k)
+        if not (near[:, :, None, :] == plan.clusters).all(axis=-1).any(axis=-1).all():
+            return False
+    return a.n < 2 or T.has_trunk or not _is_trunk(a.x, tol)
+
+
 def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> StratumPoint:
     """Recover stratum data from a point in the closed chart region of T.
 
@@ -1186,14 +1293,20 @@ def invert_chart(T: trees.FTree, a: AmbientPoint, tol: float = DEFAULT_TOL) -> S
     root's extent counts as 1).  Every frame is one slice of a stack of
     states; cluster centres fill it one height at a time, grouped by child
     count, so each mean adds the same children in the same order.
+
+    The point lies in the closed chart region when its stratum's tree is a
+    contraction of T.  That is decided on arrays, from the vanishing ratios
+    D <= tol and the cluster masks of T's plan (_in_region), without
+    building the stratum's tree; only a point refused there is classified
+    with stratum_tree, so that a pattern breaking an exclusion axiom raises
+    stratum_tree's own error before the region's.
     """
     if T.n != a.n:
         raise ValueError("tree and point have different index counts")
-    observed = stratum_tree(a, tol)
-    if not trees.leq(T, observed):
-        raise ValueError("point lies outside the chart region of the tree")
-
     plan = _chart_plan(T)
+    if not _in_region(plan, T, a, tol):
+        stratum_tree(a, tol)  # a pattern that breaks an exclusion axiom raises its own error
+        raise ValueError("point lies outside the chart region of the tree")
     Z = np.zeros((plan.states, a.m))
     Z[plan.leaf_states] = a.x
     state, i0, j, k0, unit = plan.frames

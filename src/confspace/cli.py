@@ -295,7 +295,7 @@ COMMANDS = {
     "point project": Command(_point_project, (simplicial.to_simplicial,), (_IN,)),
     "point permute": Command(_point_permute, (canonical.permute,), (_IN, _MAP)),
     "chart expand": Command(_chart_expand, (canonical.expand_chart,), (_IN,)),
-    "chart invert": Command(_chart_invert, (canonical.invert_chart, trees.leq), (_TREE, _IN, _TOL)),
+    "chart invert": Command(_chart_invert, (canonical.invert_chart,), (_TREE, _IN, _TOL)),
     "chart sample": Command(
         _chart_sample,
         (canonical.stratum_sample,),

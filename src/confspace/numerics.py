@@ -23,15 +23,15 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 
 def _float_array(value, what: str) -> np.ndarray:
     """np.asarray(value, dtype=float) under the one rule of what numbers are:
-    booleans, numbers written as strings, complex numbers, integers too
-    large for a float and whatever else numpy cannot read as floats (a
-    ragged array) are not, and raise ValueError(what), so that the caller
-    names the field."""
+    booleans, None (JSON null, which numpy reads as NaN), numbers written as
+    strings, complex numbers, integers too large for a float and whatever
+    else numpy cannot read as floats (a ragged array) are not, and raise
+    ValueError(what), so that the caller names the field."""
     try:
         raw = np.asarray(value)
         kind = raw.dtype.kind
         if kind == "O":
-            ok = not any(isinstance(x, (str, bytes, bool, np.bool_)) for x in raw.flat)
+            ok = not any(isinstance(x, (str, bytes, bool, np.bool_, type(None))) for x in raw.flat)
         else:
             ok = kind not in "SUcb" and not (isinstance(value, (list, tuple)) and _holds_bool(value))
         if ok:

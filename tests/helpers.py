@@ -26,24 +26,43 @@ from confspace.simplicial import _direction_exclusions
 
 
 def sample_config(rng, n, m, min_sep=0.25):
-    """Uniform points in a box with a pairwise separation margin.
+    """Uniform points in a box with a pairwise separation margin: the first
+    of the draws rng.uniform(-1, 1, (n, m)) whose points are min_sep apart.
 
     On a line, n points pairwise min_sep apart span (n - 1) * min_sep, which
     must stay below the width 2 of [-1, 1); a margin that cannot fit raises
     before any draw, since no number of draws would meet it.
+
+    A PCG64 generator draws a batch of candidates at once, doubling its size
+    while none passes: a batch reads the stream the draws one at a time
+    would, one 64-bit output a coordinate, so the generator is then wound
+    back and advanced past the first sample that passes.  The result and the
+    generator state afterwards are those of drawing one sample at a time,
+    which other generators still do.
     """
     if m == 1 and (n - 1) * min_sep >= 2:
         raise ValueError(f"no {n} points on a line in [-1, 1) are {min_sep} apart (m = {m})")
     i, j = np.triu_indices(n, 1)
+    bits = rng.bit_generator
+    batched = isinstance(bits, np.random.PCG64)
+    size, most = 1, max(1, 2**21 // max(1, len(i) * m))
     while True:
-        pts = rng.uniform(-1.0, 1.0, size=(n, m))
-        diff = pts[i] - pts[j]
+        state = bits.state if batched else None
+        pts = rng.uniform(-1.0, 1.0, size=(size, n, m))
+        diff = pts[:, i] - pts[:, j]
         # a stacked matmul rounds like np.linalg.norm of each row
-        dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
-        if (dist >= min_sep).all():
-            return pts
-
-
+        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        passed = np.flatnonzero((dist >= min_sep).all(axis=1))
+        if passed.size:
+            k = int(passed[0])
+            if k + 1 < size:
+                bits.state = state
+                bits.advance((k + 1) * n * m)
+                # advance drops a buffered 32-bit half, which uniform draws leave alone
+                bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+            return pts[k].copy()
+        if batched:
+            size = min(2 * size, most)
 def min_direction_sine(pts):
     """Smallest sine among the direction angles of a triangle."""
     out = math.inf

@@ -334,6 +334,36 @@ def test_stratum_tree_trunk_when_all_collide():
     assert got.has_trunk and got == t
 
 
+def test_trunk_test_matches_every_distance_compared():
+    """_is_trunk answers as comparing every distance with tol times the
+    configuration scale, also where a distance sits a rounding error from
+    that threshold, at huge coordinates and at odd tolerances."""
+    rng = np.random.default_rng(31)
+    scale = cs.canonical.config_scale
+
+    def reference(x, tol):
+        return bool((cs.canonical._distances(x) <= tol * scale(x)).all())
+
+    cases = []
+    for n in (1, 2, 3, 5):
+        for m in (1, 2, 3):
+            centre = rng.normal(size=m) * 10.0 ** rng.integers(-3, 5)
+            spread = rng.normal(size=(n, m))
+            for size in (0.0, 1e-12, 1e-9, 1e-6, 1.0):
+                cases.append(centre + size * spread)
+            # the last spread still within tol 1e-9 and the first beyond it
+            lo, hi = 0.0, 1e-8 * scale(centre[None, :])
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if reference(centre + mid * spread, 1e-9) else (lo, mid)
+            cases += [centre + lo * spread, centre + hi * spread]
+    cases += [np.array([[1e308, 0.0], [-1e308, 0.0]]), np.array([[1e200, 1.0], [1e200, 1.0 + 1e190]])]
+    for x in cases:
+        for tol in (1e-9, 1e-6, 0.0, -1.0, math.inf, math.nan):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert cs.canonical._is_trunk(x, tol) == reference(x, tol), (x, tol)
+
+
 def test_stratum_tree_rejects_inconsistent_pattern():
     rng = np.random.default_rng(8)
     a = lift(sample_config(rng, 3, 2))
@@ -468,6 +498,103 @@ def test_invert_chart_outside_region_raises():
     a = cs.expand_chart(frozen)
     with pytest.raises(ValueError, match="chart region"):
         cs.invert_chart(cs.corolla(3), a)
+
+
+def _vanishing(pts, zeros):
+    """The lift of pts with the named ratios d[i, j, k] set to 0."""
+    a = lift(pts)
+    d = dict(a.d)
+    d.update(dict.fromkeys(zeros, 0.0))
+    return cs.ambient_point(a.x, dict(a.u), d)
+
+
+# positions 1 and 2 are close, but no lifted ratio is below 1e-6
+_NEAR_PAIR = [[0, 0], [1e-3, 0], [0.3, 0.4], [5, 1]]
+
+
+def test_chart_region_is_read_from_clusters_not_joins():
+    """Only d[1,2,4] and d[2,1,4] vanish, so the stratum's one cluster is
+    {1, 2}.  In {1, 2, 3} every vanishing triple has its pair's join strictly
+    below the triple's join, yet the tree lacks {1, 2}: outside its region."""
+    a = _vanishing(_NEAR_PAIR, [(1, 2, 4), (2, 1, 4)])
+    assert cs.stratum_tree(a) == cs.tree_from_nested([{1, 2}], 4)
+    with pytest.raises(ValueError, match="outside the chart region"):
+        cs.invert_chart(cs.tree_from_nested([{1, 2, 3}], 4), a)
+    s = cs.invert_chart(cs.tree_from_nested([{1, 2}], 4), a)
+    assert s.tree == cs.tree_from_nested([{1, 2}], 4)
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        [(1, 2, 4)],  # a mirror missing
+        [(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2)],  # ((1,2),3) against ((1,3),2)
+        [(1, 2, 3), (2, 1, 3), (4, 1, 2), (1, 4, 2)],  # ((1,2),3), ((4,1),2), not ((4,1),3)
+        [(1, 2, 4), (2, 1, 4), (2, 3, 4), (3, 2, 4)],  # clusters {1, 2}, {2, 3}, {1, 2, 3}
+    ],
+    ids=["mirror", "conflict", "transitivity", "nesting"],
+)
+def test_invert_chart_keeps_the_exclusion_errors(zeros):
+    """A vanishing pattern that breaks an exclusion axiom is refused with
+    stratum_tree's own message, whatever the tree."""
+    a = _vanishing(_NEAR_PAIR, zeros)
+    with pytest.raises(ValueError) as want:
+        cs.stratum_tree(a)
+    for t in (cs.corolla(4), cs.tree_from_nested([{1, 2}], 4), cs.tree_from_nested([{1, 2, 3}], 4)):
+        with pytest.raises(ValueError) as got:
+            cs.invert_chart(t, a)
+        assert str(got.value) == str(want.value)
+    if zeros == [(1, 2, 4)]:
+        assert str(want.value) == "exclusion ((1,2),4) lacks its mirror"
+
+
+def test_chart_region_matches_the_built_stratum_tree():
+    """invert_chart decides its region as leq(T, stratum_tree(a, tol)) on
+    every tree T and every interior and zero-scale chart point of every tree
+    with n <= 4, m = 2, at two tolerances: outside, it raises stratum_tree's
+    error or the region's; inside, it inverts, or refuses a scale that the
+    bound of T's rows does not admit."""
+    region = "point lies outside the chart region of the tree"
+    for n in range(1, 5):
+        shapes = cs.enumerate_trees(n)
+        points = []
+        for q, t in enumerate(shapes):
+            s = cs.stratum_sample(t, 2, q)
+            zero = cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales})
+            points += [cs.expand_chart(s), cs.expand_chart(zero)]
+        cases = []
+        for a in points:
+            for tol in (1e-9, 1e-6):
+                try:
+                    cases.append((a, tol, cs.stratum_tree(a, tol), None))
+                except ValueError as exc:
+                    cases.append((a, tol, None, str(exc)))
+        for t in shapes:
+            for a, tol, observed, error in cases:
+                try:
+                    cs.invert_chart(t, a, tol)
+                    message = None
+                except ValueError as exc:
+                    message = str(exc)
+                if error is None and cs.leq(t, observed):
+                    assert message is None or message.startswith("scale ")
+                else:
+                    assert message == (error or region)
+
+
+def test_chart_region_masks_span_words():
+    """Cluster masks hold 63 labels a word: at n = 64 the cluster {62, 63,
+    64} straddles two words."""
+    n = 64
+    clusters = [{62, 63, 64}, set(range(50, 65)), set(range(1, 50))]
+    t = cs.tree_from_nested(clusters, n)
+    s = cs.stratum_sample(t, 3, 0)
+    a = cs.expand_chart(cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales}))
+    back = cs.invert_chart(t, a)
+    assert np.abs(back.C - s.C).max() < 1e-10
+    for lacking in (clusters[1:], clusters[::2], [{61, 62, 63, 64}, *clusters[1:]]):
+        with pytest.raises(ValueError, match="outside the chart region"):
+            cs.invert_chart(cs.tree_from_nested(lacking, n), a)
 
 
 def test_ambient_point_rejects_non_finite_coordinates():

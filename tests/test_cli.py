@@ -108,7 +108,7 @@ def _called_code(argv):
 def test_every_operation_owned_by_exactly_one_subcommand(tmp_path, capsys):
     expected = {
         cs.enumerate_trees, cs.contract, cs.nested_collection,
-        cs.tree_from_nested, cs.prune, trees.covering_pairs, cs.leq, cs.codim,
+        cs.tree_from_nested, cs.prune, trees.covering_pairs, cs.codim,
         cs.exclusion_relation, cs.tree_from_exclusions,
         cs.lift_configuration, cs.normalize,
         cs.membership_canonical, cs.stratum_tree, cs.expand_chart,
@@ -521,6 +521,8 @@ def _loader_inputs():
         # positions that are no list
         (["point", "alpha"], "cfg", ("points", None), "points"),
         (["point", "alpha"], "cfg", ("points", 5), "points"),
+        # a null coordinate was read as NaN and refused as "points must be finite"
+        (["point", "alpha"], "cfg", ("points", [[0, 0], [1, 0], [None, 1]]), "points"),
         # no positions at all, and a declared dimension the positions do not have
         (["point", "membership"], "ambient", ("x", []), "x"),
         (["maps", "cosimplicial", "--map", "1,2", "--m", "2"], "fs", ("x", []), "x"),
@@ -534,7 +536,7 @@ def _loader_inputs():
         "alpha-array", "membership-array", "classify-array", "expand-array",
         "simplicial-membership-array", "maps-project-array", "config-m-list",
         "config-m-string", "diagonal-frames-int", "simplicial-project-frames-int",
-        "scale-string", "x-string", "points-null", "points-number", "x-empty",
+        "scale-string", "x-string", "points-null", "points-number", "points-null-entry", "x-empty",
         "cosimplicial-x-empty", "point-m-mismatch", "config-m-mismatch", "x-3d", "points-3d",
     ],
 )

@@ -159,6 +159,18 @@ def test_the_number_rule_refuses_booleans(value):
             numerics._float(value, "field")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [None, [None], [[0.0, 1.0], [None, 1.0]], (0.5, None), np.array([1.0, None], dtype=object)],
+    ids=["none", "none-list", "none-in-row", "none-tuple", "none-object-array"],
+)
+def test_the_number_rule_refuses_null(value):
+    """JSON null inside an array was read as NaN, so a point file with a null
+    coordinate was refused later as not finite instead of naming its field."""
+    with pytest.raises(ValueError, match="^field$"):
+        numerics._float_array(value, "field")
+
+
 def test_trajectory_csv_formats_every_cell_as_written():
     rng = np.random.default_rng(4)
     block = rng.normal(size=(6, 8))
