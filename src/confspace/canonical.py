@@ -923,7 +923,7 @@ def _chart_plan(t: trees.FTree) -> _ChartPlan:
     key = {v: (height[v], len(kids[v])) for v in internal}
     path_rows, frames, S = [], [], []
     J = [0] * (n * n)
-    masks = [1 << i for i in range(n)]
+    masks = [1 << i for i in range(n)]  # each leaf's leaf set, then each internal vertex's
     for b, top in enumerate(blocks):
         ids = sid[top] = [-1] * nv
         d = depth[top]
