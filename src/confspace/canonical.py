@@ -859,9 +859,9 @@ _WORD = np.iinfo(np.intp).bits - 1
 def _label_bits(n: int) -> np.ndarray:
     """(n, W) the cluster mask of each single label: label i + 1 sets bit
     i % _WORD of word i // _WORD, W = ceil(n / _WORD)."""
-    i = np.arange(n)
+    i = np.arange(n, dtype=np.intp)
     bits = np.zeros((n, -(-n // _WORD)), dtype=np.intp)
-    bits[i, i // _WORD] = np.left_shift(1, i % _WORD)
+    bits[i, i // _WORD] = np.left_shift(np.intp(1), i % _WORD)
     bits.flags.writeable = False
     return bits
 
