@@ -774,20 +774,7 @@ def stratum_tree(a: AmbientPoint, tol: float = DEFAULT_TOL) -> trees.FTree:
 
 
 def _is_trunk(x: np.ndarray, tol: float) -> bool:
-    """Whether all positions coincide relative to the configuration scale:
-    every distance at most tol * config_scale(x).
-
-    Most points answer no, and the first position tells in Python: with r
-    the largest distance from x_1, the scale is at most max(1, |x_1| + r),
-    so r beyond tol times that bound, with a relative margin of 1e-12 over
-    the rounding of either computation, means some distance is beyond the
-    threshold.  Otherwise every distance is compared."""
-    rows = x.tolist()
-    if rows:
-        r = max(math.dist(rows[0], p) for p in rows)
-        bound = max(1.0, (math.hypot(*rows[0]) + r) * (1 + 1e-12))
-        if r * (1 - 1e-12) > tol * bound * (1 + 1e-12):
-            return False
+    """Whether all positions coincide relative to the configuration scale."""
     return bool((_distances(x) <= tol * config_scale(x)).all())
 
 

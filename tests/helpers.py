@@ -33,21 +33,21 @@ def sample_config(rng, n, m, min_sep=0.25):
     must stay below the width 2 of [-1, 1); a margin that cannot fit raises
     before any draw, since no number of draws would meet it.
 
-    A PCG64 generator draws a batch of candidates at once, doubling its size
-    while none passes: a batch reads the stream the draws one at a time
-    would, one 64-bit output a coordinate, so the generator is then wound
-    back and advanced past the first sample that passes.  The result and the
-    generator state afterwards are those of drawing one sample at a time,
-    which other generators still do.
+    rng must run on PCG64, as np.random.default_rng's generators do.  It
+    draws a batch of candidates at once, doubling its size while none
+    passes: a batch reads the stream the draws one at a time would, one
+    64-bit output a coordinate, so the generator is then wound back and
+    advanced past the first sample that passes.  The result and the
+    generator state afterwards are those of drawing one sample at a time.
     """
     if m == 1 and (n - 1) * min_sep >= 2:
         raise ValueError(f"no {n} points on a line in [-1, 1) are {min_sep} apart (m = {m})")
     i, j = np.triu_indices(n, 1)
     bits = rng.bit_generator
-    batched = isinstance(bits, np.random.PCG64)
+    assert isinstance(bits, np.random.PCG64), type(bits)
     size, most = 1, max(1, 2**21 // max(1, len(i) * m))
     while True:
-        state = bits.state if batched else None
+        state = bits.state
         pts = rng.uniform(-1.0, 1.0, size=(size, n, m))
         diff = pts[:, i] - pts[:, j]
         # a stacked matmul rounds like np.linalg.norm of each row
@@ -61,8 +61,9 @@ def sample_config(rng, n, m, min_sep=0.25):
                 # advance drops a buffered 32-bit half, which uniform draws leave alone
                 bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
             return pts[k].copy()
-        if batched:
-            size = min(2 * size, most)
+        size = min(2 * size, most)
+
+
 def min_direction_sine(pts):
     """Smallest sine among the direction angles of a triangle."""
     out = math.inf

@@ -334,36 +334,6 @@ def test_stratum_tree_trunk_when_all_collide():
     assert got.has_trunk and got == t
 
 
-def test_trunk_test_matches_every_distance_compared():
-    """_is_trunk answers as comparing every distance with tol times the
-    configuration scale, also where a distance sits a rounding error from
-    that threshold, at huge coordinates and at odd tolerances."""
-    rng = np.random.default_rng(31)
-    scale = cs.canonical.config_scale
-
-    def reference(x, tol):
-        return bool((cs.canonical._distances(x) <= tol * scale(x)).all())
-
-    cases = []
-    for n in (1, 2, 3, 5):
-        for m in (1, 2, 3):
-            centre = rng.normal(size=m) * 10.0 ** rng.integers(-3, 5)
-            spread = rng.normal(size=(n, m))
-            for size in (0.0, 1e-12, 1e-9, 1e-6, 1.0):
-                cases.append(centre + size * spread)
-            # the last spread still within tol 1e-9 and the first beyond it
-            lo, hi = 0.0, 1e-8 * scale(centre[None, :])
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if reference(centre + mid * spread, 1e-9) else (lo, mid)
-            cases += [centre + lo * spread, centre + hi * spread]
-    cases += [np.array([[1e308, 0.0], [-1e308, 0.0]]), np.array([[1e200, 1.0], [1e200, 1.0 + 1e190]])]
-    for x in cases:
-        for tol in (1e-9, 1e-6, 0.0, -1.0, math.inf, math.nan):
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert cs.canonical._is_trunk(x, tol) == reference(x, tol), (x, tol)
-
-
 def test_stratum_tree_rejects_inconsistent_pattern():
     rng = np.random.default_rng(8)
     a = lift(sample_config(rng, 3, 2))
