@@ -24,10 +24,13 @@ D[i-1, j-1, k-1] = d_ijk and NaN wherever i, j, k are not distinct.  Library
 code reads the arrays, so relabelling a point is one index gather.  The
 attributes u and d are read-only mappings over the same arrays, keyed by
 label tuples in itertools.permutations order, for callers that think in
-coordinates: u[(i, j)] is a frozen row, d[(i, j, k)] a Python float.  Only
-the checking readers make records, and one builder (_record) sets the
-fields of every record and freezes its arrays, for them and for pickle and
-copy alike; AmbientPoint and SimplicialPoint cannot be called.
+coordinates: u[(i, j)] is a frozen row, d[(i, j, k)] a Python float.  A
+view reads a key by arithmetic, label minus one (_Labels), and holds no
+table of keys; the index tables the kernels gather along are built per n
+from boolean masks (_Tables).  Only the checking readers make records, and
+one builder (_record) sets the fields of every record and freezes its
+arrays, for them and for pickle and copy alike; AmbientPoint and
+SimplicialPoint cannot be called.
 
 Stratum data is a dense record too: one frozen (E, m) array C with a row per
 non-root edge (the root's rows first, then each internal vertex's children)
@@ -106,13 +109,13 @@ def _rel_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- index tables --------------------------------------------------------------
 
 
-def _index_table(tuples, r: int) -> np.ndarray:
-    # one int at a time: a list of tuples would hold the whole table as objects
-    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, r)
-
-
 class _Tables(NamedTuple):
-    """0-based index tuples over n labels, each in itertools enumeration order."""
+    """0-based index tuples over n labels, each in itertools enumeration order.
+
+    Each table is np.argwhere of a boolean mask over np.ogrid axes, which
+    lists the index tuples that meet the mask in lexicographic order, the
+    order itertools enumerates them in; cyclic interleaves subsets3 with its
+    (0, 2, 1) column swap.  _cocycles and _quads are built the same way."""
 
     pairs: np.ndarray  # ordered pairs
     upairs: np.ndarray  # unordered pairs i < j
@@ -120,36 +123,20 @@ class _Tables(NamedTuple):
     subsets3: np.ndarray  # i < j < k
     reciprocal: np.ndarray  # (i, j, k) with j < k, both != i
     cyclic: np.ndarray  # (i, j, k) and (i, k, j) for each i < j < k
-    pair_index: dict[Pair, Pair]  # 1-based key -> 0-based index, ordered pairs
-    triple_index: dict[Index3, Index3]  # the same for ordered triples
 
 
 @functools.lru_cache(maxsize=32)
 def _tables(n: int) -> _Tables:
-    idx = range(n)
-    pair_index = {(i + 1, j + 1): (i, j) for i, j in itertools.permutations(idx, 2)}
-    triple_index = {
-        (i + 1, j + 1, k + 1): (i, j, k) for i, j, k in itertools.permutations(idx, 3)
-    }
+    i, j = np.ogrid[:n, :n]
+    a, b, c = np.ogrid[:n, :n, :n]
+    subsets3 = np.argwhere((a < b) & (b < c))
     return _Tables(
-        pairs=_index_table(pair_index.values(), 2),
-        upairs=_index_table(itertools.combinations(idx, 2), 2),
-        triples=_index_table(triple_index.values(), 3),
-        subsets3=_index_table(itertools.combinations(idx, 3), 3),
-        reciprocal=_index_table(
-            (
-                (i, j, k)
-                for i in idx
-                for j, k in itertools.combinations([t for t in idx if t != i], 2)
-            ),
-            3,
-        ),
-        cyclic=_index_table(
-            (c for i, j, k in itertools.combinations(idx, 3) for c in ((i, j, k), (i, k, j))),
-            3,
-        ),
-        pair_index=pair_index,
-        triple_index=triple_index,
+        pairs=np.argwhere(i != j),
+        upairs=np.argwhere(i < j),
+        triples=np.argwhere((a != b) & (a != c) & (b != c)),
+        subsets3=subsets3,
+        reciprocal=np.argwhere((a != b) & (a != c) & (b < c)),
+        cyclic=subsets3[:, [0, 1, 2, 0, 2, 1]].reshape(-1, 3),
     )
 
 
@@ -159,23 +146,41 @@ def _tables(n: int) -> _Tables:
 @functools.lru_cache(maxsize=32)
 def _cocycles(n: int) -> np.ndarray:
     """(i, j, k, l) with j < k and j < l, all != i: the 4-cocycle rows."""
-    idx = range(n)
-    return _index_table(
-        (
-            (i, j, k, l)
-            for i in idx
-            for j in idx
-            if j != i
-            for k, l in itertools.permutations([t for t in idx if t > j and t != i], 2)
-        ),
-        4,
-    )
+    i, j, k, l = np.ogrid[:n, :n, :n, :n]
+    # the (i, j, k) and (i, j, l) conditions meet before the full grid is formed
+    return np.argwhere((j != i) & (k > j) & (k != i) & ((l > j) & (l != i)) & (k != l))
 
 
 @functools.lru_cache(maxsize=32)
 def _quads(n: int) -> np.ndarray:
     """4-subsets i < j < k < l: the four-consistency rows."""
-    return _index_table(itertools.combinations(range(n), 4), 4)
+    i, j, k, l = np.ogrid[:n, :n, :n, :n]
+    return np.argwhere((i < j) & (j < k) & (k < l))
+
+
+class _Labels(Mapping):
+    """The index of the u and d views: each tuple of r distinct labels in
+    1..n, in itertools.permutations order, maps to its 0-based index tuple
+    by arithmetic.  Labels compare by value, as dict keys do, so (1.0, 2)
+    and (True, 2) find (1, 2); any other key raises KeyError."""
+
+    def __init__(self, n: int, r: int):
+        self.n, self.r, self._labels = n, r, frozenset(range(1, n + 1))
+
+    def __getitem__(self, key) -> tuple[int, ...]:
+        if (
+            isinstance(key, tuple)
+            and len(key) == self.r == len(set(key))
+            and self._labels.issuperset(key)
+        ):
+            return tuple([int(i) - 1 for i in key])
+        raise KeyError(key)
+
+    def __iter__(self):
+        return itertools.permutations(range(1, self.n + 1), self.r)
+
+    def __len__(self) -> int:
+        return math.perm(self.n, self.r)
 
 
 # -- records -----------------------------------------------------------------
@@ -309,8 +314,7 @@ class Sphere:
     def blocks(self, prefix: str, x, U, dist, near) -> list[_Block]:
         """on-manifold |x_i| - 1 for every point, and tangency <u_ij, x_i> for
         every coincident pair (residuals are absolute values)."""
-        t = _tables(len(x))
-        close = t.pairs[dist[t.pairs[:, 0], t.pairs[:, 1]] <= near]
+        close = np.argwhere((dist <= near) & ~np.eye(len(x), dtype=bool))
         i, j = close.T
         return [
             (f"{prefix}-on-manifold", np.arange(len(x))[:, None], np.abs(row_norms(x) - 1.0), None),
@@ -333,13 +337,14 @@ class _Coordinates(Mapping):
     tuples in itertools.permutations order, a framed point's F under labels,
     or a stratum's rows and scales under internal vertices.  The index maps
     each key to what it reads (an index tuple, a row slice or a position);
-    any other key raises KeyError."""
+    any other key raises KeyError.  For U and D the index is a _Labels,
+    which computes the index tuple from the labels, so a view of any size
+    holds and pickles no table of keys."""
 
     __slots__ = ("_array", "_index")
 
-    def __init__(self, array: np.ndarray, index: dict):
-        self._array = array
-        self._index = index
+    def __init__(self, array: np.ndarray, index: Mapping):
+        self._array, self._index = array, index
 
     def __getitem__(self, key):
         value = self._array[self._index[key]]
@@ -356,7 +361,10 @@ class _Coordinates(Mapping):
 
     def __reduce__(self):
         # a chart plan's index is a read-only proxy, which does not pickle
-        return _Coordinates, (self._array, dict(self._index))
+        return _Coordinates, (
+            self._array,
+            self._index if isinstance(self._index, _Labels) else dict(self._index),
+        )
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -376,7 +384,7 @@ class _Record(_Frozen):
 
     @property
     def u(self) -> Mapping[Pair, np.ndarray]:
-        return _Coordinates(self.U, _tables(self.n).pair_index)
+        return _Coordinates(self.U, _Labels(self.n, 2))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -392,7 +400,7 @@ class AmbientPoint(_Record):
 
     @property
     def d(self) -> Mapping[Index3, float]:
-        return _Coordinates(self.D, _tables(self.n).triple_index)
+        return _Coordinates(self.D, _Labels(self.n, 3))
 
 
 def _positions(x) -> np.ndarray:
@@ -409,9 +417,8 @@ def _cover(mapping: Mapping, n: int, field: str) -> list:
     ordered pair or triple of distinct labels in 1..n, in index order.  The
     keys must be exactly those: the first missing one raises, then the first
     key that is not one of them."""
-    t = _tables(n)
     index, noun, tuple_ = (
-        (t.pair_index, "direction", "pair") if field == "u" else (t.triple_index, "ratio", "triple")
+        (_Labels(n, 2), "direction", "pair") if field == "u" else (_Labels(n, 3), "ratio", "triple")
     )
     try:
         vals = [mapping[key] for key in index]
@@ -426,14 +433,13 @@ def _cover(mapping: Mapping, n: int, field: str) -> list:
 
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
     """The direction mapping as a dense U."""
-    t = _tables(n)
     vals = _cover(u, n, "u")
-    for (i, j), row in zip(t.pair_index, vals):
+    for (i, j), row in zip(_Labels(n, 2), vals):
         if np.shape(row) != (m,):
             raise ValueError(f"direction u[{i},{j}] has wrong dimension")
     U = np.zeros((n, n, m))
     if vals:
-        U[tuple(t.pairs.T)] = _float_array(vals, "directions must be numeric vectors")
+        U[tuple(_tables(n).pairs.T)] = _float_array(vals, "directions must be numeric vectors")
     return U
 
 
@@ -456,24 +462,20 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _ratios(D: np.ndarray) -> np.ndarray:
-    """Check that every d_ijk of D lies in [0, inf]."""
-    t = _tables(len(D))
-    bad = np.flatnonzero(~(D[tuple(t.triples.T)] >= 0.0))
-    if bad.size:
-        i, j, k = t.triples[bad[0]] + 1
-        raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
-    return D
-
-
 def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) -> AmbientPoint:
     """Validate index completeness, renormalize directions, freeze arrays."""
     pts = _positions(x)
     n, m = pts.shape
     U = _unit_directions(_gather_directions(u, n, m))
+    t = _tables(n)
+    vals = _float_array(_cover(d, n, "d"), "ratios must be numbers")
+    bad = np.flatnonzero(~(vals >= 0.0))
+    if bad.size:
+        i, j, k = t.triples[bad[0]] + 1
+        raise ValueError(f"ratio d[{i},{j},{k}] must lie in [0, inf]")
     D = np.full((n, n, n), np.nan)
-    D[tuple(_tables(n).triples.T)] = _float_array(_cover(d, n, "d"), "ratios must be numbers")
-    return _record(AmbientPoint, x=pts, U=U, D=_ratios(D))
+    D[tuple(t.triples.T)] = vals
+    return _record(AmbientPoint, x=pts, U=U, D=D)
 
 
 def lift_configuration(c) -> AmbientPoint:
@@ -639,14 +641,13 @@ def _shared_blocks(
     antisymmetry, and triangle dependence, named with the variant's
     condition prefixes."""
     t = _tables(x.shape[0])
-    i, j = t.pairs.T
-    far = dist[i, j] > tol * scale
-    i, j = i[far], j[far]
+    far = t.pairs[dist[tuple(t.pairs.T)] > tol * scale]
+    i, j = far.T
     dij = dist[i, j]
     expected = (x[i] - x[j]) / dij[:, None]
     direction = (
         f"{prefixes[0]}-direction",
-        t.pairs[far],
+        far,
         row_norms(U[i, j] - expected),
         tol + _ROUNDING * scale / dij,
     )
@@ -1377,11 +1378,9 @@ def ambient_distance(a: AmbientPoint, b: AmbientPoint) -> float:
     """
     if a.n != b.n or a.m != b.m:
         raise ValueError("points have different index sets")
-    t = _tables(a.n)
-    out = float(np.abs(a.x - b.x).max()) if a.n else 0.0
-    i, j = t.pairs.T
-    directions = row_norms(a.U[i, j] - b.U[i, j])
-    i, j, k = t.triples.T
+    # whole arrays: U's diagonal is zero in both, and D is NaN exactly off the
+    # distinct triples, which fmax skips
     with np.errstate(invalid="ignore"):
-        ca, cb = (np.where(np.isinf(v), 1.0, v / (1.0 + v)) for v in (a.D[i, j, k], b.D[i, j, k]))
-    return max(out, float(directions.max(initial=0.0)), float(np.abs(ca - cb).max(initial=0.0)))
+        ca, cb = (np.where(np.isinf(v), 1.0, v / (1.0 + v)) for v in (a.D, b.D))
+    gaps = (np.abs(a.x - b.x), row_norms(a.U - b.U), np.abs(ca - cb))
+    return max(float(np.fmax.reduce(g, axis=None, initial=0.0)) for g in gaps)

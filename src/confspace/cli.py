@@ -225,8 +225,8 @@ def _degenerate(args):
     n, m = s.tree.n, s.m
     t = canonical._tables(n)
     header = ["k", "factor", *(f"x_{i}_{c}" for i in range(1, n + 1) for c in range(m))]
-    header += [f"u_{i}_{j}_{c}" for i, j in t.pair_index for c in range(m)]
-    header += [f"d_{i}_{j}_{k}" for i, j, k in t.triple_index]
+    header += [f"u_{i}_{j}_{c}" for i, j in canonical._Labels(n, 2) for c in range(m)]
+    header += [f"d_{i}_{j}_{k}" for i, j, k in canonical._Labels(n, 3)]
     factors = [2.0 ** (-k) for k in range(args.kmax + 1)]
     x, U, D = canonical._expand(s, factors)
     (i, j), (a, b, c) = t.pairs.T, t.triples.T

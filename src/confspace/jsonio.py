@@ -35,6 +35,7 @@ from .canonical import (
     Configuration,
     StratumPoint,
     Verdict,
+    _Labels,
     _tables,
     ambient_point,
 )
@@ -212,10 +213,11 @@ def config_from_json(data: dict) -> Configuration:
     return Configuration(_positions(data, "points"))
 
 
-def _keyed(arr: np.ndarray, index: dict, table: np.ndarray) -> dict:
+def _keyed(arr: np.ndarray, table: np.ndarray) -> dict:
     """{"i,j": u_ij} or {"i,j,k": d_ijk}, read from U or D along an index table."""
-    key = ",".join(["%d"] * table.shape[1])
-    return dict(zip(map(key.__mod__, index), arr[tuple(table.T)].tolist()))
+    labels = _Labels(len(arr), table.shape[1])
+    key = ",".join(["%d"] * labels.r)
+    return dict(zip(map(key.__mod__, labels), arr[tuple(table.T)].tolist()))
 
 
 def point_to_json(p) -> dict:
@@ -224,9 +226,9 @@ def point_to_json(p) -> dict:
     if isinstance(p, FramedPoint):
         return {**point_to_json(p.point), "frames": p.F.tolist()}
     t = _tables(p.n)
-    out = {"m": p.m, "x": p.x.tolist(), "u": _keyed(p.U, t.pair_index, t.pairs)}
+    out = {"m": p.m, "x": p.x.tolist(), "u": _keyed(p.U, t.pairs)}
     if isinstance(p, AmbientPoint):
-        out["d"] = _keyed(p.D, t.triple_index, t.triples)
+        out["d"] = _keyed(p.D, t.triples)
     return out
 
 

@@ -962,3 +962,55 @@ def reference_reconstruct(u, tol=1e-9):
         if not progress:
             raise ValueError("no eligible ray intersection; directions are numerically collinear")
     return cs.normalize(np.stack([placed[i] for i in range(1, n + 1)]))
+
+
+# -- index tables -----------------------------------------------------------------
+
+
+def _index_table(tuples, r):
+    # one int at a time: a list of tuples would hold the whole table as objects
+    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, r)
+
+
+def reference_tables(n):
+    """The index tables of canonical._tables(n), by field, built one tuple at
+    a time through itertools."""
+    idx = range(n)
+    return {
+        "pairs": _index_table(itertools.permutations(idx, 2), 2),
+        "upairs": _index_table(itertools.combinations(idx, 2), 2),
+        "triples": _index_table(itertools.permutations(idx, 3), 3),
+        "subsets3": _index_table(itertools.combinations(idx, 3), 3),
+        "reciprocal": _index_table(
+            (
+                (i, j, k)
+                for i in idx
+                for j, k in itertools.combinations([t for t in idx if t != i], 2)
+            ),
+            3,
+        ),
+        "cyclic": _index_table(
+            (c for i, j, k in itertools.combinations(idx, 3) for c in ((i, j, k), (i, k, j))),
+            3,
+        ),
+    }
+
+
+def reference_cocycles(n):
+    """canonical._cocycles(n) through itertools."""
+    idx = range(n)
+    return _index_table(
+        (
+            (i, j, k, l)
+            for i in idx
+            for j in idx
+            if j != i
+            for k, l in itertools.permutations([t for t in idx if t > j and t != i], 2)
+        ),
+        4,
+    )
+
+
+def reference_quads(n):
+    """canonical._quads(n) through itertools."""
+    return _index_table(itertools.combinations(range(n), 4), 4)

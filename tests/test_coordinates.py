@@ -53,15 +53,39 @@ def test_views_match_the_old_dicts():
 @pytest.mark.parametrize("n", [3, 4])
 def test_views_reject_every_other_key(n):
     a = cs.lift_configuration(sample_config(np.random.default_rng(n), n, 2))
-    for key in [(1, 1), (0, 1), (n + 1, 1), (-1, 2), (1, -1), (1,), (1, 2, 3), "12", 1]:
+    for key in [
+        (1, 1), (0, 1), (n + 1, 1), (-1, 2), (1, -1), (1,), (1, 2, 3), "12", 1, [1, 2], (1, 2.5)
+    ]:
         with pytest.raises(KeyError):
             a.u[key]
         assert key not in a.u
-    for key in [(1, 1, 2), (1, 2, 2), (0, 1, 2), (n + 1, 1, 2), (-1, 2, 3), (1, 2)]:
+    for key in [
+        (1, 1, 2), (1, 2, 2), (0, 1, 2), (n + 1, 1, 2), (-1, 2, 3), (1, 2), [1, 2, 3], (1, 2, 3.5)
+    ]:
         with pytest.raises(KeyError):
             a.d[key]
         assert key not in a.d
     assert a.u.get((2, 2)) is None and a.d.get((-1, 1, 2)) is None
+
+
+def test_views_compare_labels_by_value():
+    """A label equal to an integer finds its coordinate, as a dict key would;
+    (1.0, 1) repeats a label."""
+    a = cs.lift_configuration(sample_config(np.random.default_rng(4), 4, 2))
+    for key in [(1.0, 2), (True, 2), (np.int64(1), 2)]:
+        assert key in a.u and np.array_equal(a.u[key], a.u[(1, 2)])
+    assert a.d[(1.0, True + 1, np.int32(3))] == a.d[(1, 2, 3)]
+    assert (1.0, 1) not in a.u and (True, 1, 2) not in a.d
+
+
+def test_pickled_views_hold_no_label_dict():
+    a = cs.lift_configuration(np.random.default_rng(9).uniform(-1.0, 1.0, (30, 2)))
+    for view, array in ((a.u, a.U), (a.d, a.D)):
+        data = pickle.dumps(view)
+        assert len(data) < array.nbytes + 1024  # a label dict would add ~20 bytes a key
+        back = pickle.loads(data)
+        assert list(back) == list(view)
+        assert np.array_equal(list(back.values()), list(view.values()))
 
 
 def test_views_and_arrays_are_read_only():

@@ -8,12 +8,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import confspace as cs
+from confspace import canonical
 from confspace.numerics import nonneg_dependent, nonneg_dependent_rows
-from helpers import _product_gap, random_frames, reference_membership, sample_config
+from helpers import (
+    _product_gap,
+    random_frames,
+    reference_cocycles,
+    reference_membership,
+    reference_quads,
+    reference_tables,
+    sample_config,
+)
 
 
 def lift(pts):
     return cs.lift_configuration(np.asarray(pts, dtype=float))
+
+
+# -- index tables ------------------------------------------------------------------
+
+
+def test_index_tables_match_their_itertools_reference():
+    """Every table built from a mask equals its itertools reference for
+    n = 0..40, dtype and shape included.  The reference at n is the rows of
+    the one at 40 whose labels are all below n, in the same order (no
+    condition depends on n), so it is built once.  The builders are called
+    past their caches, so that the n^4 tables are not all held at once."""
+    top = 40
+    want = reference_tables(top)
+    want.update(cocycles=reference_cocycles(top), quads=reference_quads(top))
+    largest = {name: table.max(axis=1) for name, table in want.items()}
+    for n in range(top + 1):
+        got = canonical._tables.__wrapped__(n)._asdict()
+        got.update(
+            cocycles=canonical._cocycles.__wrapped__(n), quads=canonical._quads.__wrapped__(n)
+        )
+        assert list(got) == list(want)
+        for name, table in want.items():
+            ref = table[largest[name] < n]
+            assert got[name].dtype == ref.dtype and got[name].shape == ref.shape, (n, name)
+            assert np.array_equal(got[name], ref), (n, name)
 
 
 # -- permutation equivariance ------------------------------------------------------

@@ -1,14 +1,18 @@
 """Guarantees of the paper checked on drawn inputs: stratum classification
 commutes with relabelling the points and with projecting onto a subset of
 them, forgetting the ratios commutes with projecting, the pullback of a
-framed direction point along an injective map is its projection, and a tree
-survives the round trip through its exclusion relation."""
+framed direction point along an injective map is its projection, a tree
+survives the round trip through its exclusion relation, and the directions
+of a configuration in general position rebuild it up to translation and
+scale."""
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import confspace as cs
-from helpers import laminar_part, set_families
+from helpers import laminar_part, min_direction_sine, sample_config, set_families
 
 
 def _tree(case) -> cs.FTree:
@@ -93,3 +97,23 @@ def test_pullback_along_an_injection_is_the_projection(case, m, seed, data):
     for a in _chart_points(t, m, seed):
         fp = cs.framed_point(cs.to_simplicial(a), frames)
         assert _bits(cs.pullback(sigma, fp)) == _bits(cs.project_indices(sigma, fp))
+
+
+def _general_position(rng, n, m):
+    """The first configuration sample_config draws whose triangles each have
+    a smallest direction sine of at least 0.05."""
+    while True:
+        x = sample_config(rng, n, m)
+        triangles = itertools.combinations(range(n), 3)
+        if all(min_direction_sine(x[list(c)]) >= 0.05 for c in triangles):
+            return x
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 7), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_directions_rebuild_the_normalized_configuration(n, m, seed):
+    """reconstruct_from_directions reads the lifted point's u view key by
+    key and returns normalize(x)."""
+    x = _general_position(np.random.default_rng(seed), n, m)
+    rec = cs.reconstruct_from_directions(cs.lift_configuration(x).u)
+    assert np.abs(rec.points - cs.normalize(x).points).max() <= 1e-8
