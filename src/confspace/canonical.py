@@ -431,8 +431,27 @@ def _cover(mapping: Mapping, n: int, field: str) -> list:
     return vals
 
 
+def _held(mapping: Mapping, r: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The array under a u (r = 2) or d (r = 3) view of a point of this
+    shape, which covers every key with checked values; None for any other
+    mapping, which _cover reads key by key."""
+    if (
+        isinstance(mapping, _Coordinates)
+        and isinstance(mapping._index, _Labels)
+        and mapping._index.r == r
+        and mapping._array.shape == shape
+    ):
+        return mapping._array
+    return None
+
+
 def _gather_directions(u: Mapping[Pair, np.ndarray], n: int, m: int) -> np.ndarray:
-    """The direction mapping as a dense U."""
+    """The direction mapping as a dense U, a new array that the caller may
+    renormalise in place.  A record's U has zero diagonal blocks, as this
+    one does."""
+    held = _held(u, 2, (n, n, m))
+    if held is not None:
+        return held.copy()
     vals = _cover(u, n, "u")
     for (i, j), row in zip(_Labels(n, 2), vals):
         if np.shape(row) != (m,):
@@ -468,7 +487,11 @@ def ambient_point(x, u: Mapping[Pair, np.ndarray], d: Mapping[Index3, float]) ->
     n, m = pts.shape
     U = _unit_directions(_gather_directions(u, n, m))
     t = _tables(n)
-    vals = _float_array(_cover(d, n, "d"), "ratios must be numbers")
+    held = _held(d, 3, (n, n, n))
+    if held is not None:
+        vals = held[tuple(t.triples.T)]
+    else:
+        vals = _float_array(_cover(d, n, "d"), "ratios must be numbers")
     bad = np.flatnonzero(~(vals >= 0.0))
     if bad.size:
         i, j, k = t.triples[bad[0]] + 1

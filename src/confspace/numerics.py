@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -92,22 +93,105 @@ def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
     Returns (answer, residual): residual is 0 when the answer is robust and
     otherwise measures how badly the best candidate dependence fails (the
     smallest singular value for an independent triple, or the most negative
-    normalized coefficient).
+    normalized coefficient).  Non-finite vectors raise ValueError.
     """
     what = "vectors must be numeric vectors of one length"
     a = _float_array(list(vectors), what)
     if a.ndim != 2:
         raise ValueError(what)
+    if not np.isfinite(a).all():
+        raise ValueError("vectors must be finite")
     ok, res = nonneg_dependent_rows(a[None], tol)
     return bool(ok[0]), float(res[0])
 
 
-def nonneg_dependent_rows(stack: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """nonneg_dependent for every (k, m) block of a (T, k, m) stack at once.
+_CYCLE = np.array([0, 1, 2, 0, 1])  # a triangle's rows read cyclically, for its cofactors
 
-    One batched SVD decides all blocks; the answers and residuals are
-    returned as two length-T arrays.
+
+def nonneg_dependent_rows(stack: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """nonneg_dependent for every (k, m) block of a (T, k, m) stack at once;
+    the answers and residuals are returned as two length-T arrays.
+
+    Triangles (k = 3, m >= 2, 0 < tol < 0.5) first go to a closed-form
+    certificate (_certified): from the null vector adj(V Vᵀ)·1 of a
+    block V it proves, for most member triangles, that the SVD would
+    find the block dependent, not parallel, and its null vector
+    non-negative to within tol, so that it would answer (True, 0.0).
+    Its margins cover the rounding of its own arithmetic and the SVD's
+    backward error, taken as (64 + 4m)·u·tr(V Vᵀ) with u = 2^-53.  One
+    batched SVD decides every other block: the rows the certificate
+    cannot clear (non-members, near-parallel sides, rows within a margin
+    of a bound), m = 1 and k != 3.  So every answer and residual is the
+    SVD's, to the bit.
     """
+    t, k, m = stack.shape
+    if k != 3 or m < 2 or not 0.0 < tol < 0.5:
+        return _svd_rows(stack, tol)
+    ok, res = _certified(stack, tol), np.zeros(t)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        ok[rest], res[rest] = _svd_rows(stack[rest], tol)
+    return ok, res
+
+
+def _certified(v: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of a (T, 3, m) stack for which _svd_rows provably returns
+    (True, 0.0): it finds the rows dependent, not parallel, and its null
+    vector non-negative to within tol.
+
+    The candidate null vector is c = adj(G)·1 of the Gram matrix G = V Vᵀ
+    (exact when the rows are dependent and G has rank 2), with w = c/|c|
+    and residual r = |Σ w_k v_k|.  With u = 2^-53, the backward error of
+    LAPACK's SVD is taken as ε = (64 + 4m)·u·tr G: the computed SVD is the
+    exact one of V + E, |E| <= ε, with a last left singular vector within
+    64u of exact.  Only rows of 2 <= tr G <= 4 (unit vectors have 3) are
+    certified, so that ε and the bounds below hold with tr G replaced by 4.
+    A row is certified when
+
+    - residual: r·(1 + ρ) + 8u + ε <= tol·(√(2/3) - ε)·(1 - 2ρ), with
+      ρ = (m + 16)·u the relative rounding of r: the computed smallest
+      singular value is at most |(V + E)ᵀw|, the largest at least
+      √(tr G / 3) - ε, so the SVD does not find the rows independent;
+    - s₁: s₁ = √((tr adj G - ξ)/8)·(1 - 2ρ) - ε > tol·(2 + ε)·(1 + ρ),
+      with ξ = (4m + 16)·16u the rounding of tr adj G: since
+      tr adj G <= 2·tr G·λ₂, s₁ is a lower bound on the computed second
+      singular value, and 2 + ε an upper one on the largest, so the SVD
+      does not find the rows parallel;
+    - δ: min_k w_k - δ >= -tol with δ = 1.5·(1 + ρ)·(r·(1 + ρ) + 8u + ε)/s₁
+      + 128u: the angle θ between w and the SVD's null vector of V + E
+      has sin θ <= |(V + E)ᵀw| / s₁, so each coefficient of that vector,
+      signed by its largest one, is within δ of w's.
+
+    Every comparison involving NaN is false, so a degenerate row (c = 0,
+    tr adj G < ξ, non-finite entries) is not certified.
+    """
+    m = v.shape[2]
+    u = 2.0**-53
+    rho, eps, xi = (m + 16) * u, (64 + 4 * m) * 4 * u, (4 * m + 16) * 16 * u
+    r_max = (tol * (math.sqrt(2 / 3) - eps) * (1 - 2 * rho) - 8 * u - eps) / (1 + rho)
+    s1_min = tol * (2 + eps) * (1 + rho)
+    with np.errstate(all="ignore"):
+        cyclic = v[:, _CYCLE]
+        g = cyclic @ cyclic.transpose(0, 2, 1)
+        # cofactor (a, b) of a 3x3 block is the 2x2 minor of rows a+1, a+2
+        # and columns b+1, b+2, read cyclically
+        adj = g[:, 1:4, 1:4] * g[:, 2:, 2:] - g[:, 1:4, 2:] * g[:, 2:, 1:4]
+        c = adj.sum(axis=2)
+        tr = np.trace(g[:, :3, :3], axis1=1, axis2=2)
+        s1 = np.sqrt(np.trace(adj, axis1=1, axis2=2) - xi) * (math.sqrt(1 / 8) * (1 - 2 * rho)) - eps
+        cn = row_norms(c)
+        r = row_norms((c[:, None, :] @ v)[:, 0]) / cn
+        delta = (r * (1 + rho) + (8 * u + eps)) * (1.5 * (1 + rho)) / s1 + 128 * u
+        return (
+            (np.abs(tr - 3.0) <= 1.0)
+            & (r <= r_max)
+            & (s1 > s1_min)
+            & (c.min(axis=1) / cn - delta >= -tol)
+        )
+
+
+def _svd_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """nonneg_dependent_rows by one batched SVD of every block."""
     t, k, _ = stack.shape
     if t == 0:
         return np.zeros(0, dtype=bool), np.zeros(0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import confspace as cs
-from confspace import canonical
+from confspace import canonical, numerics
 from confspace.numerics import nonneg_dependent, nonneg_dependent_rows
 from helpers import (
     _product_gap,
@@ -345,6 +345,111 @@ def test_nonneg_dependent_rows_matches_single_calls():
         assert nonneg_dependent(list(row)) == (bool(want_ok), float(want_res))
     with pytest.raises(ValueError, match="vectors must be numeric vectors of one length"):
         nonneg_dependent(stack[:2])  # a stack is for nonneg_dependent_rows
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonneg_dependent_refuses_non_finite_vectors(bad):
+    # an infinite entry used to answer (True, 0.0), a NaN to fail inside the SVD
+    with pytest.raises(ValueError, match="^vectors must be finite$"):
+        nonneg_dependent([[bad, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+# -- the dependence certificate -------------------------------------------------------
+
+
+def _triangles(U):
+    """The (u_ij, u_jk, u_ki) block of every 3-subset, stacked as the membership checks do."""
+    i, j, k = canonical._tables(U.shape[0]).subsets3.T
+    return np.stack([U[i, j], U[j, k], U[k, i]], axis=1)
+
+
+def _block(rng, m, sigma, null):
+    """A 3 x m block with singular values sigma (padded with zeros to 3)
+    and last left singular vector null: P diag(sigma) Qᵀ."""
+    p, _ = np.linalg.qr(np.column_stack([null, rng.normal(size=(3, 2))]))
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    r = min(m, 3)
+    s = np.zeros(3)
+    s[: len(sigma)] = sigma
+    return (p[:, [1, 2, 0]][:, :r] * s[:r]) @ q[:, :r].T
+
+
+def _designed_blocks(rng, tol):
+    """Blocks at each bound the certificate must respect, of trace 3 like
+    three unit vectors unless they hold a zero row: one stack for each m."""
+    return [np.array(list(_designed(rng, tol, m))) for m in (2, 3, 4)]
+
+
+def _designed(rng, tol, m):
+    for _ in range(4):
+        for spot, f, s1 in itertools.product(range(3), (1 - 1e-3, 1 + 1e-3), (1.0, 1e-3, 1e-5)):
+            # worst coefficient at -tol(1 ± 1e-3), so that the SVD decides
+            # by a hair; small s1 makes its null vector less exact than that
+            null = rng.uniform(0.2, 1.0, 3)
+            null[spot] = 0.0
+            null[spot] = -tol * f * np.linalg.norm(null) / math.sqrt(1 - (tol * f) ** 2)
+            yield _block(rng, m, (math.sqrt(3 - s1 * s1), s1), null)
+        null = rng.uniform(0.2, 1.0, 3)
+        for s1 in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            # near-parallel sides, from a clear second singular value down
+            # to one the SVD calls parallel
+            yield _block(rng, m, (math.sqrt(3 - s1 * s1), s1), null)
+        for f in (1 - 1e-3, 1 + 1e-3):
+            # s_1/s_0 at tol(1 ± 1e-3): parallel by a hair
+            s0 = math.sqrt(3 / (1 + (tol * f) ** 2))
+            yield _block(rng, m, (s0, tol * s0 * f), null)
+            if m > 2:
+                # s_min/s_max at tol(1 ± 1e-3): independent by a hair
+                s0 = math.sqrt(2 / (1 + (tol * f) ** 2))
+                yield _block(rng, m, (s0, 1.0, tol * s0 * f), null)
+        a, b = np.linalg.qr(rng.normal(size=(m, 2)))[0].T
+        for z in (0.0, 1e-9, 1e-7, 1e-5, 1e-3, tol * math.sqrt(2) * (1 - 1e-3), tol * math.sqrt(2) * (1 + 1e-3)):
+            # an antipodal pair and a short third side across it: the SVD
+            # finds these parallel when z <= tol·√2, and without mixed
+            # signs when the short side comes first
+            for rows in itertools.permutations([z * b, a, -a]):
+                yield np.array(rows)
+        for rows in ([a, -a, b], [a, a, -a], [a, -a, 0 * a], [0 * a] * 3):
+            yield np.array(rows)
+
+
+def _certificate_corpus(rng):
+    """Triangles of lifted, zero-scale chart and perturbed points with
+    n <= 8 and m = 1..4, by m."""
+    nested = ([{1, 2}], [{1, 2, 3}, {4, 5}], [{2, 3}, {2, 3, 4}], [{1, 2}, {3, 4}, {5, 6, 7}])
+    corpus = {m: [] for m in range(1, 5)}
+    for n, m in itertools.product(range(3, 9), range(1, 5)):
+        a = lift(sample_config(rng, n, m, min_sep=0.1))
+        noise = rng.normal(size=a.U.shape) * 10.0 ** rng.uniform(-14, -4)
+        U = a.U + noise
+        with np.errstate(invalid="ignore"):
+            U /= np.linalg.norm(U, axis=2, keepdims=True)
+        U[np.arange(n), np.arange(n)] = 0.0
+        corpus[m] += [_triangles(a.U), _triangles(U)]
+    for (sets, m), seed in zip(itertools.product(nested, range(1, 5)), itertools.count()):
+        t = cs.tree_from_nested(sets, max(max(s) for s in sets) + 1)
+        corpus[m].append(_triangles(_at_boundary(t, m, seed).U))
+    return {m: np.concatenate(stacks) for m, stacks in corpus.items()}
+
+
+def test_certified_rows_match_the_svd_bit_for_bit():
+    """nonneg_dependent_rows answers most triangles from its closed-form
+    certificate and the rest from the SVD; every answer and residual must
+    be the all-SVD one to the bit, on sampled points and on blocks placed
+    at each bound of the certificate, where a missing bound shows."""
+    rng = np.random.default_rng(33)
+    corpus = _certificate_corpus(rng)
+    for tol in (1e-12, 1e-9, 1e-6):
+        stacks = [*corpus.values(), *_designed_blocks(rng, tol)]
+        for stack in stacks:
+            ok, res = nonneg_dependent_rows(stack, tol)
+            want_ok, want_res = numerics._svd_rows(stack, tol)
+            assert np.array_equal(ok, want_ok), tol
+            assert np.array_equal(res.view(np.int64), want_res.view(np.int64)), tol
+        # the certificate clears most triangles of these points, or the SVD
+        # would still decide them all
+        cleared = np.concatenate([numerics._certified(corpus[m], tol) for m in (2, 3, 4)])
+        assert cleared.mean() > 0.75, (tol, cleared.mean())
 
 
 # -- false rejections by the tolerance policy --------------------------------------------------
