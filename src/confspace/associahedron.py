@@ -47,14 +47,29 @@ class FacePoset:
 
 
 def face_poset(n: int) -> FacePoset:
-    """The complete face poset of the n-th associahedron."""
+    """The complete face poset of the n-th associahedron.
+
+    The faces are enumerate_trees(n + 2, "planar"), in its order: the
+    lexicographic order of the faces' families of interval clusters, as
+    sequences of candidate indices with a prefix before its extensions.
+    They come with their families from the enumeration, so a face's
+    dimension is n less its family's length, and the faces it covers are
+    its family less one cluster each, looked up by integer code (bit i for
+    candidate i) rather than rebuilt from each tree's clusters.
+    """
     n = trees._integer(n)
     if not 0 <= n <= MAX_ASSOC_INDEX:
         raise ValueError(f"face poset supports 0 <= n <= {MAX_ASSOC_INDEX}")
-    faces = tuple(trees.enumerate_trees(n + 2, "planar"))
-    dims = tuple(n - trees.codim(t) for t in faces)
-    # a face is covered exactly by its single-edge contractions
-    return FacePoset(n, faces, dims, tuple(trees.covering_pairs(faces)))
+    faces: list[trees.FTree] = []
+    codes: list[int] = []
+    for built, families in trees._batches(n + 2, "planar"):
+        faces += built
+        # bit i of a code is planar candidate i; there are at most 44
+        codes += (np.int64(1) << np.maximum(families, 0)).sum(1, where=families >= 0).tolist()
+    dims = tuple(n - code.bit_count() for code in codes)
+    # a face is covered exactly by its single-edge contractions: its family
+    # less one cluster
+    return FacePoset(n, tuple(faces), dims, tuple(trees._covers(codes)))
 
 
 def f_vector(n: int) -> tuple[int, ...]:

@@ -93,7 +93,10 @@ def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
     Returns (answer, residual): residual is 0 when the answer is robust and
     otherwise measures how badly the best candidate dependence fails (the
     smallest singular value for an independent triple, or the most negative
-    normalized coefficient).  Non-finite vectors raise ValueError.
+    normalized coefficient).  Non-finite vectors raise ValueError, and so do
+    vectors whose norm is further than require_unit's slack from 1, named
+    by position: the test for parallel vectors compares each with the first,
+    which a zero or tiny first vector never passes.
     """
     what = "vectors must be numeric vectors of one length"
     a = _float_array(list(vectors), what)
@@ -101,6 +104,11 @@ def nonneg_dependent(vectors, tol: float = 1e-9) -> tuple[bool, float]:
         raise ValueError(what)
     if not np.isfinite(a).all():
         raise ValueError("vectors must be finite")
+    norms = row_norms(a)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_SLACK))
+    if off.size:
+        named = ", ".join(f"vector {i} (norm {norms[i]:.6g})" for i in off.tolist())
+        raise ValueError(f"not unit vectors: {named}")
     ok, res = nonneg_dependent_rows(a[None], tol)
     return bool(ok[0]), float(res[0])
 

@@ -39,10 +39,26 @@ Two builders make the canonical tree of a laminar family, and agree tree for
 tree.  _from_family builds one tree in plain Python; every caller that
 builds one tree at a time uses it: _from_parents, _laminar_tree (so
 tree_from_nested, tree_from_exclusions and contract), relabel and prune.
-_family_trees builds many in array form, a length-bucketed numpy pass per
-chunk of families, and only enumerate_trees (so face_poset) calls it: there
-thousands of families share each array call, while one tree through numpy
-would cost more than the whole Python build of a small tree.
+The array builder builds many at once, and only the enumeration uses it:
+there thousands of families share each array call, while one tree through
+numpy would cost more than the whole Python build of a small tree.
+
+The enumeration, _batches, lists the laminar families of candidate leaf
+sets in backtrack order and never holds a family as a Python object.  A
+level of families is a state: arrays with one row a family, holding its
+candidate indices, the column each set and each leaf hangs from, and
+each set's path key, with a bitset of the candidates that may still join
+the row.  The next level is read off those bitsets, and its state comes
+from the last by _add_set: the new set is the family's largest, so it
+hangs from the root and gathers what hung there inside it.
+_state_trees turns a level's state into trees, numbering each row by
+sorting its path keys.  Levels grow below a run of sibling families
+until a batch holds _BATCH families, and one lexsort of the batch's index
+rows puts its trees in backtrack order.  enumerate_trees returns the
+trees.  face_poset also reads the families: a family's code is the bitset
+of its candidates, its length is the face's codimension, and _covers
+finds every cover as a code less one bit.  covering_pairs runs _covers on
+codes numbered from each tree's clusters.
 
 Nested sets and exclusion relations reach that builder through one check,
 _laminar_tree: it builds the tree of a family of leaf-set bitmasks and
@@ -66,6 +82,7 @@ clusters are the sets near[i, k] plus i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -501,108 +518,245 @@ def covering_pairs(trees: Sequence[FTree]) -> list[tuple[int, int]]:
     """Index pairs (i, j) with trees[j] a single-edge contraction of trees[i].
 
     These are the covering pairs of `leq` among the given trees: trees[j]'s
-    clusters are trees[i]'s minus exactly one.  Each tree is looked up by
-    its family of cluster bitmasks, so repeated trees all get their edges.
-    Pairs come sorted.
+    clusters are trees[i]'s minus exactly one.  Each tree is coded by the
+    bitset of its clusters, one bit for each (leaf count, cluster) among the
+    trees, and _covers finds the pairs on the codes, so repeated trees all
+    get their edges.  Pairs come sorted.
     """
-    families = [(t.n, frozenset(_clusters(t))) for t in trees]
-    where: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for idx, key in enumerate(families):
-        where.setdefault(key, []).append(idx)
+    bit: dict[tuple[int, int], int] = {}
+    # each tree also carries the bit of (n, 0), which is no cluster, so that
+    # a family minus one cluster is found only among trees of its leaf count
+    return _covers([
+        sum(1 << bit.setdefault((t.n, c), len(bit)) for c in (0, *_clusters(t)))
+        for t in trees
+    ])
+
+
+def _covers(codes: Sequence[int]) -> list[tuple[int, int]]:
+    """Index pairs (i, j), sorted, with codes[j] equal to codes[i] minus one
+    set bit: a code is a family of clusters as a bitset, and a cover is a
+    family less one cluster, looked up by its code."""
+    where: dict[int, list[int]] = {}
+    for j, code in enumerate(codes):
+        where.setdefault(code, []).append(j)
     out = []
-    for i, (n, family) in enumerate(families):
-        found = [j for c in family for j in where.get((n, family - {c}), ())]
-        out += [(i, j) for j in sorted(found)]
+    for i, code in enumerate(codes):
+        found = []
+        rest = code
+        while rest:
+            low = rest & -rest
+            found += where.get(code ^ low, ())
+            rest ^= low
+        found.sort()
+        out += [(i, j) for j in found]
     return out
 
 
 # -- enumeration -------------------------------------------------------------
 
 
-# Families per batch in enumerate_trees; one chunk's arrays are alive at a
+# Families per batch in enumerate_trees; one batch's arrays are alive at a
 # time.  It is below 2,752, the number of trunk trees with n = 6, so the
-# enumeration tests cross chunk boundaries.
-_CHUNK = 2048
+# enumeration tests cross batch boundaries.
+_BATCH = 1024
 
 
-def _family_trees(families: Iterable[tuple[int, ...]], n: int) -> list[FTree]:
-    """_from_family on each of many laminar families, in array form.
+@functools.cache
+def _candidates(n: int, variant: str) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The candidate leaf sets of an enumeration and what may follow each.
 
-    The families are read in one pass into an int16 stream with a 0 (no
-    leaf set's bitmask) after each, and each parent tuple is cut from one
-    flat list, so that no family and no per-row list is held while trees
-    are built.  The families of one length k form a (b, k) array of
-    leaf-set bitmasks, each row by size, with a last column for the root,
-    which holds every leaf.  A set hangs below the first later column
-    containing it, and so does each leaf; the later columns containing a
-    set are its root path.  A set's key spells the lowest labels along
-    that path, from the root down, one four-bit digit a level and zeros
-    below the set, so sorting a row's keys gives the depth-first numbering
-    _from_family reads off its path tuples.  Digits and int16 bitmasks hold
-    labels up to 14.  The trees come back in input order.
+    masks holds the candidates' leaf-set bitmasks, by size, then by sorted
+    labels; in the trunk variant the last, the full leaf set, joins every
+    family and is no candidate.  later[i] is the bitset, in little-endian
+    uint64 words, of the candidates after i that are nested in or disjoint
+    from candidate i.  The third item is _set_tables of masks.  Every array
+    is read-only.
     """
-    flat = np.fromiter(itertools.chain.from_iterable(f + (0,) for f in families), np.int16)
-    ends = np.flatnonzero(flat == 0)
-    lens = np.diff(ends, prepend=-1) - 1
-    by_len = np.argsort(lens, kind="stable")
-    lowest = np.zeros(2 << n, np.int64)  # lowest[m & -m]: the lowest label of m
-    lowest[1 << np.arange(n + 1)] = np.arange(n + 1)
-    labels = np.arange(1, n + 1, dtype=np.int16)
-    built: list[FTree] = []
-    for k in sorted(set(lens.tolist())):
-        where = by_len[lens[by_len] == k]
-        rows = np.arange(len(where))[:, None]
-        masks = flat[ends[where, None] - k + np.arange(k)]
-        with_root = np.concatenate([masks, np.full((len(where), 1), (2 << n) - 2, np.int16)], axis=1)
-        # within[r, a, c]: column c comes after set a and holds it
-        within = (with_root[:, None, :] & masks[:, :, None]) == masks[:, :, None]
-        within &= np.arange(k)[:, None] < np.arange(k + 1)
-        up = within.argmax(2)
-        home = ((with_root[:, :, None] >> labels) & 1).argmax(1)
-        # a set's depth is the number of columns holding it
-        digit = lowest[masks & -masks] << 4 * (k - within.sum(2))
-        key = (within[:, :, :k] * digit[:, None, :]).sum(2) + digit
-        order = np.argsort(key, axis=1, kind="stable")
-        ids = np.zeros((len(where), k + 1), np.int16)
-        ids[rows, order] = np.arange(n + 1, n + 1 + k, dtype=np.int16)
-        parent = np.empty((len(where), n + 1 + k), np.int16)
-        parent[:, 0] = -1
-        parent[:, 1 : n + 1] = ids[rows, home]
-        parent[:, n + 1 :] = np.take_along_axis(ids[rows, up], order, axis=1)
-        built += [_trusted(n, row) for row in zip(*[iter(parent.ravel().tolist())] * (n + 1 + k))]
-    back = np.empty(len(lens), np.intp)
-    back[by_len] = np.arange(len(lens))
-    return [built[i] for i in back.tolist()]
+    if variant == "planar":
+        sets = [range(i, i + size) for size in range(2, n) for i in range(1, n - size + 2)]
+    else:
+        sets = [c for size in range(2, n + 1) for c in itertools.combinations(range(1, n + 1), size)]
+    masks = np.array([_mask(c) for c in sets], np.int16)
+    free = masks[:-1] if variant == "trunk" else masks
+    meet = free[:, None] & free
+    fits = (meet == 0) | (meet == free[:, None]) | (meet == free)
+    words = max(1, -(-len(free) // 64))
+    packed = np.zeros((len(free), 8 * words), np.uint8)
+    packed[:, : -(-len(free) // 8)] = np.packbits(np.triu(fits, 1), axis=1, bitorder="little")
+    later = packed.view("<u8")
+    tables = _set_tables(masks, n)
+    for table in (masks, later, *tables):
+        table.flags.writeable = False
+    return masks, later, tables
 
 
-def _laminar_families(candidates: list[int]) -> Iterator[tuple[int, ...]]:
-    """Every pairwise nested or disjoint subfamily of the candidate bitmasks.
+# Path keys hold one four-bit digit a level, for up to this many levels.
+_DEPTH = 15
 
-    Families come out lazily, each in candidate order, depth first: a family
-    is followed by all its extensions by later candidates before the next
-    sibling.  Each stack entry carries the bitmask of later candidates still
-    compatible with its whole family, narrowed by one AND per step.
+
+def _set_tables(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For leaf-set bitmasks over 1..n: inside[a, j], whether set a lies in
+    set j; holds[j, i - 1], whether set j holds leaf i; and digit[j], set
+    j's lowest label in the top digit of a path key."""
+    inside = (masks[:, None] & masks) == masks[:, None]
+    holds = (masks[:, None] >> np.arange(1, n + 1)) & 1 == 1
+    digit = (holds.argmax(1) + 1).astype(np.int64) << 4 * (_DEPTH - 1)
+    return inside, holds, digit
+
+
+def _empty(n: int) -> tuple[np.ndarray, ...]:
+    """The state of the empty family over n leaves, in one row: no sets,
+    and every leaf hangs from the root."""
+    return (
+        np.zeros((1, 0), np.int16),
+        np.zeros((1, 0), np.int8),
+        np.full((1, n), -1, np.int8),
+        np.zeros((1, 0), np.int64),
+    )
+
+
+def _add_set(state: tuple[np.ndarray, ...], j: np.ndarray, tables: tuple) -> tuple[np.ndarray, ...]:
+    """Each row's family with one more set j[row] added.
+
+    A state holds, one row a family of k sets (columns) by size: fam, the
+    sets' indices into the tables; up, the column each set hangs from;
+    home, the column each leaf hangs from (-1 for the root); and key, each
+    set's path key, the lowest labels of the sets from the root down to it,
+    one digit a level from the top.  The new set comes after the others by
+    size, so it lies in none of them: it hangs from the root, the sets and
+    leaves in it that hung from the root now hang from it, and every set in
+    it takes its digit above the path key.
     """
-    compat = []
-    for a in candidates:
-        bits = 0
-        for j, b in enumerate(candidates):
-            c = a & b
-            if c == 0 or c == a or c == b:
-                bits |= 1 << j
-        compat.append(bits)
-    yield ()
-    stack = [((1 << len(candidates)) - 1, ())]
-    while stack:
-        rest, family = stack.pop()
-        if rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            grown = family + (candidates[i],)
-            yield grown
-            stack.append((rest, family))
-            stack.append((rest & compat[i], grown))
+    fam, up, home, key = state
+    inside, holds, digit = tables
+    k = fam.shape[1]
+    sub = inside[fam, j[:, None]]
+    top = digit[j][:, None]
+    return (
+        np.concatenate([fam, j[:, None]], axis=1, dtype=np.int16),
+        np.concatenate([np.where(sub & (up < 0), k, up), np.full_like(top, -1, np.int8)], axis=1),
+        np.where(holds[j] & (home < 0), k, home).astype(np.int8),
+        np.concatenate([np.where(sub, (key >> 4) + top, key), top], axis=1),
+    )
+
+
+def _state_trees(state: tuple[np.ndarray, ...], n: int) -> list[FTree]:
+    """The trees of the families of a state, in row order.
+
+    Sorting a row's path keys gives the depth-first numbering, children by
+    lowest label, that _from_family reads off its path tuples; a column's
+    vertex id is n + 1 plus its place in that order, and the root's is 0.
+    Digits and int16 parent arrays hold labels up to 14.
+    """
+    _, up, home, key = state
+    b, k = key.shape
+    rows = np.arange(b)[:, None]
+    order = np.argsort(key, axis=1)
+    ids = np.zeros((b, k + 1), np.int16)  # the last column, -1, is the root
+    ids[rows, order] = np.arange(n + 1, n + 1 + k, dtype=np.int16)
+    parent = np.empty((b, n + 1 + k), np.int16)
+    parent[:, 0] = -1
+    parent[:, 1 : n + 1] = ids[rows, home]
+    parent[:, n + 1 :] = np.take_along_axis(ids[rows, up], order, axis=1)
+    return [_trusted(n, row) for row in zip(*[iter(parent.ravel().tolist())] * (n + 1 + k))]
+
+
+def _children(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, candidate) for every set bit of a (b, words) bitset array,
+    row by row and candidates increasing: the children of b families."""
+    found = np.flatnonzero(np.unpackbits(bits.view(np.uint8), bitorder="little").view(bool))
+    return np.divmod(found, 64 * bits.shape[1])
+
+
+def _halves(ups: list[np.ndarray], below: np.ndarray, runs: int) -> list[int]:
+    """Where to cut a run of siblings in two so that the families found
+    below them split evenly.  ups[d] gives the parent row of each family at
+    depth d + 1 (depth 0 is the run) and below that of each family of the
+    next level; the answer is, for each depth, how many of its rows go to
+    the first part, which holds at least one sibling and leaves at least
+    one."""
+    owner = [np.arange(runs)]
+    for up in ups + [below]:
+        owner.append(owner[-1][up])
+    found = np.cumsum(np.bincount(np.concatenate(owner), minlength=runs))
+    heads = [min(max(int(np.searchsorted(found, found[-1] / 2)), 1), runs - 1)]
+    for up in ups:
+        heads.append(int(np.searchsorted(up, heads[-1])))
+    return heads
+
+
+def _batches(n: int, variant: str) -> Iterator[tuple[list[FTree], np.ndarray]]:
+    """The enumeration in order, at most _BATCH families at a time.
+
+    Each batch is its trees and its families, as rows of candidate indices
+    padded with -1.  A family is a row of increasing candidate indices, and
+    its children in the backtrack are its extensions by one compatible
+    later candidate, found in the bitset that goes with the row.  The
+    subtrees below a run of siblings are generated level by level, each
+    level's states from the last by _children and _add_set, while the batch
+    stays within _BATCH families.  When the next level would not fit, the
+    run is cut in two where the families found so far split evenly, and
+    each part goes on from the levels it has; a run of one sibling is sent
+    alone, followed by the run of its children.  Within a batch the
+    backtrack order is the lexicographic order of the index rows, a prefix
+    before its extensions, which one lexsort of the padded rows restores.
+    """
+    masks, later, tables = _candidates(n, variant)
+
+    def build(levels: list[tuple]) -> tuple[list[FTree], np.ndarray]:
+        built: list[FTree] = []
+        for state in levels:
+            if variant == "trunk":
+                state = _add_set(state, np.full(len(state[0]), len(masks) - 1), tables)
+            built += _state_trees(state, n)
+        rows = np.full((len(built), levels[-1][0].shape[1]), -1, np.int16)
+        start = 0
+        for fam, *_ in levels:
+            rows[start : start + len(fam), : fam.shape[1]] = fam
+            start += len(fam)
+        if len(levels) == 1:  # one level is in order
+            return built, rows
+        order = np.lexsort(rows.T[::-1])
+        # reordered through an object array, with no int object per index
+        return np.fromiter(built, object, len(built))[order].tolist(), rows[order]
+
+    def grow(levels: list[tuple], ups: list[np.ndarray], front: np.ndarray):
+        # levels[0] is a run of siblings and levels[d] their descendants at
+        # depth d, each below row ups[d - 1] of the level before; front
+        # holds the bitsets of the last level
+        total = sum(len(state[0]) for state in levels)
+        while True:
+            rows, cols = _children(front)
+            if not len(rows):
+                yield build(levels)
+                return
+            # a lone sibling takes its children, at most one per candidate
+            if total + len(rows) > _BATCH and (len(levels) > 1 or len(levels[0][0]) > 1):
+                break
+            levels.append(_add_set(tuple(a[rows] for a in levels[-1]), cols, tables))
+            ups.append(rows)
+            front = front[rows] & later[cols]
+            total += len(rows)
+        if len(levels[0][0]) == 1:
+            yield build(levels[:1])
+            yield from grow(levels[1:], ups[1:], front)
+            return
+        heads = _halves(ups, rows, len(levels[0][0]))
+        del rows, cols  # each part finds its own children again
+        yield from grow(
+            [tuple(a[:h] for a in state) for state, h in zip(levels, heads)],
+            [up[:h] for up, h in zip(ups, heads[1:])],
+            front[: heads[-1]],
+        )
+        yield from grow(
+            [tuple(a[h:] for a in state) for state, h in zip(levels, heads)],
+            [up[h:] - g for up, h, g in zip(ups, heads[1:], heads)],
+            front[heads[-1] :],
+        )
+
+    # the empty family first; every candidate may follow it
+    every = np.packbits(np.arange(64 * later.shape[1]) < len(later), bitorder="little").view("<u8")
+    yield from grow([_empty(n)], [], every[None])
 
 
 def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
@@ -613,13 +767,19 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
     the full interval excluded (root valence at least two).
 
     Candidate leaf sets are bitmasks ordered by size, then by their sorted
-    labels.  Families of them come out of a depth-first backtrack (the empty
-    family first, each family followed by its extensions by later
-    candidates).  This order is part of the contract: callers and tests
-    index into the list.  Up to _CHUNK families at a time go to the batch
-    builder, _family_trees, which builds in array form the trees the
-    one-tree builder _from_family builds; most of an enumeration's time went
-    to building its trees one at a time.  n must be an integer, not a bool.
+    labels; a family of them is listed in candidate order, and the trunk
+    variant adds the full leaf set to each.  Families come in the order of
+    a depth-first backtrack: the empty family first, each family followed
+    by its extensions by later candidates, the extensions by increasing
+    candidate index.  A family's extensions begin with its own index
+    sequence, and two siblings' sequences differ first in their last index,
+    so this is the lexicographic order of the families' candidate index
+    sequences with a prefix before its extensions; that is how _batches,
+    generating level by level in arrays, restores it.
+    This order is part of the contract: callers and tests index into the
+    list.  Each level's trees come from a few array operations on the
+    level's state (_add_set, _state_trees), and are the trees the one-tree
+    builder _from_family builds.  n must be an integer, not a bool.
     """
     if variant not in ("full", "trunk", "planar"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -629,31 +789,15 @@ def enumerate_trees(n: int, variant: str = "full") -> list[FTree]:
             raise ValueError(
                 f"planar enumeration supports 2 <= n <= {MAX_PLANAR_LEAVES}"
             )
-        candidates = [
-            _mask(range(i, i + size))
-            for size in range(2, n)
-            for i in range(1, n - size + 2)
-        ]
-    else:
-        if not 1 <= n <= MAX_FULL_LEAVES:
-            raise ValueError(
-                f"{variant} enumeration supports 1 <= n <= {MAX_FULL_LEAVES}"
-            )
-        candidates = [
-            _mask(c)
-            for size in range(2, n + 1)
-            for c in itertools.combinations(range(1, n + 1), size)
-        ]
-    if variant == "trunk":
-        if n == 1:
-            return [corolla(1)]
-        full = candidates.pop()  # the full leaf set, last by size, joins every family
-        families = (family + (full,) for family in _laminar_families(candidates))
-    else:
-        families = _laminar_families(candidates)
+    elif not 1 <= n <= MAX_FULL_LEAVES:
+        raise ValueError(
+            f"{variant} enumeration supports 1 <= n <= {MAX_FULL_LEAVES}"
+        )
+    if variant == "trunk" and n == 1:
+        return [corolla(1)]
     out: list[FTree] = []
-    while chunk := _family_trees(itertools.islice(families, _CHUNK), n):
-        out += chunk
+    for built, _ in _batches(n, variant):
+        out += built
     return out
 
 

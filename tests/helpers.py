@@ -20,6 +20,7 @@ from confspace import jsonio
 from confspace.canonical import _gather_directions
 from confspace.numerics import ray_intersection, require_unit, row_norms, sign_distinct
 from confspace.simplicial import _direction_exclusions
+from confspace.trees import _from_family
 
 
 # -- sampling -------------------------------------------------------------------
@@ -356,25 +357,80 @@ def reference_enumerate_trees(n, variant="full"):
     ]
 
 
+def laminar_families(candidates):
+    """Every pairwise nested or disjoint subfamily of the candidate bitmasks.
+
+    The reference generator for the enumeration order: families come out
+    lazily, each in candidate order, depth first: a family is followed by
+    all its extensions by later candidates before the next sibling.  Each
+    stack entry carries the bitmask of later candidates still compatible
+    with its whole family, narrowed by one AND per step.
+    """
+    compat = []
+    for a in candidates:
+        bits = 0
+        for j, b in enumerate(candidates):
+            c = a & b
+            if c == 0 or c == a or c == b:
+                bits |= 1 << j
+        compat.append(bits)
+    yield ()
+    stack = [((1 << len(candidates)) - 1, ())]
+    while stack:
+        rest, family = stack.pop()
+        if rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            grown = family + (candidates[i],)
+            yield grown
+            stack.append((rest, family))
+            stack.append((rest & compat[i], grown))
+
+
+def candidate_masks(n, variant):
+    """The candidate leaf-set bitmasks of an enumeration, by size, then by
+    sorted labels, and the bitmask the trunk variant adds to every family
+    (0 for the others)."""
+    if variant == "planar":
+        sets = [range(i, i + size) for size in range(2, n) for i in range(1, n - size + 2)]
+    else:
+        sets = [c for size in range(2, n + 1) for c in itertools.combinations(range(1, n + 1), size)]
+    masks = [sum(1 << i for i in c) for c in sets]
+    if variant == "trunk":
+        return masks[:-1], masks[-1]
+    return masks, 0
+
+
 def reference_face_poset(k):
-    """Face poset of the k-th associahedron with covers found by contraction."""
-    faces = tuple(reference_enumerate_trees(k + 2, "planar"))
-    dims = tuple(k - cs.codim(t) for t in faces)
+    """Face poset of the k-th associahedron: the planar families of the
+    reference generator, each built by the one-tree builder, and as covers
+    each family less one cluster, found by its frozenset."""
+    masks, _ = candidate_masks(k + 2, "planar")
+    families = list(laminar_families(masks))
+    faces = tuple(_from_family(f, k + 2) for f in families)
+    index = {frozenset(f): i for i, f in enumerate(families)}
+    covers = sorted(
+        (i, index[frozenset(f) - {c}]) for i, f in enumerate(families) for c in f
+    )
+    return cs.FacePoset(k, faces, tuple(k - len(f) for f in families), tuple(covers))
+
+
+def contraction_covers(faces):
+    """Covering pairs of a face list found by contracting each internal
+    vertex of each face and looking the result up."""
     index = {t: i for i, t in enumerate(faces)}
-    covers = []
-    for a, low in enumerate(faces):
-        for v in low.internal_vertices:
-            covers.append((a, index[cs.contract(low, [v])]))
-    return cs.FacePoset(k, faces, dims, tuple(sorted(set(covers))))
+    return sorted({(a, index[cs.contract(low, [v])]) for a, low in enumerate(faces) for v in low.internal_vertices})
 
 
 def reference_covers(trees):
-    """Covering pairs by testing codim and leq over all ordered pairs."""
+    """Covering pairs by testing codim and leq over all ordered pairs of
+    trees with equal leaf counts."""
     return [
         (i, j)
         for i, low in enumerate(trees)
         for j, high in enumerate(trees)
-        if i != j and cs.codim(low) == cs.codim(high) + 1 and cs.leq(low, high)
+        if i != j and low.n == high.n and cs.codim(low) == cs.codim(high) + 1 and cs.leq(low, high)
     ]
 
 

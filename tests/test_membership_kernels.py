@@ -354,6 +354,24 @@ def test_nonneg_dependent_refuses_non_finite_vectors(bad):
         nonneg_dependent([[bad, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "vectors, named",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], r"vector 0 \(norm 0\)"),
+        ([[0.0, 1e-20], [1.0, 0.0], [-1.0, 0.0]], r"vector 0 \(norm 1e-20\)"),
+        ([[1.0, 0.0], [0.0, 2.0], [0.0, 0.5]], r"vector 1 \(norm 2\), vector 2 \(norm 0.5\)"),
+    ],
+)
+def test_nonneg_dependent_refuses_vectors_that_are_not_unit(vectors, named):
+    # the first two answered (False, 1.0), although u2 + u3 = 0 is a
+    # non-negative dependence: a zero or tiny first vector never passed
+    # the parallel test's comparison with the first vector
+    with pytest.raises(ValueError, match=f"^not unit vectors: {named}$"):
+        nonneg_dependent(vectors)
+    # within require_unit's slack a vector is taken as it is
+    assert nonneg_dependent([[1.0 + 1e-7, 0.0], [0.0, 1.0], [-1.0, 0.0]]) == (True, 0.0)
+
+
 # -- the dependence certificate -------------------------------------------------------
 
 

@@ -1,16 +1,22 @@
 """The bitmask tree builder against the frozenset reference it replaced."""
 
+import hashlib
 import itertools
 import random
 import re
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import confspace as cs
 from confspace import canonical, cli, jsonio, trees
 from helpers import (
+    candidate_masks,
+    contraction_covers,
+    laminar_families,
     laminar_part,
     reference_check_nested,
     reference_children,
@@ -44,18 +50,86 @@ def test_enumeration_matches_reference_in_order():
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.lists(set_families(), min_size=1, max_size=12))
+# {1, 4, 5} gathers {4, 5} from the root, and the path key of {4, 5} must
+# move below it, ahead of {2, 3}: drawn families rarely nest like this
+@example([(5, [{4, 5}, {2, 3}, {1, 4, 5}])])
 def test_batch_builder_matches_the_one_tree_builder(batch):
     """The array builder against _from_family on drawn batches of laminar
     families of mixed lengths, each family over labels up to the batch's
-    largest n and ordered by size: the same tree for each, in input order."""
+    largest n and ordered by size: the families of each length form one
+    level, grown from the empty family one set at a time by _add_set and
+    built by _state_trees, and each row gives the same tree, in row
+    order."""
     n = max(size for size, _ in batch)
     families = [
         tuple(sorted((trees._mask(a) for a in laminar_part(raw)), key=int.bit_count))
         for _, raw in batch
     ]
-    got = trees._family_trees(iter(families), n)
-    assert [t.parent for t in got] == [trees._from_family(f, n).parent for f in families]
-    assert all(t.n == n for t in got)
+    sets = sorted({m for f in families for m in f})
+    index = {m: i for i, m in enumerate(sets)}
+    tables = trees._set_tables(np.array(sets, np.int16), n)
+    for k in sorted({len(f) for f in families}):
+        level = [f for f in families if len(f) == k]
+        rows = np.array([[index[m] for m in f] for f in level], np.int64).reshape(len(level), k)
+        state = tuple(a.repeat(len(level), 0) for a in trees._empty(n))
+        for col in range(k):
+            state = trees._add_set(state, rows[:, col], tables)
+        got = trees._state_trees(state, n)
+        assert [t.parent for t in got] == [trees._from_family(f, n).parent for f in level]
+        assert all(t.n == n for t in got)
+
+
+# sha256 of the parent tuples run together as signed bytes (each starts
+# with the root's -1), recorded from the enumeration that ran the reference
+# generator's backtrack itself
+_ENUMERATION_DIGESTS = {
+    ("full", 7): "e7278ef1b93f1bf2",
+    ("trunk", 7): "e3456b4c778f6ad5",
+    ("planar", 9): "952eba111a601d0b",
+    ("planar", 10): "a4383f60d5d81c89",
+}
+
+
+def test_enumeration_follows_the_reference_generator():
+    """The level-by-level enumeration lists the families of the reference
+    backtrack in its order, for full and trunk n = 1..7 and planar n =
+    2..10.  Up to full and trunk n = 6 and planar n = 8 its trees are
+    enumerate_trees', which test_enumeration_matches_reference_in_order
+    holds to the frozenset reference; beyond, every 13th is the one-tree
+    builder's tree of its family, and the whole list of parent tuples is
+    pinned by its digest."""
+    for variant, sizes in (("full", range(1, 8)), ("trunk", range(2, 8)), ("planar", range(2, 11))):
+        for n in sizes:
+            masks, top = candidate_masks(n, variant)
+            want = [f + (top,) if top else f for f in laminar_families(masks)]
+            table = np.array(masks + [0], np.int64)  # -1, the padding, reads as 0
+            got, listed = [], []
+            for built, families in trees._batches(n, variant):
+                got += built
+                lengths = (families >= 0).sum(1).tolist()
+                listed += [tuple(row[:k]) + ((top,) if top else ()) for row, k in zip(table[families].tolist(), lengths)]
+            assert listed == want, (variant, n)
+            if (variant, n) in _ENUMERATION_DIGESTS:
+                assert [t.parent for t in got[::13]] == [trees._from_family(f, n).parent for f in want[::13]]
+                flat = array("b", itertools.chain.from_iterable(t.parent for t in got)).tobytes()
+                assert hashlib.sha256(flat).hexdigest()[:16] == _ENUMERATION_DIGESTS[variant, n], (variant, n)
+            else:
+                assert cs.enumerate_trees(n, variant) == got
+    assert cs.enumerate_trees(1, "trunk") == [cs.corolla(1)]
+
+
+def test_enumeration_holds_little_beyond_its_list():
+    """enumerate_trees(7) builds 78,416 trees a batch at a time: its traced
+    peak exceeds what the returned list holds (with the candidate tables,
+    cached on a first call) by at most 1 MB."""
+    tracemalloc.start()
+    try:
+        out = cs.enumerate_trees(7)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 78416
+    assert peak - held <= 1 << 20, (held, peak)
 
 
 def test_enumerated_trees_pass_the_public_check():
@@ -145,12 +219,32 @@ def test_tree_from_nested_reads_a_deep_caterpillar():
 
 
 def test_face_poset_matches_contraction_reference():
-    for k in range(5):
+    """face_poset(k) for k = 0..7 against the reference generator's faces
+    and covers, which for k <= 4 are also the frozenset builder's trees and
+    the single-vertex contractions."""
+    for k in range(8):
         got, want = cs.face_poset(k), reference_face_poset(k)
         assert got.index == want.index
         assert got.faces == want.faces
         assert got.dims == want.dims
         assert got.covers == want.covers
+        if k <= 4:
+            assert [t.parent for t in got.faces] == [t.parent for t in reference_enumerate_trees(k + 2, "planar")]
+            assert list(got.covers) == contraction_covers(got.faces)
+
+
+def test_covering_pairs_on_shuffled_pools_with_repeats():
+    """covering_pairs on shuffled pools that repeat trees, and on pools
+    that mix leaf counts, against the pairwise loop."""
+    rng = random.Random(34)
+    for n, variant in ((3, "full"), (4, "full"), (4, "trunk"), (5, "planar")):
+        trees_n = cs.enumerate_trees(n, variant)
+        pool = trees_n + rng.choices(trees_n, k=len(trees_n) // 2)
+        rng.shuffle(pool)
+        assert trees.covering_pairs(pool) == reference_covers(pool), (n, variant)
+    mixed = cs.enumerate_trees(3) + cs.enumerate_trees(4, "trunk") + [cs.corolla(2), cs.corolla(3)]
+    rng.shuffle(mixed)
+    assert trees.covering_pairs(mixed) == reference_covers(mixed)
 
 
 def test_hasse_dot_matches_pairwise_loop():
