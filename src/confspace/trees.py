@@ -569,9 +569,9 @@ def _candidates(n: int, variant: str) -> tuple[np.ndarray, np.ndarray, tuple]:
     family and is no candidate.  later[i] is the bitset, in little-endian
     uint64 words, of the candidates after i that are nested in or disjoint
     from candidate i.  The third item is _set_tables of masks.  The tables
-    are made afresh on each call, in 20 to 260 µs: a cached table would
-    outlive the first enumeration that made it, and its small objects would
-    keep that enumeration's freed memory from going back to the system.
+    are made afresh on each call, which costs little beside the enumeration:
+    a cached table would outlive the first enumeration that made it, and its
+    small objects would keep that enumeration's freed memory resident.
     """
     if variant == "planar":
         sets = [range(i, i + size) for size in range(2, n) for i in range(1, n - size + 2)]
