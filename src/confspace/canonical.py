@@ -71,7 +71,7 @@ import numpy as np
 
 from . import trees
 from .numerics import _UNIT_EXACT, _UNIT_SLACK, _float, _float_array, nonneg_dependent_rows
-from .numerics import require_unit, row_dots, row_norms, sign_distinct
+from .numerics import require_unit, row_dots, row_norms, sign_distinct, unit_norms
 
 Pair = tuple[int, int]
 Index3 = tuple[int, int, int]
@@ -468,7 +468,7 @@ def _unit_directions(U: np.ndarray) -> np.ndarray:
     i, j = t.pairs.T
     # a huge entry overflows its norm to inf, which fails the unit check
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = row_norms(U[..., i, j, :])
+        nrm = unit_norms(U[..., i, j, :])
     dev = np.abs(nrm - 1.0)
     bad = np.flatnonzero(~(dev <= _UNIT_SLACK))
     if bad.size:

@@ -22,6 +22,21 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(v, v))
 
 
+def sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis as one add.reduce of the elementwise
+    products, with no BLAS call.  A row is summed in the same order whether
+    it stands alone or in a stack, at any memory offset, where a BLAS ddot
+    kernel (OpenBLAS's Prescott one, for instance) can round a vector
+    differently by its alignment."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+def unit_norms(v: np.ndarray) -> np.ndarray:
+    """The norms that decide whether vectors are unit vectors, and rescale
+    them: sum_products, so one vector and a stack of them agree bit for bit."""
+    return np.sqrt(sum_products(v, v))
+
+
 def _float_array(value, what: str) -> np.ndarray:
     """np.asarray(value, dtype=float) under the one rule of what numbers are:
     booleans, None (JSON null, which numpy reads as NaN), numbers written as
@@ -73,8 +88,10 @@ _UNIT_EXACT = 1e-12  # how far from 1 a norm may be for a unit vector to be kept
 
 def require_unit(v: np.ndarray, where: str = "vector") -> np.ndarray:
     v = _float_array(v, f"{where} is not a numeric vector")
-    nrm = float(np.linalg.norm(v))
-    # written so that a NaN norm fails the test
+    # a huge entry overflows the norm to inf, which fails the test, as
+    # it is written so that a NaN norm fails it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(unit_norms(v.reshape(-1)))
     if not abs(nrm - 1.0) <= _UNIT_SLACK:
         raise ValueError(f"{where} is not a unit vector (norm {nrm})")
     if abs(nrm - 1.0) <= _UNIT_EXACT:
@@ -225,11 +242,30 @@ def _svd_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def ray_intersection(
     x_i: np.ndarray, dir_i: np.ndarray, x_j: np.ndarray, dir_j: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """Least-squares meeting point of two rays; returns (s, t, point)."""
-    a = np.stack([dir_i, -dir_j], axis=1)
+) -> tuple:
+    """Least-squares meeting point of the rays x_i + s·dir_i and x_j + t·dir_j,
+    row by row over the last axis, for a unit dir_i; returns (s, t, point),
+    with s and t as floats for one pair of rays.
+
+    Gram–Schmidt on [dir_i, dir_j, b] with b = x_j - x_i, which is backward
+    stable for least squares (Björck, Numerical Methods for Least Squares
+    Problems, 1996, §2.4; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 19): c = dir_i·dir_j, v = dir_j - c·dir_i,
+    a = dir_i·b and r = b - a·dir_i, then t = -(v·r)/(v·v) and s = a + c·t.
+    The normal equations and Cramer's rule square the 1/sin θ of nearly
+    parallel rays instead.  Each dot product is a sum_products, so a row's
+    bits do not depend on the rows stacked with it.  Parallel rays (v = 0)
+    give non-finite s and t.
+    """
     b = x_j - x_i
-    params, *_ = np.linalg.lstsq(a, b, rcond=None)
-    s, t = float(params[0]), float(params[1])
-    point = 0.5 * (x_i + s * dir_i + x_j + t * dir_j)
+    c = sum_products(dir_i, dir_j)
+    v = dir_j - c[..., None] * dir_i
+    a = sum_products(dir_i, b)
+    r = b - a[..., None] * dir_i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -sum_products(v, r) / sum_products(v, v)
+    s = a + c * t
+    point = 0.5 * (x_i + s[..., None] * dir_i + x_j + t[..., None] * dir_j)
+    if np.ndim(s) == 0:
+        return float(s), float(t), point
     return s, t, point

@@ -16,7 +16,10 @@ four-index set modulo reversal, the signed product of the circuit's three
 directions dotted against a probe v and the complementary circuit's three
 dotted against a probe w.  Every term contains each of the six index pairs
 exactly once, so all directions may enter with the smaller index first; the
-sign of a circuit is the parity of its vertex sequence.  One kernel
+sign of a circuit is the parity of its vertex sequence.  Each complement
+circuit is another circuit of the table, entered in the same slot order, so
+the complement products are the circuit products read through a fixed
+involution _PI, and the identity is antisymmetric in its probes.  One kernel
 (_four_consistency) sums it for all four callers: membership's check block
 and the CLI's residual table gather the six pairs from U, and
 four_consistency_residual reads its mapping through _direction_rows.  The
@@ -33,6 +36,7 @@ calibration in calibrate_circuit_signs, is:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -139,8 +143,16 @@ def _edge_slots(path: tuple[int, ...]) -> tuple[int, int, int]:
 
 _QUAD_PAIRS = np.array(list(itertools.combinations(range(4), 2)))
 _C_SLOTS = np.array([_edge_slots(p) for p, _, _ in _CIRCUITS])
-_CSTAR_SLOTS = np.array([_edge_slots(c) for _, c, _ in _CIRCUITS])
 _SIGNS = np.array([s for _, _, s in _CIRCUITS], dtype=float)
+_ONES = np.ones(len(_CIRCUITS))
+# Each complement circuit's slots are those of the circuit _PI names, in the
+# same order, so its products are the circuit products read through _PI, bit
+# for bit.  _PI is an involution without fixed points and _SIGNS[_PI] is
+# -_SIGNS, so the identity is antisymmetric in its probes: swapping v and w
+# negates every term.
+_PI = np.array(
+    [_C_SLOTS.tolist().index(list(_edge_slots(c))) for _, c, _ in _CIRCUITS], dtype=np.intp
+)
 
 
 @dataclass(frozen=True)
@@ -190,17 +202,34 @@ def _direction_rows(u: Mapping[Pair, np.ndarray], idx: Sequence[int], m: int) ->
     return np.stack(rows)
 
 
-def _four_consistency(dots_v: np.ndarray, dots_w: np.ndarray):
-    """The identity on Q four-index subsets, from dots_v (Q, 6, P) and dots_w
-    (Q, 6, R), the six pair directions' dot products (slot order) with P
-    probes v and R probes w.  Returns the unsigned circuit and complement
-    products, (Q, 12, P) and (Q, 12, R), then the signed sums and the sums
-    of absolute terms, (Q, P, R) each."""
-    prod_c = dots_v[:, _C_SLOTS].prod(axis=2)
-    prod_s = dots_w[:, _CSTAR_SLOTS].prod(axis=2)
-    res = np.einsum("c,qcv,qcw->qvw", _SIGNS, prod_c, prod_s)
-    scale = np.einsum("qcv,qcw->qvw", np.abs(prod_c), np.abs(prod_s))
-    return prod_c, prod_s, res, scale
+def _circuit_products(dots: np.ndarray) -> np.ndarray:
+    """The unsigned products (Q, 12, P) of each circuit's three directions on
+    Q four-index subsets, from the six pair directions' dot products (slot
+    order) with P probes, (Q, 6, P).  The complement circuits' products at
+    the same probes are these read through _PI.  np.take gathers each
+    factor, faster than one fancy index of all three, and they are
+    multiplied in place in the order prod(axis=2) would take."""
+    prod = np.take(dots, _C_SLOTS[:, 0], axis=1)
+    for slots in _C_SLOTS.T[1:]:
+        prod *= np.take(dots, slots, axis=1)
+    return prod
+
+
+def _four_consistency(prod_c: np.ndarray, prod_s: np.ndarray, form: str = "c,qcv,qcw->qvw"):
+    """The identity's signed sums and sums of absolute terms, (Q, P, R) each,
+    from the circuit products at P probes v, (Q, 12, P), and the complement
+    circuits' products at R probes w, (Q, 12, R).  Given the form
+    "c,qck,qck->qk", it sums the K probe pairs (v_k, w_k) that prod_c and
+    prod_s hold in their last axes instead, to (Q, K).
+
+    Both sums are three-operand einsums, weighted by the signs or by ones,
+    which add the twelve terms one after another in circuit order whatever
+    the shapes; a two-operand einsum switches to a vectorised order when the
+    circuit axis is the only one left.  So a probe pair's sums have the same
+    bits in either form."""
+    res = np.einsum(form, _SIGNS, prod_c, prod_s)
+    scale = np.einsum(form, _ONES, np.abs(prod_c), np.abs(prod_s))
+    return res, scale
 
 
 def four_consistency_residual(u: Mapping[Pair, np.ndarray], v, w) -> float:
@@ -220,7 +249,8 @@ def four_consistency_residual(u: Mapping[Pair, np.ndarray], v, w) -> float:
     if v.ndim != 1 or w.shape != v.shape:
         raise ValueError("probes v and w must be vectors of one dimension")
     rows = _direction_rows(u, idx, len(v))
-    _, _, res, _ = _four_consistency((rows @ v)[None, :, None], (rows @ w)[None, :, None])
+    prod_c = _circuit_products((rows @ v)[None, :, None])
+    res, _ = _four_consistency(prod_c, _circuit_products((rows @ w)[None, :, None])[:, _PI])
     return float(res[0, 0, 0])
 
 
@@ -253,8 +283,8 @@ def calibrate_circuit_signs(
         w /= np.linalg.norm(w)
         dv.append(urows @ v)
         dw.append(urows @ w)
-    prod_c, prod_s, _, _ = _four_consistency(np.array(dv)[..., None], np.array(dw)[..., None])
-    mat = (prod_c * prod_s)[:, :, 0]
+    prod_c = _circuit_products(np.array(dv))
+    mat = prod_c * _circuit_products(np.array(dw))[:, _PI]
     _, svals, vt = np.linalg.svd(mat, full_matrices=False)
     if svals[-1] > tol * svals[0]:
         raise ValueError("no vanishing sign combination found")
@@ -287,7 +317,11 @@ def membership_simplicial(
     S2-dependence, S3-four-consistency, S4-on-manifold, S4-tangency.  Within
     a condition, indices follow itertools enumeration order, and a
     four-consistency entry is the sorted quad followed by the probe axes
-    (v, w), with w varying fastest.  Each condition runs as one array kernel
+    (v, w), with w varying fastest.  The identity is antisymmetric in its
+    probes, so only the rows v < w are summed: a diagonal row (v, v) holds
+    exactly 0 and a mirror row (w, v) the residual and bound of its row
+    (v, w).  At m = 1 the one probe pair is the diagonal, so S3 checks
+    nothing there.  Each condition runs as one array kernel
     over the point's U, read through index tables cached per n; the first
     three are the same kernels as in membership_canonical, and S1-direction
     rows are held to 1-direction's bound tol + c·u·κ.
@@ -309,45 +343,87 @@ def _simplicial_blocks(
     ]
 
 
+def _basis_products(U: np.ndarray):
+    """The 4-subsets of U's labels (0-based, combinations order) and their
+    circuit products at the basis probes, (Q, 12, m).  With basis probes the
+    complement products are the same rows' products read through _PI."""
+    quads = _quads(U.shape[0])
+    rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
+    return quads, _circuit_products(rows)
+
+
 def _basis_residuals(U: np.ndarray):
     """The 4-subsets of U's labels (0-based, combinations order) and the
     identity's signed and absolute sums at every basis probe pair, (Q, m, m)."""
-    quads = _quads(U.shape[0])
-    rows = U[quads[:, _QUAD_PAIRS[:, 0]], quads[:, _QUAD_PAIRS[:, 1]]]
-    _, _, res, scale = _four_consistency(rows, rows)
+    quads, prod_c = _basis_products(U)
+    res, scale = _four_consistency(prod_c, prod_c[:, _PI])
     return quads, res, scale
+
+
+@functools.lru_cache(maxsize=16)
+def _probe_tables(n: int, m: int):
+    """The S3 block's tables for n labels and m probe axes, read-only: its
+    index rows (quad, v, w), the probe pairs v < w as two arrays, and for
+    each of a quad's m² rows the column it reads from [0, |residual| at each
+    pair v < w]: 0 on the diagonal, the pair's column at (v, w) and (w, v).
+    The index is int16, a quarter of intp's size: it grows as n^4·m² and
+    stays cached, and memory runs out long before a label reaches 2^15."""
+    probes = np.array(list(itertools.product(range(m), repeat=2)), dtype=np.int16)
+    quads = _quads(n).astype(np.int16)
+    index = np.concatenate(
+        [np.repeat(quads, m * m, axis=0), np.tile(probes, (len(quads), 1))], axis=1
+    )
+    v, w = np.triu_indices(m, 1)
+    column = np.zeros((m, m), dtype=np.intp)
+    column[v, w] = column[w, v] = np.arange(1, len(v) + 1)
+    tables = (index, v, w, column.reshape(-1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _four_consistency_block(U: np.ndarray, tol: float):
     """The consistency identity on every 4-subset at every basis probe pair.
 
     Rows run over (quad, v, w) in that nesting; each residual is bounded by
-    tol times the sum of the absolute terms (at least tol).
+    tol times the sum of the absolute terms (at least tol).  The identity is
+    antisymmetric in its probes, so only the pairs v < w are summed: a
+    diagonal row's residual is exactly 0 (each term cancels its _PI
+    partner), and a mirror row (w, v) gets the residual and bound of its
+    row (v, w), which it equals up to the rounding of the two sums.
     """
-    quads, res, scale = _basis_residuals(U)
-    m = U.shape[2]
-    probes = np.array(list(itertools.product(range(m), repeat=2)), dtype=np.intp)
-    index = np.concatenate(
-        [np.repeat(quads, m * m, axis=0), np.tile(probes, (len(quads), 1))], axis=1
-    )
+    index, v, w, column = _probe_tables(U.shape[0], U.shape[2])
+    _, prod_c = _basis_products(U)
+    pv, pw = prod_c[:, :, v], prod_c[:, _PI[:, None], w]
+    del prod_c  # megabytes at n = 30, and not read again
+    res, scale = _four_consistency(pv, pw, "c,qck,qck->qk")
+    residual = np.zeros((len(res), len(v) + 1))
+    residual[:, 1:] = np.abs(res)
+    bound = np.full(residual.shape, tol)
+    bound[:, 1:] = tol * np.maximum(1.0, scale)
     return (
         "S3-four-consistency",
         index,
-        np.abs(res).reshape(-1),
-        tol * np.maximum(1.0, scale).reshape(-1),
+        residual[:, column].reshape(-1),
+        bound[:, column].reshape(-1),
     )
 
 
 # -- classification --------------------------------------------------------------
 
 
+def _exclusion_mask(U: np.ndarray, tol: float) -> np.ndarray:
+    """Over the ordered triples (i, j, k) of _tables, whether the directions
+    from k to i and to j agree while u_ij is not parallel to them, tested in
+    one array pass."""
+    i, j, k = _tables(len(U)).triples.T
+    return (row_norms(U[i, k] - U[j, k]) <= tol) & sign_distinct(U[i, j], U[i, k], tol)
+
+
 def _direction_exclusions(U: np.ndarray, tol: float):
-    """Triples ((i, j), k) whose directions from k to i and to j agree while
-    u_ij is not parallel to them, tested in one array pass."""
-    t = _tables(len(U))
-    i, j, k = t.triples.T
-    hit = (row_norms(U[i, k] - U[j, k]) <= tol) & sign_distinct(U[i, j], U[i, k], tol)
-    return {((a, b), c) for a, b, c in (t.triples[hit] + 1).tolist()}
+    """The exclusions ((i, j), k) of U, 1-based, as a set."""
+    hit = _exclusion_mask(U, tol)
+    return {((a, b), c) for a, b, c in (_tables(len(U)).triples[hit] + 1).tolist()}
 
 
 def stratum_tree_of_directions(p: SimplicialPoint, tol: float = DEFAULT_TOL) -> trees.FTree:
@@ -391,7 +467,7 @@ def reconstruct_from_directions(
 def _reconstruct(U: np.ndarray, tol: float) -> Configuration:
     """reconstruct_from_directions on a checked direction array U."""
     n, m = U.shape[0], U.shape[2]
-    if _direction_exclusions(U, tol):
+    if _exclusion_mask(U, tol).any():
         raise ValueError("direction matrix has exclusions; not a single stratum")
 
     ref = U[0, 1]
@@ -404,6 +480,13 @@ def _reconstruct(U: np.ndarray, tol: float) -> Configuration:
         return normalize(rank[:, None] * ref)
 
     placed: dict[int, np.ndarray] = {0: np.zeros(m), 1: U[1, 0].copy()}
+    # The rule below places a label with the anchor pair (0, 1) whenever that
+    # pair can place it and every smaller label is placed, so one batched
+    # solve places the labels 2, 3, ... up to the first one the pair cannot.
+    s, t, points = ray_intersection(placed[0], U[2:, 0], placed[1], U[2:, 1])
+    ok = sign_distinct(U[2:, 0], U[2:, 1], tol) & (s > tol) & (t > tol)
+    stop = len(ok) if ok.all() else int(np.argmin(ok))
+    placed.update(zip(range(2, 2 + stop), points[:stop]))
     while len(placed) < n:
         todo = sorted(set(range(n)) - set(placed))
         for k, i, j in itertools.product(todo, sorted(placed), sorted(placed)):
@@ -420,6 +503,9 @@ def _reconstruct(U: np.ndarray, tol: float) -> Configuration:
 # -- approximating families --------------------------------------------------------
 
 
+_EPS_FLOOR = 2.0**-43  # the smallest eps^levels of an approximating configuration
+
+
 def approximating_configuration(
     p: SimplicialPoint, eps: float, tol: float = DEFAULT_TOL
 ) -> Configuration:
@@ -431,10 +517,25 @@ def approximating_configuration(
     row is 0), and expand these rows with every internal scale set to eps,
     so each leaf sums the offsets along its root path with weight eps^depth.
     eps may exceed the rows' scale bound: no stratum record is made.
+
+    The deepest offsets, eps^levels below the rows they are added to
+    (levels counts the nested clusters under the first vertex that spreads
+    its children; a trunk's zero row spreads none), must stay above
+    _EPS_FLOOR = 2^-43, 1024 units of rounding u = 2^-53: otherwise the
+    rounding of the unit-sized sums they are added to turns the deepest
+    clusters' directions by more than about 1e-3, or makes their points
+    coincide, and a ValueError naming eps is raised.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
     t = stratum_tree_of_directions(p, tol)
+    trunk = len(t.children[0]) == 1
+    levels = max(map(t.depth, t.internal_vertices), default=0) - trunk
+    if eps**levels < _EPS_FLOOR:
+        raise ValueError(
+            f"eps = {eps!r} puts the deepest of {levels} nested clusters at eps^{levels},"
+            f" below the floor {_EPS_FLOOR:.3g} where rounding hides their offsets"
+        )
     rows = []
     for v in (0, *t.internal_vertices):
         reps = [min(t.leaves_over[c]) - 1 for c in t.children[v]]

@@ -2,12 +2,21 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import confspace as cs
-from confspace.simplicial import _CIRCUITS, _basis_residuals
+from confspace.numerics import ray_intersection
+from confspace.simplicial import (
+    _CIRCUITS,
+    _PI,
+    _basis_products,
+    _basis_residuals,
+    _circuit_products,
+    _four_consistency_block,
+)
 from helpers import (
     direction_error,
     random_unit,
@@ -202,6 +211,55 @@ def test_public_residual_is_the_kernel_entry_on_every_subset():
             assert public.hex() == float(table[a, b]).hex()
 
 
+def _random_directions(rng, n, m):
+    """An antisymmetric U of random unit directions: no configuration's."""
+    U = np.zeros((n, n, m))
+    for i, j in itertools.combinations(range(n), 2):
+        U[i, j] = random_unit(rng, m)
+        U[j, i] = -U[i, j]
+    return U
+
+
+def test_basis_residuals_are_antisymmetric_in_their_probes():
+    """The facts the S3 block relies on, on random non-member directions
+    with n <= 8 and m = 1..4: the complement circuits' products are the
+    circuit products read through _PI, bit for bit; every diagonal residual
+    is exactly 0.0; and a mirrored pair cancels to within the rounding of
+    two sums of 12 terms, 2·γ₁₁·scale with γ₁₁ = 11u/(1 - 11u) (4u·scale
+    does not hold: 5.4u·scale was seen).  The block then holds the table's
+    |residual| and bound at v < w, 0 on the diagonal, and the row (v, w)'s
+    at (w, v)."""
+    assert _PI.tolist() == [9, 8, 7, 11, 6, 10, 4, 2, 1, 0, 5, 3]
+    slot = {pair: k for k, pair in enumerate(itertools.combinations(range(4), 2))}
+    complement_slots = np.array(
+        [[slot[tuple(sorted(e))] for e in zip(c, c[1:])] for _, c, _ in _CIRCUITS]
+    )
+    u = 2.0**-53
+    gamma = 11 * u / (1 - 11 * u)
+    tol = 1e-9
+    rng = np.random.default_rng(36)
+    for n in range(4, 9):
+        for m in range(1, 5):
+            for _ in range(3):
+                U = _random_directions(rng, n, m)
+                quads, prod_c = _basis_products(U)
+                rows = U[quads[:, [0, 0, 0, 1, 1, 2]], quads[:, [1, 2, 3, 2, 3, 3]]]
+                assert np.array_equal(prod_c, _circuit_products(rows))
+                prod_s = rows[:, complement_slots].prod(axis=2)
+                assert prod_c[:, _PI].tobytes() == prod_s.tobytes()
+                _, res, scale = _basis_residuals(U)
+                assert not res[:, range(m), range(m)].any()
+                assert (np.abs(res + res.transpose(0, 2, 1)) <= 2 * gamma * scale).all()
+                _, _, residual, bound = _four_consistency_block(U, tol)
+                residual, bound = residual.reshape(res.shape), bound.reshape(res.shape)
+                v, w = np.triu_indices(m, 1)
+                assert np.abs(res[:, v, w]).tobytes() == residual[:, v, w].tobytes()
+                assert (tol * np.maximum(1.0, scale[:, v, w])).tobytes() == bound[:, v, w].tobytes()
+                assert residual[:, w, v].tobytes() == residual[:, v, w].tobytes()
+                assert bound[:, w, v].tobytes() == bound[:, v, w].tobytes()
+                assert not residual[:, range(m), range(m)].any()
+
+
 def test_calibration_recovers_frozen_sign_table():
     got = cs.calibrate_circuit_signs(samples=150, seed=7)
     assert got == tuple(s for _, _, s in _CIRCUITS)
@@ -354,6 +412,55 @@ def test_reconstruction_collinear_planar():
     assert abs(gaps[0] - gaps[1]) <= 1e-12  # equal spacing by convention
 
 
+def _exact_ray_parameters(x_i, d_i, x_j, d_j):
+    """The least-squares (s, t) of x_i + s·d_i = x_j + t·d_j for the rays'
+    float data, in exact rational arithmetic (normal equations)."""
+    d_i, d_j = [Fraction(c) for c in d_i], [Fraction(c) for c in d_j]
+    b = [Fraction(q) - Fraction(p) for p, q in zip(x_i, x_j)]
+
+    def dot(a, c):
+        return sum(p * q for p, q in zip(a, c))
+
+    g11, g12, g22 = dot(d_i, d_i), -dot(d_i, d_j), dot(d_j, d_j)
+    r1, r2 = dot(d_i, b), -dot(d_j, b)
+    det = g11 * g22 - g12 * g12
+    return (r1 * g22 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+
+
+@pytest.mark.parametrize("beyond", [2.0, 0.4], ids=["near-parallel", "near-antiparallel"])
+def test_ray_intersection_is_accurate_on_nearly_parallel_rays(beyond):
+    """Rays from x_i and x_j to a point a distance h off their line, beyond
+    x_j (nearly parallel rays) or between them (nearly antiparallel), with
+    sin θ from about 1e-2 down to 1e-8.  s and t are of the order of |b|,
+    b = x_j - x_i, so a backward-stable solve is within c·u·|b|/sin θ of
+    the exact least-squares solution of the rays' float data; c = 4 here
+    (the Gram–Schmidt form reads up to 1.07, LAPACK's lstsq up to 8.8).
+    The normal equations and Cramer's rule square 1/sin θ and fail."""
+    u = 2.0**-53
+    rng = np.random.default_rng(36)
+    for m in (2, 3, 4):
+        for k in range(2, 9):
+            for _ in range(4):
+                e = random_unit(rng, m)
+                w = rng.normal(size=m)
+                w -= (w @ e) * e
+                w /= np.linalg.norm(w)
+                length = 10.0 ** rng.uniform(-2, 2)
+                x_i = rng.normal(size=m)
+                x_j = x_i + length * e
+                p = x_i + beyond * length * e + 10.0**-k * length * rng.uniform(0.5, 2) * w
+                d_i = (p - x_i) / np.linalg.norm(p - x_i)
+                d_j = (p - x_j) / np.linalg.norm(p - x_j)
+                # |d_i - d_j|·|d_i + d_j| / 2 = 2 sin(θ/2) cos(θ/2), with no cancellation
+                sin = np.linalg.norm(d_i - d_j) * np.linalg.norm(d_i + d_j) / 2
+                s, t, point = ray_intersection(x_i, d_i, x_j, d_j)
+                exact_s, exact_t = _exact_ray_parameters(x_i, d_i, x_j, d_j)
+                bound = 4 * u * np.linalg.norm(x_j - x_i) / sin
+                assert abs(Fraction(s) - exact_s) <= bound, (m, k)
+                assert abs(Fraction(t) - exact_t) <= bound, (m, k)
+                assert np.abs(point - p).max() <= 4 * bound
+
+
 def test_reconstruction_rejects_exclusions():
     p = cluster_point_over_pair()
     with pytest.raises(ValueError, match="exclusions"):
@@ -432,6 +539,31 @@ def test_approx_family_eps_range():
         cs.approximating_configuration(p, 0.0)
     with pytest.raises(ValueError):
         cs.approximating_configuration(p, 1.5)
+
+
+def test_approx_family_refuses_offsets_below_rounding():
+    """eps^levels must stay above 2^-43.  At eps = 1e-4 the four nested
+    clusters of the n = 6 caterpillar's boundary point sit at 1e-16, which
+    the rounding of unit-sized sums hides; at 1e-3 they sit at 1e-12 and
+    pass.  A trunk scales every offset alike, so it is no level: with one,
+    the caterpillar's n = 5 counterpart has three levels and passes at 1e-4."""
+
+    def boundary(sets, n):
+        t = cs.tree_from_nested(sets, n)
+        s = cs.stratum_sample(t, 2, 0)
+        zero = cs.StratumPoint(t, s.root_config, s.configs, {v: 0.0 for v in s.scales})
+        return cs.to_simplicial(cs.expand_chart(zero))
+
+    chain = [(1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)]
+    p = boundary(chain, 6)
+    with pytest.raises(ValueError, match=r"eps = 0\.0001 .* 4 nested clusters"):
+        cs.approximating_configuration(p, 1e-4)
+    cfg = cs.approximating_configuration(p, 1e-3)
+    assert direction_error(lift(cfg.points).u, p.u) <= 1e-2
+    trunked = boundary(chain, 5)
+    assert len(cs.stratum_tree_of_directions(trunked).children[0]) == 1
+    cfg = cs.approximating_configuration(trunked, 1e-4)
+    assert direction_error(lift(cfg.points).u, trunked.u) <= 1e-2
 
 
 # -- input checks ------------------------------------------------------------------------
